@@ -10,6 +10,12 @@ is path-normalized.  Localized edges are unit-labeled, carry zero word
 weight, and cancel against their formal inverses, which keeps every
 truncation closed under faces.
 
+Each call enumerates words once, at the largest bound it needs, and reads
+every smaller bound off that build as its weight filtration: the words of
+weight at most the bound.  Inside a build, words are keyed by their letter
+tuples; the string cell id of a word is rendered once, when a level is
+turned into a cubical set.
+
 Letters are plain tuples: ("e", src, tgt, cell) for an edge generator and
 ("a", attachment index, cell) for an attached cell.
 """
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cubes import face as cube_face
-from .cubical import CellRef, CubicalMap, CubicalSet, nd
+from .cubical import CellRef, CubicalSet, nd
 from .errors import GuardError, ValidationError
 
 
@@ -37,6 +43,18 @@ def word_id(word) -> str:
     if not word:
         return "1"
     return ".".join(letter_token(l) for l in word)
+
+
+def _cancel_onto(stack: list, letters, cancel_pairs) -> tuple:
+    """Append letters to a word without adjacent cancel pairs, deleting each
+    pair as it forms.  This deletes the leftmost pair first, so it agrees
+    with repeated leftmost deletion for any set of cancel pairs."""
+    for letter in letters:
+        if stack and (stack[-1], letter) in cancel_pairs:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return tuple(stack)
 
 
 @dataclass
@@ -125,16 +143,8 @@ class EnrichedPresentation:
         return sum(self.letter_dim(l) for l in word)
 
     def normalize_word(self, letters):
-        word = list(letters)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(word) - 1):
-                if (word[i], word[i + 1]) in self.cancel_pairs:
-                    del word[i : i + 2]
-                    changed = True
-                    break
-        return tuple(word)
+        """Delete adjacent cancel pairs, leftmost first, until none is left."""
+        return _cancel_onto([], letters, self.cancel_pairs)
 
     def compose_words(self, u, v):
         """u then v (diagrammatic order), normalized."""
@@ -145,34 +155,16 @@ class EnrichedPresentation:
     def face_of_word(self, word, k: int, eps: int):
         """The (k, eps)-face of a word cell, as (degeneracy word, word)."""
         off = 0
-        idx = None
-        for i, letter in enumerate(word):
+        for idx, letter in enumerate(word):
             dl = self.letter_dim(letter)
             if off + dl >= k:
-                idx = i
                 break
             off += dl
-        if idx is None:
-            raise ValidationError(f"face index {k} out of range for word")
-        letter = word[idx]
-        kk = k - off
-        if letter[0] == "e":
-            space = self.edges[(letter[1], letter[2])]
-            ref = space.faces[(letter[3], kk, eps)]
-            repl = (("e", letter[1], letter[2], ref.base),)
-            local = ref.degens
         else:
-            att = self.attachments[letter[1]]
-            ref = att.space.faces[(letter[2], kk, eps)]
-            if ref.base in att.a_cells:
-                repl = att.boundary_map[ref.base]
-                local = ref.degens
-            else:
-                repl = (("a", letter[1], ref.base),)
-                local = ref.degens
+            raise ValidationError(f"face index {k} out of range for word")
+        local, repl = _letter_face(self, letter, k - off, eps)
         new_word = self.normalize_word(word[:idx] + repl + word[idx + 1 :])
-        outer = tuple(s + off for s in local)
-        return outer, new_word
+        return tuple(s + off for s in local), new_word
 
     # -- construction ------------------------------------------------------------
 
@@ -438,83 +430,181 @@ class MappingSpaceTruncation:
         return [self.words[c] for c in self.space.by_dim(0)]
 
 
-def _enumerate_words(pres, x, y, bound, max_letters):
-    out = []
+class _WordFiltration:
+    """Every cell word of Map(x, y) up to one word-weight bound, built once.
 
-    def rec(at, word, weight):
-        if len(word) > max_letters:
+    Words are enumerated a single time at ``top``, each with its weight and
+    dimension, and their faces are computed and resolved to word indices.
+    The truncation at any bound b <= top is the subcomplex of words of weight
+    at most b; ``level(b)`` renders it as a cubical set.  Letter tables live
+    in this object only, so nothing is cached on the presentation, and the
+    rendered levels hold no reference back to the build."""
+
+    def __init__(self, pres, x, y, top: int):
+        self.x, self.y = x, y
+        cancel = pres.cancel_pairs
+        outgoing = {}   # object -> [(letter, target, weight, dim)]
+        # least[n]: the least weight of a partial word of n letters (top + 1
+        # while none is seen), so the word-length guard of every level
+        # b <= top can be replayed
+        least = [top + 1] * (4 * top + 8)
+        max_letters = 4 * top + 6
+        found = []
+
+        def letters_at(at):
+            out = outgoing.get(at)
+            if out is None:
+                out = outgoing[at] = [
+                    (l, pres.letter_tgt(l), pres.letter_weight(l), pres.letter_dim(l))
+                    for l in pres.letters_from(at)
+                ]
+            return out
+
+        def rec(at, word, weight, dim):
+            n = len(word)
+            if weight < least[n]:
+                least[n] = weight
+            if n > max_letters:
+                raise GuardError(
+                    "word length guard exceeded; presentation rewrites do not terminate"
+                )
+            if at == y:
+                found.append((tuple(word), weight, dim))
+            for letter, tgt, w, dl in letters_at(at):
+                if weight + w > top:
+                    continue
+                if word and (word[-1], letter) in cancel:
+                    continue
+                word.append(letter)
+                rec(tgt, word, weight + w, dim + dl)
+                word.pop()
+
+        rec(x, [], 0, 0)
+        # depth-first search over sorted letters visits words in lexicographic
+        # order, so a stable sort by length gives the (length, word) order
+        found.sort(key=lambda entry: len(entry[0]))
+        self.least = least
+        self.words = [w for w, _, _ in found]
+        self.weights = [wt for _, wt, _ in found]
+        self.dims = [d for _, _, d in found]
+        self._ids = [None] * len(self.words)  # cell ids, rendered on first use
+        index = {w: i for i, w in enumerate(self.words)}
+
+        letter_dims = {}
+        letter_faces = {}  # letter -> [(local degens, replacement word)] in (k, eps) order
+        for entries in outgoing.values():
+            for letter, _, _, dl in entries:
+                letter_dims[letter] = dl
+                letter_faces[letter] = [
+                    _letter_face(pres, letter, kk, eps)
+                    for kk in range(1, dl + 1)
+                    for eps in (0, 1)
+                ]
+        # faces[i]: the (k, eps)-faces of word i in (k, eps) order, each as
+        # (degeneracy word, index of the face word)
+        self.faces = []
+        for w in self.words:
+            out = []
+            off = 0
+            for i, letter in enumerate(w):
+                rest = w[i + 1 :]
+                for local, repl in letter_faces[letter]:
+                    fw = _cancel_onto(list(w[:i]), repl + rest, cancel)
+                    j = index.get(fw)
+                    if j is None:
+                        raise ValidationError(
+                            f"face left the truncation: {word_id(fw)} from "
+                            f"{word_id(w)}; word weights are not face-monotone"
+                        )
+                    out.append((tuple(s + off for s in local), j))
+                off += letter_dims[letter]
+            self.faces.append(out)
+
+    def _check_guard(self, b: int):
+        """The word-length guard of a standalone build at bound b."""
+        if min(self.least[4 * b + 7 :]) <= b:
             raise GuardError(
                 "word length guard exceeded; presentation rewrites do not terminate"
             )
-        if at == y:
-            out.append(tuple(word))
-        for letter in pres.letters_from(at):
-            w = pres.letter_weight(letter)
-            if weight + w > bound:
-                continue
-            if word and (word[-1], letter) in pres.cancel_pairs:
-                continue
-            word.append(letter)
-            rec(pres.letter_tgt(letter), word, weight + w)
-            word.pop()
 
-    rec(x, [], 0)
-    return sorted(set(out), key=lambda w: (len(w), w))
+    def cell_counts(self, b: int) -> dict:
+        self._check_guard(b)
+        counts = {}
+        for wt, d in zip(self.weights, self.dims):
+            if wt <= b:
+                counts[d] = counts.get(d, 0) + 1
+        return counts
 
-
-def _materialize(pres, x, y, bound, max_letters=None):
-    if max_letters is None:
-        max_letters = 4 * bound + 6
-    words = _enumerate_words(pres, x, y, bound, max_letters)
-    cells = {}
-    index = {}
-    for w in words:
-        cid = word_id(w)
-        cells[cid] = pres.word_dim(w)
-        index[cid] = w
-    faces = {}
-    for w in words:
-        cid = word_id(w)
-        d = cells[cid]
-        for k in range(1, d + 1):
-            for eps in (0, 1):
-                degens, fw = pres.face_of_word(w, k, eps)
-                fid = word_id(fw)
-                if fid not in cells:
+    def level(self, b: int):
+        """The truncation at bound b as (cubical set, cell id -> word)."""
+        self._check_guard(b)
+        keep = [i for i, wt in enumerate(self.weights) if wt <= b]
+        ids = self._ids
+        cells = {}
+        index = {}
+        for i in keep:
+            w = self.words[i]
+            cid = ids[i]
+            if cid is None:
+                cid = ids[i] = word_id(w)
+            if cid in cells:
+                raise ValidationError(
+                    f"words {index[cid]} and {w} both have the cell id {cid!r}"
+                )
+            cells[cid] = self.dims[i]
+            index[cid] = w
+        faces = {}
+        weights = self.weights
+        for i in keep:
+            cid = ids[i]
+            for n, (degens, j) in enumerate(self.faces[i]):
+                if weights[j] > b:
                     raise ValidationError(
-                        f"face left the truncation: {fid} from {cid}; "
-                        "word weights are not face-monotone"
+                        f"face left the truncation: {word_id(self.words[j])} from "
+                        f"{cid}; word weights are not face-monotone"
                     )
-                faces[(cid, k, eps)] = CellRef(degens, fid)
-    space = CubicalSet(cells, faces, name=f"Map({x},{y})@{bound}")
-    return space, index
+                faces[(cid, n // 2 + 1, n % 2)] = CellRef(degens, ids[j])
+        space = CubicalSet(cells, faces, name=f"Map({self.x},{self.y})@{b}")
+        return space, index
+
+
+def _letter_face(pres, letter, kk: int, eps: int):
+    """The (kk, eps)-face of a single letter as (local degens, word)."""
+    if letter[0] == "e":
+        ref = pres.edges[(letter[1], letter[2])].faces[(letter[3], kk, eps)]
+        return ref.degens, (("e", letter[1], letter[2], ref.base),)
+    att = pres.attachments[letter[1]]
+    ref = att.space.faces[(letter[2], kk, eps)]
+    if ref.base in att.a_cells:
+        return ref.degens, att.boundary_map[ref.base]
+    return ref.degens, (("a", letter[1], ref.base),)
+
+
+def _require_bound(bound: int):
+    if bound < 0:
+        raise ValidationError(f"word bound {bound} is negative")
 
 
 def mapping_space(pres, x, y, bound: int, with_stability: bool = True) -> MappingSpaceTruncation:
     """Materialize the word-length truncation of Map(x, y) as a cubical set.
 
     stable_dims lists the dimensions in which raising the bound by one adds
-    no cells (computed by materializing at bound + 1, never assumed)."""
-    space, index = _materialize(pres, x, y, bound)
-    stable = frozenset()
-    if with_stability:
-        bigger, _ = _materialize(pres, x, y, bound + 1)
-        counts_small = space.cell_counts()
-        counts_big = bigger.cell_counts()
-        dims = set(counts_small) | set(counts_big)
-        stable = frozenset(
-            d for d in dims if counts_small.get(d, 0) == counts_big.get(d, 0)
-        )
-    return MappingSpaceTruncation((x, y), bound, space, index, stable)
-
-
-def truncation_inclusion(pres, small: MappingSpaceTruncation, large: MappingSpaceTruncation) -> CubicalMap:
-    """The constructed inclusion of a truncation into a larger one."""
-    if small.pair != large.pair or small.word_bound > large.word_bound:
-        raise ValidationError("not a truncation pair")
-    return CubicalMap(
-        small.space, large.space, {c: nd(c) for c in small.space.cells}
+    no cells.  It is read off the weight filtration of one build at
+    bound + 1, which also checks that every face of that build stays inside
+    it; stability is computed, never assumed."""
+    _require_bound(bound)
+    if not with_stability:
+        space, index = _WordFiltration(pres, x, y, bound).level(bound)
+        return MappingSpaceTruncation((x, y), bound, space, index, frozenset())
+    levels = _WordFiltration(pres, x, y, bound + 1)
+    space, index = levels.level(bound)
+    counts_small = space.cell_counts()
+    counts_big = levels.cell_counts(bound + 1)
+    dims = set(counts_small) | set(counts_big)
+    stable = frozenset(
+        d for d in dims if counts_small.get(d, 0) == counts_big.get(d, 0)
     )
+    return MappingSpaceTruncation((x, y), bound, space, index, stable)
 
 
 # -- homotopy category -----------------------------------------------------------
@@ -523,7 +613,7 @@ def truncation_inclusion(pres, small: MappingSpaceTruncation, large: MappingSpac
 class _Classes:
     """0-cells of a truncation modulo the relation generated by 1-cells."""
 
-    def __init__(self, pres, trunc: MappingSpaceTruncation):
+    def __init__(self, space: CubicalSet):
         parent = {}
 
         def find(a):
@@ -539,7 +629,6 @@ class _Classes:
                     ra, rb = rb, ra
                 parent[rb] = ra
 
-        space = trunc.space
         for c in space.by_dim(0):
             parent.setdefault(c, c)
         for c in space.by_dim(1):
@@ -597,12 +686,14 @@ def homotopy_category(pres, bound: int) -> HomotopyCategory:
     raising the bound (no new classes appear and no existing classes merge);
     raw cell counts keep growing for free presentations, so stability is
     measured on the quotient that the homotopy category actually uses."""
+    _require_bound(bound)
     spaces = {}
     for x in pres.objects:
         for y in pres.objects:
-            small = mapping_space(pres, x, y, bound, with_stability=False)
-            large = mapping_space(pres, x, y, bound + 1, with_stability=False)
-            cs, cl = _Classes(pres, small), _Classes(pres, large)
+            levels = _WordFiltration(pres, x, y, bound + 1)
+            small, words = levels.level(bound)
+            large, _ = levels.level(bound + 1)
+            cs, cl = _Classes(small), _Classes(large)
             small_classes = cs.classes()
             merged = {}
             for rep_small in small_classes:
@@ -618,21 +709,19 @@ def homotopy_category(pres, bound: int) -> HomotopyCategory:
                         f"new homotopy class of Map({x},{y}) appears at bound "
                         f"{bound + 1}; increase the bound"
                     )
-            spaces[(x, y)] = (small, cs)
+            spaces[(x, y)] = (words, cs)
 
     homs = {}
     class_of = {}
     rep_words = {}
-    for (x, y), (trunc, cs) in spaces.items():
+    for (x, y), (words, cs) in spaces.items():
         table = cs.classes()
         reps = sorted(table)
         homs[(x, y)] = reps
         class_of[(x, y)] = dict(cs.rep)
         for rep in reps:
-            best = min(
-                table[rep], key=lambda c: (len(trunc.words[c]), c)
-            )
-            rep_words[(x, y, rep)] = trunc.words[best]
+            best = min(table[rep], key=lambda c: (len(words[c]), c))
+            rep_words[(x, y, rep)] = words[best]
     return HomotopyCategory(list(pres.objects), homs, class_of, rep_words, bound, pres)
 
 

@@ -194,6 +194,20 @@ def dumps(obj) -> str:
     return json.dumps(to_json(obj), indent=2, sort_keys=True)
 
 
+def _dump_atomic(data, path: str):
+    """Stream canonical JSON into a new file beside path, then rename it onto
+    path, so that a reader sees the old file or the whole new one."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            json.dump(data, fh, indent=2, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 class Workspace:
     """A directory of JSON artifacts with a manifest; names are unique."""
 
@@ -208,16 +222,14 @@ class Workspace:
             self.manifest = {"schema": SCHEMA, "entries": {}}
 
     def _flush(self):
-        with open(self.manifest_path, "w") as fh:
-            json.dump(self.manifest, fh, indent=2, sort_keys=True)
+        _dump_atomic(self.manifest, self.manifest_path)
 
     def save(self, name: str, obj, kind: str = None) -> str:
         data = to_json(obj)
         if kind:
             data.setdefault("kind", kind)
         fname = f"{name}.json"
-        with open(os.path.join(self.path, fname), "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
+        _dump_atomic(data, os.path.join(self.path, fname))
         self.manifest["entries"][name] = {"kind": data.get("kind", "raw"), "file": fname}
         self._flush()
         return fname

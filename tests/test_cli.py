@@ -58,6 +58,19 @@ def test_workspace_roundtrip(tmp_path):
     assert ws.names() == ["b2"]
 
 
+def test_workspace_failed_save_keeps_old_files(tmp_path):
+    ws = Workspace(str(tmp_path / "ws"))
+    ws.save("b2", boundary(2)[0])
+    before = sorted(p.name for p in (tmp_path / "ws").iterdir())
+    artifact = (tmp_path / "ws" / "b2.json").read_bytes()
+    manifest = (tmp_path / "ws" / "manifest.json").read_bytes()
+    with pytest.raises(TypeError):
+        ws.save("b2", {"kind": "raw", "value": object()})
+    assert sorted(p.name for p in (tmp_path / "ws").iterdir()) == before
+    assert (tmp_path / "ws" / "b2.json").read_bytes() == artifact
+    assert (tmp_path / "ws" / "manifest.json").read_bytes() == manifest
+
+
 def test_cli_build_and_homology(capsys, tmp_path):
     code, out = run(capsys, tmp_path, "cube", "build", "boundary", "--n", "3", "--name", "b3")
     assert code == 0

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeworks.cubical import CubicalSet, nd, standard_cube
 from cubeworks.enriched import (
+    _WordFiltration,
     attach,
     build_E,
     build_H,
@@ -15,7 +18,6 @@ from cubeworks.enriched import (
     localize,
     mapping_space,
     special_category,
-    truncation_inclusion,
     vertex_edge_set,
     word_id,
     PresentationMorphism,
@@ -147,12 +149,122 @@ def test_localized_E_word_counts():
 
 def test_truncation_monotone():
     H = build_H()
-    small = mapping_space(H, "c", "c", 3)
-    large = mapping_space(H, "c", "c", 4)
-    incl = truncation_inclusion(H, small, large)
-    incl.validate()
-    for d, n in small.space.cell_counts().items():
-        assert large.space.cell_counts().get(d, 0) >= n
+    small = mapping_space(H, "c", "c", 3).space
+    large = mapping_space(H, "c", "c", 4).space
+    assert small.cells.items() <= large.cells.items()
+    assert small.faces.items() <= large.faces.items()
+    for (c, k, eps), ref in small.faces.items():
+        assert ref.base in small.cells
+    for (c, k, eps), ref in large.faces.items():
+        if c in small.cells:
+            assert small.faces[(c, k, eps)] == ref
+
+
+def test_colliding_cell_ids_are_refused():
+    # the word a.a and the one-letter word "a(c>c).a" render the same id
+    pres = free_on_graph(["c"], {("c", "c"): vertex_edge_set("a", "a(c>c).a")})
+    with pytest.raises(ValidationError) as err:
+        mapping_space(pres, "c", "c", 2, with_stability=False)
+    msg = str(err.value)
+    assert "('e', 'c', 'c', 'a(c>c).a'),)" in msg
+    assert "(('e', 'c', 'c', 'a'), ('e', 'c', 'c', 'a'))" in msg
+
+
+def _filtration_cases():
+    E = build_E()
+    return {
+        "P": build_P(),
+        "H": build_H(),
+        "E": E,
+        "EL": localize(E, U),
+        "interval_tilde": special_category("interval_tilde"),
+    }
+
+
+@pytest.mark.parametrize("name", ["P", "H", "E", "EL", "interval_tilde"])
+def test_filtration_level_equals_standalone_build(name):
+    pres = _filtration_cases()[name]
+    for x in pres.objects:
+        for y in pres.objects:
+            for b in range(6):
+                filtered, words = _WordFiltration(pres, x, y, b + 1).level(b)
+                alone = mapping_space(pres, x, y, b, with_stability=False)
+                assert list(filtered.cells.items()) == list(alone.space.cells.items())
+                assert list(filtered.faces.items()) == list(alone.space.faces.items())
+                assert list(words.items()) == list(alone.words.items())
+                assert filtered.name == alone.space.name == f"Map({x},{y})@{b}"
+
+
+def _zero_weight_loop():
+    pres = free_on_graph(["x"], {("x", "x"): vertex_edge_set("z")})
+    pres.zero_weight.add(("e", "x", "x", "z"))
+    return pres
+
+
+@pytest.mark.parametrize("bound", [0, 2])
+def test_zero_weight_loop_trips_guard(bound):
+    pres = _zero_weight_loop()
+    with pytest.raises(GuardError):
+        mapping_space(pres, "x", "x", bound, with_stability=False)
+    with pytest.raises(GuardError):
+        mapping_space(pres, "x", "x", bound)
+    with pytest.raises(GuardError):
+        homotopy_category(pres, bound)
+
+
+def test_guard_replayed_per_level():
+    # seven zero-weight edges in a row: more letters than bound 0 allows
+    # (4*0+6), fewer than bound 1 allows (4*1+6)
+    objs = [f"o{i}" for i in range(8)]
+    pres = free_on_graph(
+        objs, {(objs[i], objs[i + 1]): vertex_edge_set(f"z{i}") for i in range(7)}
+    )
+    pres.zero_weight |= {("e", objs[i], objs[i + 1], f"z{i}") for i in range(7)}
+    assert mapping_space(pres, "o0", "o7", 1, with_stability=False).space.cells
+    levels = _WordFiltration(pres, "o0", "o7", 1)
+    assert levels.cell_counts(1) == {0: 1}
+    with pytest.raises(GuardError):
+        levels.level(0)
+    with pytest.raises(GuardError):
+        mapping_space(pres, "o0", "o7", 0)
+    with pytest.raises(GuardError):
+        homotopy_category(pres, 0)
+
+
+def test_negative_bound_refused():
+    with pytest.raises(ValidationError):
+        mapping_space(build_P(), "c", "c", -1)
+    with pytest.raises(ValidationError):
+        homotopy_category(build_P(), -1)
+
+
+def _normalize_by_restart(cancel_pairs, letters):
+    """The reference: delete the leftmost cancel pair and rescan from the start."""
+    word = list(letters)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(word) - 1):
+            if (word[i], word[i + 1]) in cancel_pairs:
+                del word[i : i + 2]
+                changed = True
+                break
+    return tuple(word)
+
+
+_LETTERS = [("e", "x", "x", name) for name in "abcd"]
+_letter = st.sampled_from(_LETTERS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sets(st.tuples(_letter, _letter)),
+    st.lists(_letter, max_size=14),
+)
+def test_normalize_word_matches_restart_loop(cancel_pairs, letters):
+    pres = free_on_graph(["x"], {("x", "x"): vertex_edge_set("a", "b", "c", "d")})
+    pres.cancel_pairs = set(cancel_pairs)
+    assert pres.normalize_word(letters) == _normalize_by_restart(cancel_pairs, letters)
 
 
 def test_hcat_point():
