@@ -239,51 +239,35 @@ def point_complex(generator: str = "g") -> ChainComplex:
 # -- chains of cubical and simplicial sets -------------------------------------
 
 
-def cubical_chains(X) -> ChainComplex:
-    """Normalized cubical chains: basis the non-degenerate cells, boundary
-    sum_k (-1)^k (top face - bottom face), degenerate faces contributing zero."""
-    basis = {}
+def _cell_chains(X, sign) -> ChainComplex:
+    """Normalized chains of a presented set: basis the non-degenerate cells,
+    boundary the sum of the faces weighted by sign(*face index), degenerate
+    faces contributing zero."""
+    faces = X.faces
+    basis = {d: list(X.by_dim(d)) for d in range(X.dim_bound + 1) if X.by_dim(d)}
     boundary = {}
-    for d in range(X.dim_bound + 1):
-        cells = X.by_dim(d)
-        if cells:
-            basis[d] = list(cells)
-    for d in basis:
+    for d, cells in basis.items():
         if d == 0:
             continue
+        signed = [(i, sign(*i)) for i in X.face_indices(d)]
         bnd = {}
-        for c in basis[d]:
+        for c in cells:
             out = {}
-            for k in range(1, d + 1):
-                sign = -1 if k % 2 else 1
-                for eps, s in ((1, sign), (0, -sign)):
-                    ref = X.faces[(c, k, eps)]
-                    if not ref.degens:
-                        out[ref.base] = out.get(ref.base, 0) + s
+            for i, s in signed:
+                ref = faces[(c, *i)]
+                if not ref.degens:
+                    out[ref.base] = out.get(ref.base, 0) + s
             bnd[c] = {k: v for k, v in out.items() if v}
         boundary[d] = bnd
     return ChainComplex(basis, boundary, name=f"C({X.name})")
 
 
+def cubical_chains(X) -> ChainComplex:
+    """Normalized cubical chains with boundary sum_k (-1)^k (top face -
+    bottom face)."""
+    return _cell_chains(X, lambda k, eps: (-1) ** k * (1 if eps else -1))
+
+
 def simplicial_chains(S) -> ChainComplex:
     """Normalized simplicial chains with the alternating-sign boundary."""
-    basis = {}
-    boundary = {}
-    for d in range(S.dim_bound + 1):
-        cells = S.by_dim(d)
-        if cells:
-            basis[d] = list(cells)
-    for d in basis:
-        if d == 0:
-            continue
-        bnd = {}
-        for c in basis[d]:
-            out = {}
-            for j in range(d + 1):
-                ref = S.faces[(c, j)]
-                if not ref.degens:
-                    sign = -1 if j % 2 else 1
-                    out[ref.base] = out.get(ref.base, 0) + sign
-            bnd[c] = {k: v for k, v in out.items() if v}
-        boundary[d] = bnd
-    return ChainComplex(basis, boundary, name=f"C({S.name})")
+    return _cell_chains(S, lambda j: (-1) ** j)

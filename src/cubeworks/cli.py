@@ -16,6 +16,7 @@ import time
 
 from .chains import cubical_chains, homology, simplicial_chains
 from .cubical import (
+    CubicalSet,
     boundary,
     endpoint_inclusion,
     interval_inclusion,
@@ -39,7 +40,7 @@ from .errors import GuardError, ValidationError
 from .io_json import Workspace, dumps, report_to_json, to_json
 from .james import james
 from .realize import broken_cylinder, check_quillen, standard_cylinder
-from .simplicial import circle, standard_simplex, wedge_of_intervals
+from .simplicial import SimplicialSet, circle, standard_simplex, wedge_of_intervals
 from .triangulate import triangulate
 from .verify import format_table, run_all
 
@@ -48,34 +49,44 @@ def _emit(data):
     print(json.dumps(data, indent=2, sort_keys=True, default=str))
 
 
-def _resolve_cubical(ws: Workspace, spec: str):
-    parts = spec.split(":")
-    if parts[0] == "cube":
-        return standard_cube(int(parts[1]))
-    if parts[0] == "boundary":
-        return boundary(int(parts[1]))[0]
-    if parts[0] == "box":
-        return open_box(int(parts[1]), int(parts[2]), int(parts[3]))[0]
-    obj = ws.load(spec)
-    from .cubical import CubicalSet
+def _spec_args(spec: str, args, arity: int) -> list:
+    """The non-negative integer arguments of an inline spec such as box:3:1:0."""
+    if len(args) != arity or not all(a.isdecimal() for a in args):
+        raise ValidationError(
+            f"malformed spec {spec!r}: expected {arity} non-negative integer(s)"
+        )
+    return [int(a) for a in args]
 
+
+_CUBICAL_SPECS = {
+    "cube": (1, standard_cube),
+    "boundary": (1, lambda n: boundary(n)[0]),
+    "box": (3, lambda n, k, eps: open_box(n, k, eps)[0]),
+}
+
+
+def _resolve_cubical(ws: Workspace, spec: str):
+    head, *args = spec.split(":")
+    if head in _CUBICAL_SPECS:
+        arity, build = _CUBICAL_SPECS[head]
+        return build(*_spec_args(spec, args, arity))
+    obj = ws.load(spec)
     if not isinstance(obj, CubicalSet):
         raise ValidationError(f"{spec!r} is not a cubical set")
     return obj
 
 
 def _resolve_simplicial(ws: Workspace, spec: str):
-    parts = spec.split(":")
-    if parts[0] == "circle":
+    head, *args = spec.split(":")
+    if head == "circle":
+        _spec_args(spec, args, 0)
         return circle(), "v"
-    if parts[0] == "wedge":
-        count = int(parts[1]) if len(parts) > 1 else 2
+    if head == "wedge":
+        (count,) = _spec_args(spec, args, 1) if args else (2,)
         return wedge_of_intervals(count), "w"
-    if parts[0] == "delta":
-        return standard_simplex(int(parts[1])), "0"
+    if head == "delta":
+        return standard_simplex(*_spec_args(spec, args, 1)), "0"
     obj = ws.load(spec)
-    from .simplicial import SimplicialSet
-
     if not isinstance(obj, SimplicialSet):
         raise ValidationError(f"{spec!r} is not a simplicial set")
     return obj, None

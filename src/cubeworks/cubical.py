@@ -11,79 +11,28 @@ composition as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from . import cubes
 from .cubes import CubeMap, compose, face, projection_dropping, split_projection_face
 from .errors import GuardError, ValidationError
+# find_isomorphism stays importable from here for callers of the cubical API
+from .presented import CellRef, PresentedSet, disjoint_union, find_isomorphism, nd
 
 
-@dataclass(frozen=True, order=True)
-class CellRef:
-    """A possibly-degenerate element: degeneracy word applied to a base cell.
+class CubicalSet(PresentedSet):
+    """A finite cubical set presented by its non-degenerate cells and their
+    faces.  Face indices are (k, eps): coordinate k from 1, side eps."""
 
-    ``degens`` lists the ambient coordinate directions (1-indexed, strictly
-    increasing) dropped by the underlying projection; the element lives in
-    dimension dim(base) + len(degens).
-    """
+    kind = "cubical_set"
+    face_fields = ("k", "eps")
+    index_base = 1
 
-    degens: tuple
-    base: str
-
-    def __repr__(self):
-        if not self.degens:
-            return f"<{self.base}>"
-        return f"<s{list(self.degens)}.{self.base}>"
-
-
-def nd(cell: str) -> CellRef:
-    return CellRef((), cell)
-
-
-class CubicalSet:
-    """A finite cubical set presented by its non-degenerate cells and their faces."""
-
-    def __init__(self, cells: dict, faces: dict, name: str = ""):
-        self.cells = dict(cells)  # cell id -> dimension
-        self.faces = dict(faces)  # (cell id, k, eps) -> CellRef
-        self.name = name
-        self._by_dim = None
-        self._act_cache = {}
-
-    # -- basic structure ---------------------------------------------------
-
-    @property
-    def dim_bound(self) -> int:
-        return max(self.cells.values(), default=-1)
-
-    def by_dim(self, d: int):
-        if self._by_dim is None:
-            table = {}
-            for c, cd in self.cells.items():
-                table.setdefault(cd, []).append(c)
-            for cs in table.values():
-                cs.sort()
-            self._by_dim = table
-        return self._by_dim.get(d, [])
-
-    def cell_counts(self) -> dict:
-        counts = {}
-        for _, d in self.cells.items():
-            counts[d] = counts.get(d, 0) + 1
-        return counts
-
-    def dim_of(self, ref: CellRef) -> int:
-        return self.cells[ref.base] + len(ref.degens)
-
-    def refs_of_dim(self, d: int):
-        """All elements of dimension d, degenerate ones included."""
-        out = []
-        for e in range(d + 1):
-            for c in self.by_dim(e):
-                for degens in combinations(range(1, d + 1), d - e):
-                    out.append(CellRef(degens, c))
-        return out
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def face_indices(d: int) -> tuple:
+        return tuple((k, eps) for k in range(1, d + 1) for eps in (0, 1))
 
     # -- presheaf action ---------------------------------------------------
 
@@ -132,43 +81,20 @@ class CubicalSet:
         step = self.faces[(cell, k, eps)]
         return self.act(step, rest)
 
-    # -- validation --------------------------------------------------------
-
-    def validate(self):
-        for (cell, k, eps), ref in self.faces.items():
-            if cell not in self.cells:
-                raise ValidationError(f"face data on unknown cell {cell}")
-            if ref.base not in self.cells:
-                raise ValidationError(f"face of {cell} points at unknown {ref.base}")
-            d = self.cells[cell]
-            if not (1 <= k <= d and eps in (0, 1)):
-                raise ValidationError(f"bad face key {(cell, k, eps)}")
-            if self.dim_of(ref) != d - 1:
-                raise ValidationError(f"face of {cell} has wrong dimension")
-        for cell, d in self.cells.items():
-            for k in range(1, d + 1):
+    def _check_identities(self, cell: str, d: int):
+        # cubical identities: the two ways of taking double faces through
+        # the stored data must agree (rewriting through degeneracy words
+        # uses cube-category composition as the oracle)
+        for k in range(1, d + 1):
+            for j in range(1, k):
                 for eps in (0, 1):
-                    if (cell, k, eps) not in self.faces:
-                        raise ValidationError(f"missing face {(cell, k, eps)}")
-            # cubical identities: the two ways of taking double faces through
-            # the stored data must agree (rewriting through degeneracy words
-            # uses cube-category composition as the oracle)
-            for k in range(1, d + 1):
-                for j in range(1, k):
-                    for eps in (0, 1):
-                        for eta in (0, 1):
-                            left = self.act(self.faces[(cell, k, eps)], face(d - 1, j, eta))
-                            right = self.act(self.faces[(cell, j, eta)], face(d - 1, k - 1, eps))
-                            if left != right:
-                                raise ValidationError(
-                                    f"cubical identity fails at {cell}, ({j},{eta}),({k},{eps})"
-                                )
-        return True
-
-    def __repr__(self):
-        counts = self.cell_counts()
-        body = ", ".join(f"{counts[d]}x{d}" for d in sorted(counts))
-        return f"CubicalSet({self.name or 'anon'}: {body})"
+                    for eta in (0, 1):
+                        left = self.act(self.faces[(cell, k, eps)], face(d - 1, j, eta))
+                        right = self.act(self.faces[(cell, j, eta)], face(d - 1, k - 1, eps))
+                        if left != right:
+                            raise ValidationError(
+                                f"cubical identity fails at {cell}, ({j},{eta}),({k},{eps})"
+                            )
 
 
 class CubicalMap:
@@ -200,16 +126,6 @@ class CubicalMap:
                         )
         return True
 
-    def compose_with(self, other: "CubicalMap") -> "CubicalMap":
-        """self after other."""
-        if other.target is not self.source:
-            raise ValidationError("composition mismatch")
-        return CubicalMap(
-            other.source,
-            self.target,
-            {c: self.apply(ref) for c, ref in other.assignment.items()},
-        )
-
     def __repr__(self):
         return f"CubicalMap({self.source!r} -> {self.target!r})"
 
@@ -228,6 +144,8 @@ def _slot_id(m: CubeMap) -> str:
 def standard_cube(n: int, guard: int = 8) -> CubicalSet:
     """The representable cubical set on the n-cube.  Non-degenerate k-cells are
     the face-type maps k-cube -> n-cube; faces are computed by composition."""
+    if n < 0:
+        raise ValidationError(f"dimension {n} is negative")
     if n > guard:
         raise GuardError(f"dimension {n} exceeds guard {guard}")
     cells = {}
@@ -286,9 +204,9 @@ def open_box(n: int, k: int, eps: int) -> tuple:
     """The open box: the boundary of the n-cube with the face opposite to
     (k, eps) removed, i.e. the (k, 1-eps) face.  The removal convention is
     derived from the pushout-product computation in the tests, not assumed."""
-    if not 1 <= k <= n:
-        raise ValidationError(f"box index {k} out of range")
     X = standard_cube(n)
+    if not 1 <= k <= n or eps not in (0, 1):
+        raise ValidationError(f"box index {(k, eps)} out of range")
     top = "*" * n
     removed = top[: k - 1] + str(1 - eps) + top[k:]
     keep = [c for c in X.cells if c not in (top, removed)]
@@ -300,17 +218,7 @@ def open_box(n: int, k: int, eps: int) -> tuple:
 
 
 def coproduct(X: CubicalSet, Y: CubicalSet) -> tuple:
-    cells = {}
-    faces = {}
-    for c, d in X.cells.items():
-        cells[f"l:{c}"] = d
-    for c, d in Y.cells.items():
-        cells[f"r:{c}"] = d
-    for (c, k, eps), ref in X.faces.items():
-        faces[(f"l:{c}", k, eps)] = CellRef(ref.degens, f"l:{ref.base}")
-    for (c, k, eps), ref in Y.faces.items():
-        faces[(f"r:{c}", k, eps)] = CellRef(ref.degens, f"r:{ref.base}")
-    Z = CubicalSet(cells, faces, name=f"{X.name}+{Y.name}")
+    Z = disjoint_union(X, Y)
     inl = CubicalMap(X, Z, {c: nd(f"l:{c}") for c in X.cells})
     inr = CubicalMap(Y, Z, {c: nd(f"r:{c}") for c in Y.cells})
     return Z, inl, inr
@@ -625,92 +533,6 @@ def kan_check(X: CubicalSet, max_dim: int, guard: int = 10**7) -> dict:
                 if filled < len(maps):
                     report["pass"] = False
     return report
-
-
-def _wl_colors(X: CubicalSet, rounds: int = 3):
-    color = {c: (d,) for c, d in X.cells.items()}
-    for _ in range(rounds):
-        nxt = {}
-        for c, d in X.cells.items():
-            sig = []
-            for k in range(1, d + 1):
-                for eps in (0, 1):
-                    ref = X.faces[(c, k, eps)]
-                    sig.append((k, eps, ref.degens, color[ref.base]))
-            nxt[c] = (color[c], tuple(sig))
-        # canonicalize to small ints for compactness
-        palette = {}
-        for c in sorted(nxt, key=lambda c: repr(nxt[c])):
-            palette.setdefault(nxt[c], len(palette))
-        color = {c: (X.cells[c], palette[nxt[c]]) for c in X.cells}
-    return color
-
-
-def find_isomorphism(X: CubicalSet, Y: CubicalSet):
-    """Explicit search for a structure-preserving bijection on non-degenerate
-    cells.  Returns the bijection dict or None."""
-    if X.cell_counts() != Y.cell_counts():
-        return None
-    cx, cy = _wl_colors(X), _wl_colors(Y)
-    hist_x, hist_y = {}, {}
-    for c, col in cx.items():
-        hist_x[col] = hist_x.get(col, 0) + 1
-    for c, col in cy.items():
-        hist_y[col] = hist_y.get(col, 0) + 1
-    if hist_x != hist_y:
-        return None
-    by_color = {}
-    for c, col in cy.items():
-        by_color.setdefault(col, []).append(c)
-    for cs in by_color.values():
-        cs.sort()
-    order = sorted(X.cells, key=lambda c: (-X.cells[c], c))
-    fwd, bwd = {}, {}
-
-    def propagate(x, y, trail):
-        """Assign x -> y and force face assignments; returns False on clash."""
-        stack = [(x, y)]
-        while stack:
-            a, b = stack.pop()
-            if a in fwd:
-                if fwd[a] != b:
-                    return False
-                continue
-            if b in bwd or cx[a] != cy[b]:
-                return False
-            fwd[a] = b
-            bwd[b] = a
-            trail.append((a, b))
-            d = X.cells[a]
-            for k in range(1, d + 1):
-                for eps in (0, 1):
-                    ra = X.faces[(a, k, eps)]
-                    rb = Y.faces[(b, k, eps)]
-                    if ra.degens != rb.degens:
-                        return False
-                    stack.append((ra.base, rb.base))
-        return True
-
-    def rec(i):
-        while i < len(order) and order[i] in fwd:
-            i += 1
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in by_color[cx[x]]:
-            if y in bwd:
-                continue
-            trail = []
-            if propagate(x, y, trail) and rec(i + 1):
-                return True
-            for a, b in trail:
-                del fwd[a]
-                del bwd[b]
-        return False
-
-    if rec(0):
-        return dict(fwd)
-    return None
 
 
 def iterated_pushout_product(maps) -> CubicalMap:

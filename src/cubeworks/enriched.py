@@ -23,9 +23,7 @@ Letters are plain tuples: ("e", src, tgt, cell) for an edge generator and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .cubes import face as cube_face
 from .cubical import CellRef, CubicalSet, nd
 from .errors import GuardError, ValidationError
 
@@ -77,7 +75,6 @@ class EnrichedPresentation:
         self.cancel_pairs = set() # adjacent letter pairs that delete
         self.zero_weight = set()  # edge letters of word weight zero
         self.name = name
-        self._weight_cache = {}
 
     # -- letters ---------------------------------------------------------------
 
@@ -124,16 +121,12 @@ class EnrichedPresentation:
         return att.space.cells[letter[2]]
 
     def letter_weight(self, letter):
-        if letter in self._weight_cache:
-            return self._weight_cache[letter]
         if letter[0] == "e":
-            w = 0 if letter in self.zero_weight else 1
-        else:
-            att = self.attachments[letter[1]]
-            w = 1
-            for a in att.a_cells:
-                w = max(w, self.word_weight(att.boundary_map[a]))
-        self._weight_cache[letter] = w
+            return 0 if letter in self.zero_weight else 1
+        att = self.attachments[letter[1]]
+        w = 1
+        for a in att.a_cells:
+            w = max(w, self.word_weight(att.boundary_map[a]))
         return w
 
     def word_weight(self, word):
@@ -411,7 +404,6 @@ def localize(pres: EnrichedPresentation, edge, name: str = "") -> EnrichedPresen
     inv = ("e", t, s, inv_cell)
     out.cancel_pairs |= {(edge, inv), (inv, edge)}
     out.zero_weight |= {edge, inv}
-    out._weight_cache = {}
     return out
 
 
@@ -780,152 +772,3 @@ def extend_inverse(pres, edge, bound: int) -> dict:
     report["right"] = right or "inconclusive"
     report["extends"] = left is not None and right is not None
     return report
-
-
-# -- presentation morphisms --------------------------------------------------------
-
-
-@dataclass
-class PresentationMorphism:
-    source: EnrichedPresentation
-    target: EnrichedPresentation
-    obj_map: dict
-    letter_map: dict   # source letter -> (degens, word) over the target
-
-    def translate_word(self, word):
-        """Image of a word cell: substitute letter images, collecting outer
-        degeneracies blockwise, then path-normalize."""
-        letters = []
-        degens = []
-        off = 0
-        for letter in word:
-            dl = self.source.letter_dim(letter)
-            S, w = self.letter_map[letter]
-            degens.extend(s + off for s in S)
-            letters.extend(w)
-            off += dl
-        return tuple(sorted(degens)), self.target.normalize_word(tuple(letters))
-
-    def validate(self, bound: int = 4):
-        for x in self.source.objects:
-            if self.obj_map[x] not in self.target.objects:
-                raise ValidationError(f"object {x} has no image")
-        src_letters = self.source.edge_letters() + self.source.att_letters()
-        for letter in src_letters:
-            S, w = self.letter_map[letter]
-            sx = self.obj_map[self.source.letter_src(letter)]
-            tx = self.obj_map[self.source.letter_tgt(letter)]
-            self.target.check_word(w, sx, tx)
-            if self.target.word_dim(w) + len(S) != self.source.letter_dim(letter):
-                raise ValidationError(f"image of {letter} has wrong dimension")
-        # face compatibility, checked through materialized target spaces
-        for letter in src_letters:
-            d = self.source.letter_dim(letter)
-            if d == 0:
-                continue
-            sx = self.obj_map[self.source.letter_src(letter)]
-            tx = self.obj_map[self.source.letter_tgt(letter)]
-            trunc = mapping_space(self.target, sx, tx, bound, with_stability=False)
-            S, w = self.letter_map[letter]
-            wid = word_id(w)
-            if wid not in trunc.space.cells:
-                raise ValidationError(f"image of {letter} outside bound {bound}")
-            image_ref = CellRef(S, wid)
-            for k in range(1, d + 1):
-                for eps in (0, 1):
-                    got = trunc.space.act(image_ref, cube_face(d, k, eps))
-                    fdeg, fword = self.source.face_of_word((letter,), k, eps)
-                    tdeg, tword = self.translate_word(fword)
-                    # combine the two degeneracy layers on the translated face
-                    expected = trunc.space.degenerate(
-                        CellRef(tdeg, word_id(tword)), fdeg
-                    ) if word_id(tword) in trunc.space.cells else None
-                    if expected is None or got != expected:
-                        raise ValidationError(
-                            f"morphism breaks face ({k},{eps}) of {letter}"
-                        )
-        return True
-
-
-def find_functor(source, target, obj_map, bound: int = 4):
-    """Word-level functor constructor: extend an object assignment to a
-    presentation morphism by matching edge cells and attachment cells to
-    target mapping-space cells with the right faces; returns all solutions
-    found (deterministic order)."""
-    letters = source.edge_letters() + source.att_letters()
-    letters.sort(key=lambda l: (source.letter_dim(l), l))
-    truncs = {}
-
-    def trunc_for(letter):
-        sx = obj_map[source.letter_src(letter)]
-        tx = obj_map[source.letter_tgt(letter)]
-        if (sx, tx) not in truncs:
-            truncs[(sx, tx)] = mapping_space(target, sx, tx, bound, with_stability=False)
-        return truncs[(sx, tx)]
-
-    solutions = []
-    assignment = {}
-
-    def candidates(letter):
-        trunc = trunc_for(letter)
-        d = source.letter_dim(letter)
-        out = []
-        for e in range(d + 1):
-            for cid in trunc.space.by_dim(e):
-                for S in combinations(range(1, d + 1), d - e):
-                    out.append((tuple(S), trunc.words[cid]))
-        return out
-
-    def fits(letter, image):
-        d = source.letter_dim(letter)
-        if d == 0:
-            return True
-        trunc = trunc_for(letter)
-        S, w = image
-        ref = CellRef(S, word_id(w))
-        morphism = PresentationMorphism(source, target, obj_map, assignment)
-        for k in range(1, d + 1):
-            for eps in (0, 1):
-                got = trunc.space.act(ref, cube_face(d, k, eps))
-                fdeg, fword = source.face_of_word((letter,), k, eps)
-                if any(l not in assignment for l in fword):
-                    return False
-                tdeg, tword = morphism.translate_word(fword)
-                twid = word_id(tword)
-                if twid not in trunc.space.cells:
-                    return False
-                expected = trunc.space.degenerate(CellRef(tdeg, twid), fdeg)
-                if got != expected:
-                    return False
-        return True
-
-    def rec(i):
-        if i == len(letters):
-            solutions.append(dict(assignment))
-            return
-        letter = letters[i]
-        for image in candidates(letter):
-            assignment[letter] = image
-            if fits(letter, image):
-                rec(i + 1)
-            del assignment[letter]
-
-    rec(0)
-    return [
-        PresentationMorphism(source, target, dict(obj_map), sol) for sol in solutions
-    ]
-
-
-def induced_hcat_functor(m: PresentationMorphism, hs: HomotopyCategory, ht: HomotopyCategory):
-    """The functor on homotopy categories induced by a presentation morphism,
-    as a mapping of hom classes."""
-    table = {}
-    for (x, y), reps in hs.homs.items():
-        tx, ty = m.obj_map[x], m.obj_map[y]
-        for r in reps:
-            S, w = m.translate_word(hs.rep_words[(x, y, r)])
-            if S:
-                raise ValidationError("0-cell translated to a degenerate element")
-            wid = word_id(w)
-            table[(x, y, r)] = ht.class_of[(tx, ty)][wid]
-    return table

@@ -10,70 +10,46 @@ from __future__ import annotations
 
 import json
 import os
+import re
+from functools import partial
 
 from .chains import HomologyReport
-from .cubical import CellRef, CubicalSet
+from .cubical import CubicalSet
 from .enriched import Attachment, EnrichedPresentation
 from .errors import ValidationError
-from .simplicial import SimplexRef, SimplicialSet
+from .presented import CellRef, PresentedSet
+from .simplicial import SimplicialSet
 
 SCHEMA = "cubeworks/1"
 
 
-def cubical_to_json(X: CubicalSet) -> dict:
+def presented_to_json(X: PresentedSet) -> dict:
+    """A cubical or simplicial set on the wire: the first face index and the
+    degeneracy directions are shifted to start at 0."""
+    base, fields = X.index_base, X.face_fields
     faces = []
-    for (c, k, eps), ref in sorted(X.faces.items()):
-        faces.append(
-            {
-                "cell": c,
-                "k": k - 1,
-                "eps": eps,
-                "degens": [s - 1 for s in ref.degens],
-                "base": ref.base,
-            }
-        )
+    for key, ref in sorted(X.faces.items()):
+        entry = {"cell": key[0], "degens": [s - base for s in ref.degens], "base": ref.base}
+        entry.update(zip(fields, (key[1] - base, *key[2:])))
+        faces.append(entry)
     return {
         "schema": SCHEMA,
-        "kind": "cubical_set",
+        "kind": X.kind,
         "name": X.name,
         "cells": {c: d for c, d in sorted(X.cells.items())},
         "faces": faces,
     }
 
 
-def cubical_from_json(data: dict) -> CubicalSet:
-    if data.get("schema") != SCHEMA or data.get("kind") != "cubical_set":
-        raise ValidationError("not a cubeworks/1 cubical set")
+def presented_from_json(data: dict, cls):
+    if data.get("schema") != SCHEMA or data.get("kind") != cls.kind:
+        raise ValidationError(f"not a cubeworks/1 {cls.kind.replace('_', ' ')}")
+    base, (first, *rest) = cls.index_base, cls.face_fields
     faces = {}
     for f in data["faces"]:
-        faces[(f["cell"], f["k"] + 1, f["eps"])] = CellRef(
-            tuple(s + 1 for s in f["degens"]), f["base"]
-        )
-    return CubicalSet(dict(data["cells"]), faces, name=data.get("name", ""))
-
-
-def simplicial_to_json(S: SimplicialSet) -> dict:
-    faces = []
-    for (c, j), ref in sorted(S.faces.items()):
-        faces.append(
-            {"cell": c, "j": j, "degens": list(ref.degens), "base": ref.base}
-        )
-    return {
-        "schema": SCHEMA,
-        "kind": "simplicial_set",
-        "name": S.name,
-        "cells": {c: d for c, d in sorted(S.cells.items())},
-        "faces": faces,
-    }
-
-
-def simplicial_from_json(data: dict) -> SimplicialSet:
-    if data.get("schema") != SCHEMA or data.get("kind") != "simplicial_set":
-        raise ValidationError("not a cubeworks/1 simplicial set")
-    faces = {}
-    for f in data["faces"]:
-        faces[(f["cell"], f["j"])] = SimplexRef(tuple(f["degens"]), f["base"])
-    return SimplicialSet(dict(data["cells"]), faces, name=data.get("name", ""))
+        key = (f["cell"], f[first] + base, *map(f.__getitem__, rest))
+        faces[key] = CellRef(tuple([s + base for s in f["degens"]]), f["base"])
+    return cls(dict(data["cells"]), faces, name=data.get("name", ""))
 
 
 def _letter_to_json(letter) -> dict:
@@ -95,12 +71,12 @@ def presentation_to_json(P: EnrichedPresentation) -> dict:
         "name": P.name,
         "objects": list(P.objects),
         "edges": [
-            {"source": s, "target": t, "space": cubical_to_json(space)}
+            {"source": s, "target": t, "space": presented_to_json(space)}
             for (s, t), space in sorted(P.edges.items())
         ],
         "attachments": [
             {
-                "space": cubical_to_json(att.space),
+                "space": presented_to_json(att.space),
                 "a_cells": sorted(att.a_cells),
                 "source": att.source,
                 "target": att.target,
@@ -124,11 +100,11 @@ def presentation_from_json(data: dict) -> EnrichedPresentation:
         raise ValidationError("not a cubeworks/1 presentation")
     P = EnrichedPresentation(data["objects"], None, data.get("name", ""))
     for e in data["edges"]:
-        P.edges[(e["source"], e["target"])] = cubical_from_json(e["space"])
+        P.edges[(e["source"], e["target"])] = presented_from_json(e["space"], CubicalSet)
     for a in data["attachments"]:
         P.attachments.append(
             Attachment(
-                cubical_from_json(a["space"]),
+                presented_from_json(a["space"], CubicalSet),
                 frozenset(a["a_cells"]),
                 a["source"],
                 a["target"],
@@ -159,22 +135,21 @@ def report_from_json(data: dict) -> HomologyReport:
 
 
 _EMITTERS = {
-    CubicalSet: ("cubical_set", cubical_to_json),
-    SimplicialSet: ("simplicial_set", simplicial_to_json),
-    EnrichedPresentation: ("presentation", presentation_to_json),
-    HomologyReport: ("homology_report", report_to_json),
+    PresentedSet: presented_to_json,
+    EnrichedPresentation: presentation_to_json,
+    HomologyReport: report_to_json,
 }
 
 _PARSERS = {
-    "cubical_set": cubical_from_json,
-    "simplicial_set": simplicial_from_json,
+    "cubical_set": partial(presented_from_json, cls=CubicalSet),
+    "simplicial_set": partial(presented_from_json, cls=SimplicialSet),
     "presentation": presentation_from_json,
     "homology_report": report_from_json,
 }
 
 
 def to_json(obj) -> dict:
-    for cls, (kind, emit) in _EMITTERS.items():
+    for cls, emit in _EMITTERS.items():
         if isinstance(obj, cls):
             return emit(obj)
     if isinstance(obj, dict):  # raw report payloads
@@ -208,6 +183,17 @@ def _dump_atomic(data, path: str):
         raise
 
 
+_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
+
+
+def _check_name(name: str):
+    """Artifact names become file names inside the workspace directory, so
+    they may not contain path separators or start with a dot, and may not
+    shadow the manifest."""
+    if not _NAME.fullmatch(name) or name == "manifest":
+        raise ValidationError(f"bad artifact name {name!r}")
+
+
 class Workspace:
     """A directory of JSON artifacts with a manifest; names are unique."""
 
@@ -225,6 +211,7 @@ class Workspace:
         _dump_atomic(self.manifest, self.manifest_path)
 
     def save(self, name: str, obj, kind: str = None) -> str:
+        _check_name(name)
         data = to_json(obj)
         if kind:
             data.setdefault("kind", kind)
@@ -235,10 +222,10 @@ class Workspace:
         return fname
 
     def load_raw(self, name: str) -> dict:
-        entry = self.manifest["entries"].get(name)
-        if entry is None:
+        _check_name(name)
+        if name not in self.manifest["entries"]:
             raise ValidationError(f"no workspace entry named {name!r}")
-        with open(os.path.join(self.path, entry["file"])) as fh:
+        with open(os.path.join(self.path, f"{name}.json")) as fh:
             return json.load(fh)
 
     def load(self, name: str):

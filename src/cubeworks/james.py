@@ -72,6 +72,8 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
     is taken degreewise, i.e. in the cartesian flavor)."""
     from .cubical import CubicalSet
 
+    if bound < 0 or (max_dim is not None and max_dim < 0):
+        raise ValidationError(f"bound {bound} and max_dim {max_dim} must not be negative")
     if isinstance(X, CubicalSet):
         from .triangulate import triangulate
 

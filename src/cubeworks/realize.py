@@ -296,60 +296,3 @@ def check_quillen(cyl: CylinderDatum, max_dim: int) -> dict:
         and all(g["pass"] for g in gens)
     )
     return report
-
-
-# -- chain-level pushout-product (for the transport property) -------------------
-
-
-def subcomplex_union_pushout_product(f: ChainMap, g: ChainMap):
-    """For basis-aligned injections (every basis element goes to a single
-    basis element with coefficient 1), the pushout-product's source is the
-    union of the two tensor subcomplexes inside target(x)target.
-
-    Returns (source complex, chain map into the target tensor complex),
-    with basis names matching the tensor pairing.
-    """
-    from .chains import tensor_complexes
-
-    def image_pairs(h: ChainMap):
-        pairs = {}
-        for d, items in h.images.items():
-            for b, img in items.items():
-                if len(img) > 1 or any(v != 1 for v in img.values()):
-                    raise ValidationError("pushout-product helper needs basis-aligned maps")
-                if img:
-                    pairs[b] = next(iter(img))
-        return pairs
-
-    fa = image_pairs(f)
-    ga = image_pairs(g)
-    BB = tensor_complexes(f.target, g.target, name="BB")
-    keep = set()
-    for d, items in f.source.basis.items():
-        for a in items:
-            for q, bitems in g.target.basis.items():
-                for b in bitems:
-                    keep.add((fa[a], b))
-    for d, items in g.source.basis.items():
-        for c in items:
-            for p, bitems in f.target.basis.items():
-                for b in bitems:
-                    keep.add((b, ga[c]))
-    basis = {}
-    boundary = {}
-    for d, items in BB.basis.items():
-        sub = [b for b in items if b in keep]
-        if sub:
-            basis[d] = sub
-    for d in basis:
-        bnd = {}
-        for b in basis[d]:
-            img = BB.boundary.get(d, {}).get(b, {})
-            for t in img:
-                if t not in keep:
-                    raise ValidationError("union of subcomplexes not closed under d")
-            bnd[b] = dict(img)
-        boundary[d] = bnd
-    S = ChainComplex(basis, boundary, name="pp-source")
-    incl = ChainMap(S, BB, {d: {b: {b: 1} for b in basis[d]} for d in basis})
-    return S, incl

@@ -8,9 +8,11 @@ degeneracy words are the collapse sets of canonical surjections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 
 from .errors import ValidationError
+from .presented import CellRef, PresentedSet, nd
 
 
 # -- monotone map plumbing ------------------------------------------------------
@@ -51,61 +53,22 @@ def epi_mono_factor(f):
     return tuple(image), epi
 
 
-@dataclass(frozen=True, order=True)
-class SimplexRef:
-    degens: tuple  # collapse positions of the canonical surjection, ascending
-    base: str
-
-    def __repr__(self):
-        if not self.degens:
-            return f"<{self.base}>"
-        return f"<s{list(self.degens)}.{self.base}>"
+SimplexRef = CellRef
 
 
-def nd(cell: str) -> SimplexRef:
-    return SimplexRef((), cell)
+class SimplicialSet(PresentedSet):
+    """A finite simplicial set presented by its non-degenerate simplices and
+    their faces.  Face indices are (j,): the vertex j from 0 that a face
+    misses."""
 
+    kind = "simplicial_set"
+    face_fields = ("j",)
+    index_base = 0
 
-class SimplicialSet:
-    def __init__(self, cells: dict, faces: dict, name: str = ""):
-        self.cells = dict(cells)  # id -> dimension
-        self.faces = dict(faces)  # (id, j) -> SimplexRef
-        self.name = name
-        self._by_dim = None
-        self._act_cache = {}
-
-    @property
-    def dim_bound(self) -> int:
-        return max(self.cells.values(), default=-1)
-
-    def by_dim(self, d: int):
-        if self._by_dim is None:
-            table = {}
-            for c, cd in self.cells.items():
-                table.setdefault(cd, []).append(c)
-            for cs in table.values():
-                cs.sort()
-            self._by_dim = table
-        return self._by_dim.get(d, [])
-
-    def cell_counts(self) -> dict:
-        counts = {}
-        for _, d in self.cells.items():
-            counts[d] = counts.get(d, 0) + 1
-        return counts
-
-    def dim_of(self, ref: SimplexRef) -> int:
-        return self.cells[ref.base] + len(ref.degens)
-
-    def refs_of_dim(self, d: int):
-        from itertools import combinations
-
-        out = []
-        for e in range(d + 1):
-            for c in self.by_dim(e):
-                for D in combinations(range(d), d - e):
-                    out.append(SimplexRef(D, c))
-        return out
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def face_indices(d: int) -> tuple:
+        return tuple((j,) for j in range(d + 1)) if d else ()
 
     def act(self, ref: SimplexRef, f) -> SimplexRef:
         """Presheaf action of the monotone map f (a value tuple into
@@ -137,31 +100,18 @@ class SimplicialSet:
         rest = tuple(v if v < missed else v - 1 for v in mono)
         return self.act(step, rest)
 
-    def validate(self):
-        for (cell, j), ref in self.faces.items():
-            if self.dim_of(ref) != self.cells[cell] - 1:
-                raise ValidationError(f"face {j} of {cell} has wrong dimension")
-        for cell, d in self.cells.items():
+    def _check_identities(self, cell: str, d: int):
+        # simplicial identities d_i d_j = d_{j-1} d_i for i < j through the
+        # stored data
+        if d >= 2:
             for j in range(d + 1):
-                if (cell, j) not in self.faces and d > 0:
-                    raise ValidationError(f"missing face ({cell},{j})")
-            # simplicial identities d_i d_j = d_{j-1} d_i for i < j through
-            # the stored data
-            if d >= 2:
-                for j in range(d + 1):
-                    for i in range(j):
-                        left = self.act(self.faces[(cell, j)], delta_face(d - 1, i))
-                        right = self.act(self.faces[(cell, i)], delta_face(d - 1, j - 1))
-                        if left != right:
-                            raise ValidationError(
-                                f"simplicial identity fails at {cell} ({i},{j})"
-                            )
-        return True
-
-    def __repr__(self):
-        counts = self.cell_counts()
-        body = ", ".join(f"{counts[d]}x{d}" for d in sorted(counts))
-        return f"SimplicialSet({self.name or 'anon'}: {body})"
+                for i in range(j):
+                    left = self.act(self.faces[(cell, j)], delta_face(d - 1, i))
+                    right = self.act(self.faces[(cell, i)], delta_face(d - 1, j - 1))
+                    if left != right:
+                        raise ValidationError(
+                            f"simplicial identity fails at {cell} ({i},{j})"
+                        )
 
 
 class SimplicialMap:
@@ -195,8 +145,6 @@ class SimplicialMap:
 
 
 def standard_simplex(n: int) -> SimplicialSet:
-    from itertools import combinations
-
     cells = {}
     faces = {}
     for k in range(n + 1):
@@ -232,96 +180,3 @@ def wedge_of_intervals(count: int = 2) -> SimplicialSet:
         faces[(f"e{i}", 0)] = nd("w")
         faces[(f"e{i}", 1)] = nd(f"a{i}")
     return SimplicialSet(cells, faces, name=f"wedge{count}")
-
-
-def simplicial_coproduct(X: SimplicialSet, Y: SimplicialSet):
-    cells = {}
-    faces = {}
-    for c, d in X.cells.items():
-        cells[f"l:{c}"] = d
-    for c, d in Y.cells.items():
-        cells[f"r:{c}"] = d
-    for (c, j), ref in X.faces.items():
-        faces[(f"l:{c}", j)] = SimplexRef(ref.degens, f"l:{ref.base}")
-    for (c, j), ref in Y.faces.items():
-        faces[(f"r:{c}", j)] = SimplexRef(ref.degens, f"r:{ref.base}")
-    return SimplicialSet(cells, faces, name=f"{X.name}+{Y.name}")
-
-
-def _wl_colors(S: SimplicialSet, rounds: int = 3):
-    color = {c: (d,) for c, d in S.cells.items()}
-    for _ in range(rounds):
-        nxt = {}
-        for c, d in S.cells.items():
-            sig = [(j, S.faces[(c, j)].degens, color[S.faces[(c, j)].base]) for j in range(d + 1) if d > 0]
-            nxt[c] = (color[c], tuple(sig))
-        palette = {}
-        for c in sorted(nxt, key=lambda c: repr(nxt[c])):
-            palette.setdefault(nxt[c], len(palette))
-        color = {c: (S.cells[c], palette[nxt[c]]) for c in S.cells}
-    return color
-
-
-def find_simplicial_isomorphism(X: SimplicialSet, Y: SimplicialSet):
-    if X.cell_counts() != Y.cell_counts():
-        return None
-    cx, cy = _wl_colors(X), _wl_colors(Y)
-    hist = {}
-    for col in cx.values():
-        hist[col] = hist.get(col, 0) + 1
-    hist2 = {}
-    for col in cy.values():
-        hist2[col] = hist2.get(col, 0) + 1
-    if hist != hist2:
-        return None
-    by_color = {}
-    for c, col in cy.items():
-        by_color.setdefault(col, []).append(c)
-    for cs in by_color.values():
-        cs.sort()
-    order = sorted(X.cells, key=lambda c: (-X.cells[c], c))
-    fwd, bwd = {}, {}
-
-    def propagate(x, y, trail):
-        stack = [(x, y)]
-        while stack:
-            a, b = stack.pop()
-            if a in fwd:
-                if fwd[a] != b:
-                    return False
-                continue
-            if b in bwd or cx[a] != cy[b]:
-                return False
-            fwd[a] = b
-            bwd[b] = a
-            trail.append((a, b))
-            d = X.cells[a]
-            for j in range(d + 1):
-                if d == 0:
-                    break
-                ra, rb = X.faces[(a, j)], Y.faces[(b, j)]
-                if ra.degens != rb.degens:
-                    return False
-                stack.append((ra.base, rb.base))
-        return True
-
-    def rec(i):
-        while i < len(order) and order[i] in fwd:
-            i += 1
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in by_color[cx[x]]:
-            if y in bwd:
-                continue
-            trail = []
-            if propagate(x, y, trail) and rec(i + 1):
-                return True
-            for a, b in trail:
-                del fwd[a]
-                del bwd[b]
-        return False
-
-    if rec(0):
-        return dict(fwd)
-    return None

@@ -3,20 +3,20 @@ import json
 import pytest
 
 from cubeworks.cli import main
-from cubeworks.cubical import boundary, open_box, standard_cube, tensor
+from cubeworks.cubical import CubicalSet, boundary, open_box, standard_cube, tensor
 from cubeworks.enriched import build_E, build_H, special_category
+from cubeworks.errors import ValidationError
 from cubeworks.io_json import (
     Workspace,
-    cubical_from_json,
-    cubical_to_json,
+    dumps,
     presentation_from_json,
     presentation_to_json,
-    simplicial_from_json,
-    simplicial_to_json,
+    presented_from_json,
+    presented_to_json,
     to_json,
 )
 from cubeworks.james import james
-from cubeworks.simplicial import wedge_of_intervals
+from cubeworks.simplicial import SimplicialSet, standard_simplex, wedge_of_intervals
 from cubeworks.triangulate import triangulate
 
 
@@ -29,17 +29,17 @@ def run(capsys, tmp_path, *argv):
 def test_roundtrip_cubical_sets():
     for X in [standard_cube(3), boundary(3)[0], open_box(3, 2, 1)[0],
               tensor(boundary(2)[0], standard_cube(1))]:
-        data = cubical_to_json(X)
-        Y = cubical_from_json(data)
-        assert cubical_to_json(Y) == data
+        data = presented_to_json(X)
+        Y = presented_from_json(data, CubicalSet)
+        assert presented_to_json(Y) == data
         assert Y.cells == X.cells and Y.faces == X.faces
 
 
 def test_roundtrip_simplicial_sets():
     for S in [triangulate(standard_cube(2)), james(wedge_of_intervals(2), "w", 2)]:
-        data = simplicial_to_json(S)
-        T = simplicial_from_json(data)
-        assert simplicial_to_json(T) == data
+        data = presented_to_json(S)
+        T = presented_from_json(data, SimplicialSet)
+        assert presented_to_json(T) == data
 
 
 def test_roundtrip_presentations():
@@ -156,6 +156,63 @@ def test_cli_guard_exit_code(capsys, tmp_path):
 def test_cli_usage_error(capsys, tmp_path):
     code, out = run(capsys, tmp_path, "homology", "no-such-name")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "cube:x"],
+        ["homology", "box:2:1"],
+        ["homology", "box:2:1:5"],
+        ["homology", "cube:-1"],
+        ["homology", "boundary:"],
+        ["james", "circle", "--bound", "-1"],
+        ["james", "delta:two"],
+        ["james", "wedge:1:2"],
+        ["cube", "build", "cube", "--n", "-2"],
+        ["cube", "build", "boundary", "--n", "-1"],
+        ["cube", "build", "box", "--n", "-1", "--k", "1", "--eps", "0"],
+    ],
+)
+def test_cli_bad_spec_or_size_exits_2(capsys, tmp_path, argv):
+    code = main(["--workspace", str(tmp_path / "ws"), *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid input: ")
+
+
+@pytest.mark.parametrize("name", ["../escaped", "sub/b2", ".hidden", "manifest"])
+def test_cli_names_stay_inside_workspace(capsys, tmp_path, name):
+    code, out = run(capsys, tmp_path, "cube", "build", "cube", "--n", "1", "--name", name)
+    assert code == 2
+    assert [p.name for p in tmp_path.rglob("*")] == ["ws"]
+    with pytest.raises(ValidationError):
+        Workspace(str(tmp_path / "ws")).load(name)
+
+
+def test_wire_format_of_both_kinds():
+    assert json.loads(dumps(standard_cube(1))) == {
+        "cells": {"*": 1, "0": 0, "1": 0},
+        "faces": [
+            {"base": "0", "cell": "*", "degens": [], "eps": 0, "k": 0},
+            {"base": "1", "cell": "*", "degens": [], "eps": 1, "k": 0},
+        ],
+        "kind": "cubical_set",
+        "name": "cube1",
+        "schema": "cubeworks/1",
+    }
+    assert json.loads(dumps(standard_simplex(1))) == {
+        "cells": {"0": 0, "0.1": 1, "1": 0},
+        "faces": [
+            {"base": "1", "cell": "0.1", "degens": [], "j": 0},
+            {"base": "0", "cell": "0.1", "degens": [], "j": 1},
+        ],
+        "kind": "simplicial_set",
+        "name": "delta1",
+        "schema": "cubeworks/1",
+    }
 
 
 def test_cli_deterministic_output(capsys, tmp_path):

@@ -95,6 +95,21 @@ def test_open_box_counts():
 def test_open_box_bad_index():
     with pytest.raises(ValidationError):
         open_box(2, 3, 0)
+    with pytest.raises(ValidationError):
+        open_box(2, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: standard_cube(-1),
+        lambda: boundary(-1),
+        lambda: open_box(-1, 1, 0),
+    ],
+)
+def test_negative_dimension_refused(build):
+    with pytest.raises(ValidationError):
+        build()
 
 
 def test_coproduct():

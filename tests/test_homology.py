@@ -26,10 +26,10 @@ from cubeworks.cubical import (
     standard_cube,
     tensor,
 )
+from cubeworks.errors import ValidationError
+from cubeworks.presented import disjoint_union, find_isomorphism
 from cubeworks.simplicial import (
     circle,
-    find_simplicial_isomorphism,
-    simplicial_coproduct,
     standard_simplex,
     wedge_of_intervals,
 )
@@ -206,7 +206,11 @@ def test_wedge_validates():
 def test_triangulate_interval_is_delta1():
     T = triangulate(standard_cube(1))
     T.validate()
-    assert find_simplicial_isomorphism(T, standard_simplex(1)) is not None
+    assert find_isomorphism(T, standard_simplex(1)) is not None
+    # sets of different kinds are never isomorphic and have no disjoint union
+    assert find_isomorphism(standard_cube(1), standard_simplex(1)) is None
+    with pytest.raises(ValidationError):
+        disjoint_union(standard_cube(1), standard_simplex(1))
 
 
 def test_triangulate_square_counts():
@@ -226,8 +230,8 @@ def test_triangulate_commutes_with_coproduct():
     Y = boundary(2)[0]
     Z, _, _ = coproduct(X, Y)
     left = triangulate(Z)
-    right = simplicial_coproduct(triangulate(X), triangulate(Y))
-    assert find_simplicial_isomorphism(left, right) is not None
+    right = disjoint_union(triangulate(X), triangulate(Y))
+    assert find_isomorphism(left, right) is not None
 
 
 def test_triangulated_boundary_validates():

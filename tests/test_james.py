@@ -3,12 +3,19 @@ from math import comb
 import pytest
 
 from cubeworks.chains import homology, simplicial_chains
+from cubeworks.errors import ValidationError
 from cubeworks.james import james
 from cubeworks.simplicial import SimplicialSet, circle, nd, wedge_of_intervals
 
 
 def point_based():
     return SimplicialSet({"p": 0}, {}, name="pt")
+
+
+@pytest.mark.parametrize("bound, max_dim", [(-1, None), (2, -1)])
+def test_james_negative_window_refused(bound, max_dim):
+    with pytest.raises(ValidationError):
+        james(circle(), "v", bound, max_dim=max_dim)
 
 
 def test_james_point_is_point():

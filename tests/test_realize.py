@@ -1,6 +1,7 @@
 import pytest
 
 from cubeworks.chains import (
+    ChainComplex,
     ChainMap,
     cubical_chains,
     homology,
@@ -32,7 +33,6 @@ from cubeworks.realize import (
     cofibration_check,
     cokernel_homology,
     standard_cylinder,
-    subcomplex_union_pushout_product,
 )
 
 
@@ -162,6 +162,61 @@ def test_check_quillen_broken_fails():
     report = check_quillen(broken_cylinder(), 2)
     assert not report["pass"]
     assert not report["cylinder"]["valid"]
+
+
+# -- chain-level pushout-product (reference oracle for the transport property) --
+
+
+def subcomplex_union_pushout_product(f: ChainMap, g: ChainMap):
+    """For basis-aligned injections (every basis element goes to a single
+    basis element with coefficient 1), the pushout-product's source is the
+    union of the two tensor subcomplexes inside target(x)target.
+
+    Returns (source complex, chain map into the target tensor complex),
+    with basis names matching the tensor pairing.
+    """
+    def image_pairs(h: ChainMap):
+        pairs = {}
+        for d, items in h.images.items():
+            for b, img in items.items():
+                if len(img) > 1 or any(v != 1 for v in img.values()):
+                    raise ValidationError("pushout-product helper needs basis-aligned maps")
+                if img:
+                    pairs[b] = next(iter(img))
+        return pairs
+
+    fa = image_pairs(f)
+    ga = image_pairs(g)
+    BB = tensor_complexes(f.target, g.target, name="BB")
+    keep = set()
+    for d, items in f.source.basis.items():
+        for a in items:
+            for q, bitems in g.target.basis.items():
+                for b in bitems:
+                    keep.add((fa[a], b))
+    for d, items in g.source.basis.items():
+        for c in items:
+            for p, bitems in f.target.basis.items():
+                for b in bitems:
+                    keep.add((b, ga[c]))
+    basis = {}
+    boundary = {}
+    for d, items in BB.basis.items():
+        sub = [b for b in items if b in keep]
+        if sub:
+            basis[d] = sub
+    for d in basis:
+        bnd = {}
+        for b in basis[d]:
+            img = BB.boundary.get(d, {}).get(b, {})
+            for t in img:
+                if t not in keep:
+                    raise ValidationError("union of subcomplexes not closed under d")
+            bnd[b] = dict(img)
+        boundary[d] = bnd
+    S = ChainComplex(basis, boundary, name="pp-source")
+    incl = ChainMap(S, BB, {d: {b: {b: 1} for b in basis[d]} for d in basis})
+    return S, incl
 
 
 def test_pushout_product_transport():
