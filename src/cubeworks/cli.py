@@ -368,9 +368,8 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    ws = Workspace(args.workspace)
     try:
-        return _HANDLERS[args.cmd](args, ws)
+        return _HANDLERS[args.cmd](args, Workspace(args.workspace))
     except GuardError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 3

@@ -501,6 +501,8 @@ def kan_check(X: CubicalSet, max_dim: int, guard: int = 10**7) -> dict:
     """For each open box up to max_dim, test every map of the box into X for an
     extension to the full cube.  Returns a report with the first failing
     lifting problem as witness."""
+    if max_dim < 0:
+        raise ValidationError(f"max_dim {max_dim} must not be negative")
     report = {"max_dim": max_dim, "families": [], "pass": True, "witness": None}
     for n in range(1, max_dim + 1):
         cube_n = standard_cube(n)

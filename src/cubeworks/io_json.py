@@ -194,6 +194,16 @@ def _check_name(name: str):
         raise ValidationError(f"bad artifact name {name!r}")
 
 
+def _read_json(path: str):
+    """Parse one workspace file; a missing, unreadable or corrupt file is bad
+    input named by its path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
 class Workspace:
     """A directory of JSON artifacts with a manifest; names are unique."""
 
@@ -202,8 +212,11 @@ class Workspace:
         os.makedirs(path, exist_ok=True)
         self.manifest_path = os.path.join(path, "manifest.json")
         if os.path.exists(self.manifest_path):
-            with open(self.manifest_path) as fh:
-                self.manifest = json.load(fh)
+            self.manifest = _read_json(self.manifest_path)
+            if not isinstance(self.manifest, dict) or not isinstance(
+                self.manifest.get("entries"), dict
+            ):
+                raise ValidationError(f"{self.manifest_path} is not a workspace manifest")
         else:
             self.manifest = {"schema": SCHEMA, "entries": {}}
 
@@ -225,8 +238,7 @@ class Workspace:
         _check_name(name)
         if name not in self.manifest["entries"]:
             raise ValidationError(f"no workspace entry named {name!r}")
-        with open(os.path.join(self.path, f"{name}.json")) as fh:
-            return json.load(fh)
+        return _read_json(os.path.join(self.path, f"{name}.json"))
 
     def load(self, name: str):
         return from_json(self.load_raw(name))

@@ -24,10 +24,13 @@ def _letter_token(ref: SimplexRef) -> str:
     return f"{ref.base}^{''.join(map(str, ref.degens))}"
 
 
+def _join_tokens(tokens) -> str:
+    """Cell id of a word from its already-rendered letter tokens."""
+    return "J[" + ",".join(tokens) + "]"
+
+
 def word_token(word) -> str:
-    if not word:
-        return "J[]"
-    return "J[" + ",".join(_letter_token(l) for l in word) + "]"
+    return _join_tokens(map(_letter_token, word))
 
 
 def _section(surj):
@@ -52,24 +55,20 @@ def divide_letter(ref: SimplexRef, T, d: int) -> SimplexRef:
     return SimplexRef(collapse_of_surj(s_rest), ref.base)
 
 
-def normalize_word(word, d: int):
-    """EZ normal form of a word of X_d elements: (common collapse set,
-    divided word).  Empty words normalize to the basepoint convention of the
-    caller."""
-    common = set(range(d))
-    for ref in word:
-        common &= set(ref.degens)
-    T = tuple(sorted(common))
-    return T, tuple(divide_letter(r, T, d) for r in word)
-
-
 def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
     """Truncated free monoid on (X, base).  Words longer than `bound` are cut
     off; homology in degree d is reliable once bound >= d + 1 for the wedge
     and circle families (validated empirically in the acceptance suite).
 
     Based cubical sets are accepted by triangulating first (the free monoid
-    is taken degreewise, i.e. in the cartesian flavor)."""
+    is taken degreewise, i.e. in the cartesian flavor).
+
+    Words are tuples of letter codes: the non-basepoint elements of X_d are
+    numbered from 1 in sorted order (0 stands for the basepoint) and each
+    carries its degeneracy set as a bitmask.  The faces of letters are
+    tabulated once, so a face of a word costs table lookups and a dict
+    probe; only a degenerate face ANDs the masks of its letters and divides
+    them through `divide_letter`.  Each cell id is rendered once."""
     from .cubical import CubicalSet
 
     if bound < 0 or (max_dim is not None and max_dim < 0):
@@ -84,54 +83,84 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
     if max_dim is None:
         max_dim = bound
 
-    cells = {}
-    words_of = {}
+    # letters[d][c] is the letter with code c >= 1; masks[d][c] its
+    # degeneracy set as a bitmask (masks[d][0] = all directions, the unit of
+    # AND, for the basepoint)
+    letters = []
+    masks = []
     for d in range(max_dim + 1):
-        letters = sorted(r for r in X.refs_of_dim(d) if r.base != base)
-        if d and not letters:
-            continue
-        max_gap = max((d - len(r.degens) for r in letters), default=0)
+        refs = sorted(r for r in X.refs_of_dim(d) if r.base != base)
+        letters.append([None] + refs)
+        masks.append([(1 << d) - 1] + [sum(1 << t for t in r.degens) for r in refs])
+    code = [{r: c for c, r in enumerate(ls) if c} for ls in letters]
+
+    cells = {}
+    words = []  # words[d]: [(word, cell id)] in cell order
+    nd_of = []  # nd_of[d]: word -> non-degenerate ref of its cell, below max_dim
+    for d in range(max_dim + 1):
+        mask_d = masks[d]
+        max_gap = max((d - m.bit_count() for m in mask_d[1:]), default=0)
         found = []
 
         def rec(word, inter, budget):
             if not inter:
-                found.append(tuple(word))
+                found.append(word)
             if budget == 0:
                 return
-            for ref in letters:
-                new_inter = inter & set(ref.degens) if inter else inter
-                if len(new_inter) > (budget - 1) * max_gap:
-                    continue
-                word.append(ref)
-                rec(word, new_inter, budget - 1)
-                word.pop()
+            limit = (budget - 1) * max_gap
+            for c in range(1, len(mask_d)):
+                new_inter = inter & mask_d[c]
+                if new_inter.bit_count() <= limit:
+                    rec(word + (c,), new_inter, budget - 1)
 
-        rec([], set(range(d)), bound)
+        rec((), mask_d[0], bound)
+        tokens = [None] + [_letter_token(r) for r in letters[d][1:]]
+        listed = []
+        refs = {}
         for w in found:
-            if d > 0 and not w:
-                continue
-            wid = word_token(w)
+            wid = _join_tokens([tokens[c] for c in w])
             cells[wid] = d
-            words_of[wid] = w
+            listed.append((w, wid))
+            if d < max_dim:  # cells of the top dimension are never faces
+                refs[w] = SimplexRef((), wid)
+        words.append(listed)
+        nd_of.append(refs)
 
     faces = {}
-    for wid, w in words_of.items():
-        d = cells[wid]
-        if d == 0:
+    unit = word_token(())
+    for d in range(1, max_dim + 1):
+        if not words[d]:
             continue
+        e = d - 1
+        mask_e = masks[e]
+        full = mask_e[0]
+        lower = nd_of[e]
+        empty = SimplexRef(tuple(range(e)), unit)
+        tables = []
         for j in range(d + 1):
             f = delta_face(d, j)
-            new_letters = []
-            for ref in w:
-                img = X.act(ref, f)
-                if img.base != base:
-                    new_letters.append(img)
-            if not new_letters:
-                faces[(wid, j)] = SimplexRef(tuple(range(d - 1)), word_token(()))
-                continue
-            T, divided = normalize_word(new_letters, d - 1)
-            fid = word_token(divided)
-            if fid not in cells:
-                raise ValidationError(f"face of {wid} left the truncation window")
-            faces[(wid, j)] = SimplexRef(T, fid)
+            table = [0]
+            for r in letters[d][1:]:
+                img = X.act(r, f)
+                table.append(0 if img.base == base else code[e][img])
+            tables.append(table)
+        for w, wid in words[d]:
+            for j, table in enumerate(tables):
+                fw = tuple(filter(None, map(table.__getitem__, w)))
+                ref = lower.get(fw) if fw else empty
+                if ref is None:
+                    # a degenerate face: divide out the common degeneracy
+                    common = full
+                    for c in fw:
+                        common &= mask_e[c]
+                    T = tuple(t for t in range(e) if common >> t & 1)
+                    hit = None
+                    if T:
+                        low = e - len(T)
+                        divided = (divide_letter(letters[e][c], T, e) for c in fw)
+                        hit = nd_of[low].get(tuple(code[low][r] for r in divided))
+                    if hit is None:
+                        raise ValidationError(f"face of {wid} left the truncation window")
+                    ref = SimplexRef(T, hit.base)
+                faces[(wid, j)] = ref
     return SimplicialSet(cells, faces, name=f"J({X.name})@{bound}")

@@ -263,6 +263,8 @@ def check_quillen(cyl: CylinderDatum, max_dim: int) -> dict:
     not a cylinder object cannot induce a left Quillen functor, whatever the
     per-generator checks say.
     """
+    if max_dim < 0:
+        raise ValidationError(f"max_dim {max_dim} must not be negative")
     report = {"max_dim": max_dim}
     cyl_details = cyl.validate(require=False)
     report["cylinder"] = cyl_details

@@ -5,7 +5,8 @@ Two entry points: `smith_normal_form` computes D together with unimodular
 R, C such that M = R * D * C (diagonal d1 | d2 | ...), pivoting by minimal
 absolute value to control coefficient growth; `invariant_factors_sparse`
 is a transform-free fast path that eliminates unit pivots on a sparse
-representation first and only densifies the small remainder.
+representation first, taking the shortest row with a unit entry next, and
+only densifies the small remainder.
 """
 
 from __future__ import annotations
@@ -174,9 +175,13 @@ def det_exact(A) -> int:
 def invariant_factors_sparse(entries, nrows: int, ncols: int):
     """Invariant factors of a sparse integer matrix given as {(i, j): v}.
 
-    Unit pivots are eliminated on the sparse structure with a minimal-fill
-    heap; whatever remains (rarely more than a few rows for cell-complex
-    boundary matrices) is handed to the dense routine.
+    Unit pivots are eliminated on the sparse structure, shortest row first
+    (Markowitz's rule): a heap holds (row length, row), the popped row
+    pivots on its unit entry in the column with fewest entries, and only
+    the rows a pivot modified are pushed again.  A row with no unit entry is
+    dropped from the heap until a pivot modifies it.  Whatever remains
+    (rarely more than a few rows for cell-complex boundary matrices) is
+    handed to the dense routine.
     """
     rows = {}
     cols = {}
@@ -185,52 +190,52 @@ def invariant_factors_sparse(entries, nrows: int, ncols: int):
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, set()).add(i)
 
-    heap = []
-    for i, row in rows.items():
-        for j, v in row.items():
-            if v in (1, -1):
-                fill = (len(row) - 1) * (len(cols[j]) - 1)
-                heapq.heappush(heap, (fill, i, j))
-
+    heap = [(len(row), i) for i, row in rows.items()]
+    heapq.heapify(heap)
     ones = 0
     while heap:
-        fill, i, j = heapq.heappop(heap)
-        row = rows.get(i)
-        if row is None:
+        length, i = heapq.heappop(heap)
+        pivot_row = rows.get(i)
+        if pivot_row is None or len(pivot_row) != length:
+            continue  # deleted, or a newer entry holds its current length
+        j = None
+        best = 0
+        for jj, v in pivot_row.items():
+            if v == 1 or v == -1:
+                count = len(cols[jj])
+                if j is None or count < best:
+                    j, best = jj, count
+                    if count == 1:
+                        break
+        if j is None:
             continue
-        v = row.get(j)
-        if v not in (1, -1):
-            continue
-        cur_fill = (len(row) - 1) * (len(cols[j]) - 1)
-        if cur_fill > fill:
-            heapq.heappush(heap, (cur_fill, i, j))
-            continue
-        piv = v
-        pivot_row = row
-        for i2 in list(cols[j]):
-            if i2 == i:
-                continue
+        del rows[i]
+        piv = pivot_row.pop(j)
+        others = cols.pop(j)
+        others.discard(i)
+        for i2 in others:
             row2 = rows[i2]
-            factor = row2[j] * piv  # exact quotient, pivot is a unit
+            factor = row2.pop(j) * piv  # exact quotient, pivot is a unit
             for jj, vv in pivot_row.items():
-                new = row2.get(jj, 0) - factor * vv
-                if new:
-                    row2[jj] = new
+                delta = factor * vv
+                old = row2.get(jj)
+                if old is None:
+                    row2[jj] = -delta
                     cols[jj].add(i2)
-                    if new in (1, -1):
-                        heapq.heappush(
-                            heap, ((len(row2) - 1) * (len(cols[jj]) - 1), i2, jj)
-                        )
-                elif jj in row2:
+                elif old != delta:
+                    row2[jj] = old - delta
+                else:
                     del row2[jj]
                     cols[jj].discard(i2)
-            if not row2:
+            if row2:
+                heapq.heappush(heap, (len(row2), i2))
+            else:
                 del rows[i2]
         for jj in pivot_row:
-            cols[jj].discard(i)
-            if not cols[jj]:
+            col = cols[jj]
+            col.discard(i)
+            if not col:
                 del cols[jj]
-        del rows[i]
         ones += 1
 
     if not rows:

@@ -183,6 +183,42 @@ def test_cli_bad_spec_or_size_exits_2(capsys, tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("invalid input: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cube", "kan-check", "cube:1", "--max-dim", "-1"],
+        ["quillen", "check", "--max-dim", "-1"],
+    ],
+)
+def test_cli_negative_max_dim_exits_2(capsys, tmp_path, argv):
+    code, out = run(capsys, tmp_path, *argv)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("text", ["garbage", "[]", '{"entries": 3}'])
+def test_cli_corrupt_manifest_exits_2(capsys, tmp_path, text):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    (ws / "manifest.json").write_text(text)
+    code = main(["--workspace", str(ws), "cube", "build", "cube", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "manifest.json" in lines[0]
+    assert (ws / "manifest.json").read_text() == text
+
+
+def test_cli_corrupt_artifact_exits_2(capsys, tmp_path):
+    code, out = run(capsys, tmp_path, "cube", "build", "boundary", "--n", "2", "--name", "b2")
+    assert code == 0
+    (tmp_path / "ws" / "b2.json").write_text("garbage")
+    code = main(["--workspace", str(tmp_path / "ws"), "homology", "b2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "b2.json" in lines[0]
+
+
 @pytest.mark.parametrize("name", ["../escaped", "sub/b2", ".hidden", "manifest"])
 def test_cli_names_stay_inside_workspace(capsys, tmp_path, name):
     code, out = run(capsys, tmp_path, "cube", "build", "cube", "--n", "1", "--name", name)

@@ -112,6 +112,12 @@ def test_negative_dimension_refused(build):
         build()
 
 
+@pytest.mark.parametrize("max_dim", [-1, -3])
+def test_kan_check_negative_max_dim_refused(max_dim):
+    with pytest.raises(ValidationError):
+        kan_check(standard_cube(1), max_dim)
+
+
 def test_coproduct():
     X = standard_cube(1)
     E = empty_set()

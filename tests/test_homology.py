@@ -1,5 +1,6 @@
 import random
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from cubeworks.simplicial import (
     standard_simplex,
     wedge_of_intervals,
 )
+from cubeworks import snf
 from cubeworks.snf import (
     det_exact,
     invariant_factors_sparse,
@@ -118,6 +120,57 @@ def test_sparse_invariant_factors_match_dense():
         M = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(n)] for _ in range(m)]
         entries = {(i, j): M[i][j] for i in range(m) for j in range(n) if M[i][j]}
         assert invariant_factors_sparse(entries, m, n) == smith_normal_form(M).diag
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A sparse m x n matrix as {(i, j): v}, up to 12 x 12, of drawn density.
+    Entries may hold explicit 0 values, some rows and columns are zeroed, and
+    with m, n >= 2 an isolated block [[s, s], [2, 3]] plants a row with no
+    unit that gains one when the row above it is eliminated."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
+    zeros = draw(st.integers(0, 12))
+    values = st.sampled_from([0] * zeros + [1, -1, 2, -2, 3, -3, 4, 6])
+    grid = draw(st.lists(values, min_size=m * n, max_size=m * n))
+    keep_zeros = draw(st.booleans())
+    entries = {
+        (t // n, t % n): v for t, v in enumerate(grid) if v or keep_zeros
+    }
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        entries.update({(i, j): 0 for j in range(n)})
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        entries.update({(i, j): 0 for i in range(m)})
+    if m >= 2 and n >= 2 and draw(st.booleans()):
+        i0, i1 = draw(st.permutations(range(m)))[:2]
+        j0, j1 = draw(st.permutations(range(n)))[:2]
+        for i in (i0, i1):
+            entries.update({(i, j): 0 for j in range(n)})
+        for j in (j0, j1):
+            entries.update({(i, j): 0 for i in range(m)})
+        s = draw(st.sampled_from([1, -1]))
+        entries.update({(i0, j0): s, (i0, j1): s, (i1, j0): 2, (i1, j1): 3})
+    return entries, m, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices())
+def test_sparse_invariant_factors_property(matrix):
+    entries, m, n = matrix
+    M = [[entries.get((i, j), 0) for j in range(n)] for i in range(m)]
+    given_entries = dict(entries)
+    remainders = []
+
+    def dense(R):
+        remainders.append(R)
+        return smith_normal_form(R)
+
+    with mock.patch.object(snf, "smith_normal_form", dense):
+        factors = invariant_factors_sparse(entries, m, n)
+    assert factors == smith_normal_form(M).diag
+    assert entries == given_entries
+    # every unit entry, including one made by fill, is pivoted on sparsely
+    assert all(v not in (1, -1) for R in remainders for row in R for v in row)
 
 
 def test_torsion_detected():

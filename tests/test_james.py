@@ -3,13 +3,146 @@ from math import comb
 import pytest
 
 from cubeworks.chains import homology, simplicial_chains
+from cubeworks.cubical import CubicalSet, boundary
 from cubeworks.errors import ValidationError
-from cubeworks.james import james
-from cubeworks.simplicial import SimplicialSet, circle, nd, wedge_of_intervals
+from cubeworks.james import divide_letter, james, word_token
+from cubeworks.simplicial import (
+    SimplexRef,
+    SimplicialSet,
+    circle,
+    delta_face,
+    nd,
+    wedge_of_intervals,
+)
 
 
 def point_based():
     return SimplicialSet({"p": 0}, {}, name="pt")
+
+
+def pinched_triangle():
+    """A loop e at u, a triangle t whose 0-th face is the degenerate edge at
+    u, and a separate vertex v: faces of words in t are degenerate."""
+    X = SimplicialSet(
+        {"v": 0, "u": 0, "e": 1, "t": 2},
+        {
+            ("e", 0): nd("u"),
+            ("e", 1): nd("u"),
+            ("t", 0): SimplexRef((0,), "u"),
+            ("t", 1): nd("e"),
+            ("t", 2): nd("e"),
+        },
+        name="pinched",
+    )
+    X.validate()
+    return X
+
+
+# -- reference builder -----------------------------------------------------------
+
+
+def normalize_word(word, d: int):
+    """EZ normal form of a word of X_d elements: (common collapse set,
+    divided word)."""
+    common = set(range(d))
+    for ref in word:
+        common &= set(ref.degens)
+    T = tuple(sorted(common))
+    return T, tuple(divide_letter(r, T, d) for r in word)
+
+
+def james_reference(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
+    """The James builder on letters as SimplexRefs: every face of every word
+    goes through `X.act`, is normalized letter by letter and is looked up by
+    its rendered token.  Oracle for the integer-coded `james`."""
+    if isinstance(X, CubicalSet):
+        from cubeworks.triangulate import triangulate
+
+        X = triangulate(X)
+        base = f"{base}#"
+    if max_dim is None:
+        max_dim = bound
+
+    cells = {}
+    words_of = {}
+    for d in range(max_dim + 1):
+        letters = sorted(r for r in X.refs_of_dim(d) if r.base != base)
+        if d and not letters:
+            continue
+        max_gap = max((d - len(r.degens) for r in letters), default=0)
+        found = []
+
+        def rec(word, inter, budget):
+            if not inter:
+                found.append(tuple(word))
+            if budget == 0:
+                return
+            for ref in letters:
+                new_inter = inter & set(ref.degens) if inter else inter
+                if len(new_inter) > (budget - 1) * max_gap:
+                    continue
+                word.append(ref)
+                rec(word, new_inter, budget - 1)
+                word.pop()
+
+        rec([], set(range(d)), bound)
+        for w in found:
+            if d > 0 and not w:
+                continue
+            wid = word_token(w)
+            cells[wid] = d
+            words_of[wid] = w
+
+    faces = {}
+    for wid, w in words_of.items():
+        d = cells[wid]
+        if d == 0:
+            continue
+        for j in range(d + 1):
+            f = delta_face(d, j)
+            new_letters = []
+            for ref in w:
+                img = X.act(ref, f)
+                if img.base != base:
+                    new_letters.append(img)
+            if not new_letters:
+                faces[(wid, j)] = SimplexRef(tuple(range(d - 1)), word_token(()))
+                continue
+            T, divided = normalize_word(new_letters, d - 1)
+            fid = word_token(divided)
+            assert fid in cells, f"face of {wid} left the truncation window"
+            faces[(wid, j)] = SimplexRef(T, fid)
+    return SimplicialSet(cells, faces, name=f"J({X.name})@{bound}")
+
+
+@pytest.mark.parametrize(
+    "make, base, bound, max_dim",
+    [(lambda: wedge_of_intervals(2), "w", L, None) for L in range(5)]
+    + [(circle, "v", L, 3) for L in range(7)]
+    + [
+        (point_based, "p", 3, None),
+        (pinched_triangle, "v", 3, None),
+        (pinched_triangle, "u", 3, None),
+        (lambda: wedge_of_intervals(3), "w", 2, 4),
+        (lambda: boundary(2)[0], "00", 3, None),
+    ],
+)
+def test_james_matches_reference(make, base, bound, max_dim):
+    J = james(make(), base, bound, max_dim)
+    R = james_reference(make(), base, bound, max_dim)
+    assert J.name == R.name
+    assert list(J.cells.items()) == list(R.cells.items())
+    assert list(J.faces.items()) == list(R.faces.items())
+
+
+@pytest.mark.parametrize("base, unit", [("v", False), ("u", True)])
+def test_james_degenerate_faces_are_divided(base, unit):
+    # the reference comparison above covers these faces only if they occur
+    J = james(pinched_triangle(), base, 3)
+    degenerate = {r for r in J.faces.values() if r.degens}
+    assert any(r.base != "J[]" for r in degenerate)
+    assert any(r.base == "J[]" for r in degenerate) == unit
+    J.validate()
 
 
 @pytest.mark.parametrize("bound, max_dim", [(-1, None), (2, -1)])

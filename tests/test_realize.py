@@ -164,6 +164,13 @@ def test_check_quillen_broken_fails():
     assert not report["cylinder"]["valid"]
 
 
+@pytest.mark.parametrize("cylinder", [standard_cylinder, broken_cylinder])
+@pytest.mark.parametrize("max_dim", [-1, -3])
+def test_check_quillen_negative_max_dim_refused(cylinder, max_dim):
+    with pytest.raises(ValidationError):
+        check_quillen(cylinder(), max_dim)
+
+
 # -- chain-level pushout-product (reference oracle for the transport property) --
 
 
