@@ -41,15 +41,44 @@ def presented_to_json(X: PresentedSet) -> dict:
     }
 
 
+def _index(x) -> bool:
+    """A dimension, face index or degeneracy direction on the wire."""
+    return type(x) is int and x >= 0
+
+
 def presented_from_json(data: dict, cls):
+    """Parse a cubical or simplicial set.  The shape is checked (cells map
+    ids to non-negative integers; each face is an object with the expected
+    fields, integer indices and known cells); the face identities are not,
+    see `PresentedSet.validate`."""
+    what = cls.kind.replace("_", " ")
     if data.get("schema") != SCHEMA or data.get("kind") != cls.kind:
-        raise ValidationError(f"not a cubeworks/1 {cls.kind.replace('_', ' ')}")
-    base, (first, *rest) = cls.index_base, cls.face_fields
+        raise ValidationError(f"not a cubeworks/1 {what}")
+    cells, entries, name = data.get("cells"), data.get("faces"), data.get("name", "")
+    if not isinstance(cells, dict) or not all(map(_index, cells.values())):
+        raise ValidationError(f"{what} cells must map cell ids to non-negative integers")
+    if not isinstance(entries, list) or not isinstance(name, str):
+        raise ValidationError(f"{what} needs a list of faces and a string name")
+    base = cls.index_base
     faces = {}
-    for f in data["faces"]:
-        key = (f["cell"], f[first] + base, *map(f.__getitem__, rest))
-        faces[key] = CellRef(tuple([s + base for s in f["degens"]]), f["base"])
-    return cls(dict(data["cells"]), faces, name=data.get("name", ""))
+    for f in entries:
+        if type(f) is not dict:
+            raise ValidationError(f"malformed {what} face {repr(f):.80}")
+        cell, ref, degens = f.get("cell"), f.get("base"), f.get("degens")
+        index = [f.get(k) for k in cls.face_fields]
+        if not (
+            type(cell) is str
+            and type(ref) is str
+            and cell in cells
+            and ref in cells
+            and type(degens) is list
+            and all(map(_index, index))
+            and (not degens or all(map(_index, degens)))
+        ):
+            raise ValidationError(f"malformed {what} face {repr(f):.80}")
+        index[0] += base
+        faces[(cell, *index)] = CellRef(tuple([s + base for s in degens]) if degens else (), ref)
+    return cls(dict(cells), faces, name=name)
 
 
 def _letter_to_json(letter) -> dict:
@@ -158,6 +187,8 @@ def to_json(obj) -> dict:
 
 
 def from_json(data: dict):
+    if not isinstance(data, dict):
+        raise ValidationError(f"artifact is {type(data).__name__}, not a JSON object")
     kind = data.get("kind")
     parser = _PARSERS.get(kind)
     if parser is None:

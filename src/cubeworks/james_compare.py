@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .enriched import build_E, localize, mapping_space
 from .errors import ValidationError
-from .james import james, word_token
+from .james import _join_tokens, _letter_token, james
 from .simplicial import SimplexRef, SimplicialMap, nd
 from .triangulate import triangulate
 
@@ -65,33 +65,48 @@ def parse_loop_word(word):
     return groups
 
 
-def translate_simplex(word, chain):
-    """The James word matching a simplex (spanning chain) of the triangulated
-    word cell."""
+def letter_token(group, chain):
+    """The token of the James letter that one group of a loop word gives on
+    a simplex (spanning chain of bit tuples) of its word cell; None for a
+    basepoint letter, which the James construction deletes."""
     k = len(chain) - 1
-    letters = []
-    for group in parse_loop_word(word):
-        if group[0] == "v":
-            _, idx = group
-            letters.append(SimplexRef(tuple(range(k)), f"a{idx}"))
-        else:
-            _, idx, t = group
-            bits = tuple(v[t] for v in chain)
-            degens = tuple(j for j in range(k) if bits[j] == bits[j + 1])
-            if bits == (0,) * (k + 1):
-                letters.append(SimplexRef(tuple(range(k)), f"a{idx}"))
-            elif bits == (1,) * (k + 1):
-                continue  # basepoint letter, deleted
-            else:
-                letters.append(SimplexRef(degens, f"e{idx}"))
-    return word_token(tuple(letters))
+    if group[0] == "v":
+        return _letter_token(SimplexRef(tuple(range(k)), f"a{group[1]}"))
+    _, idx, t = group
+    bits = tuple(v[t] for v in chain)
+    if bits == (1,) * (k + 1):
+        return None
+    if bits == (0,) * (k + 1):
+        return _letter_token(SimplexRef(tuple(range(k)), f"a{idx}"))
+    degens = tuple(j for j in range(k) if bits[j] == bits[j + 1])
+    return _letter_token(SimplexRef(degens, f"e{idx}"))
 
 
-def compare_with_james(bound: int):
-    """Build the triangulated localized mapping space and the James
-    construction at the same window, construct the translation, and verify
-    it is an isomorphism.  Returns a report with the cell counts and the
-    verified bijection size."""
+def translate_simplex(groups, chain, tokens):
+    """The James cell id matching a simplex (spanning chain of bit tuples) of
+    the triangulated word cell whose loop word parses into groups.  `tokens`
+    holds the letter token of each group already met on this chain."""
+    out = []
+    for group in groups:
+        if group not in tokens:
+            tokens[group] = letter_token(group, chain)
+        token = tokens[group]
+        if token is not None:
+            out.append(token)
+    return _join_tokens(out)
+
+
+def _parse_chain(suffix: str) -> tuple:
+    """The vertex chain of a simplex id's `#...` suffix, as bit tuples."""
+    return tuple(tuple(map(int, v)) for v in suffix.split(";"))
+
+
+def james_translation(bound: int):
+    """Build the localized mapping space at c, its triangulation and the
+    James construction at the same window, and translate every simplex into
+    a James cell.  Returns (truncation, triangulation, James construction,
+    assignment); raises if a translated cell is missing, has another
+    dimension or is hit twice."""
     from .simplicial import wedge_of_intervals
 
     EL = localized_E()
@@ -99,28 +114,39 @@ def compare_with_james(bound: int):
     tri = triangulate(trunc.space)
     J = james(wedge_of_intervals(2), "w", bound)
 
+    # each chain suffix is parsed once, each loop word once per cell, and
+    # each letter token once per chain
+    chains = {}  # suffix -> (chain, {group: letter token})
+    groups_of = {}
     assignment = {}
-    used = {}
+    used = set()
     for sid, d in tri.cells.items():
-        cell, chain_part = sid.split("#", 1)
-        word = trunc.words[cell]
-        chain = tuple(
-            tuple(int(b) for b in v) if v else ()
-            for v in (chain_part.split(";") if chain_part else [""])
-        )
-        target = translate_simplex(word, chain)
+        cell, suffix = sid.split("#", 1)
+        parsed = chains.get(suffix)
+        if parsed is None:
+            parsed = chains[suffix] = (_parse_chain(suffix), {})
+        groups = groups_of.get(cell)
+        if groups is None:
+            groups = groups_of[cell] = parse_loop_word(trunc.words[cell])
+        target = translate_simplex(groups, *parsed)
         if target not in J.cells:
             raise ValidationError(f"translated simplex {target} missing from James side")
         if J.cells[target] != d:
             raise ValidationError(f"dimension clash translating {sid}")
         if target in used:
             raise ValidationError(f"translation not injective at {target}")
-        used[target] = sid
+        used.add(target)
         assignment[sid] = nd(target)
+    return trunc, tri, J, assignment
 
-    surjective = len(used) == len(J.cells)
-    m = SimplicialMap(tri, J, assignment)
-    m.validate()
+
+def compare_with_james(bound: int):
+    """Construct the translation at window `bound` and verify it is an
+    isomorphism of simplicial sets.  Returns a report with the cell counts
+    and the verified bijection size."""
+    trunc, tri, J, assignment = james_translation(bound)
+    surjective = len(assignment) == len(J.cells)
+    SimplicialMap(tri, J, assignment).validate()
     return {
         "bound": bound,
         "mapping_space_cells": trunc.space.cell_counts(),

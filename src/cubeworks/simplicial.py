@@ -122,6 +122,10 @@ class SimplicialMap:
 
     def apply(self, ref: SimplexRef) -> SimplexRef:
         image = self.assignment[ref.base]
+        if not image.degens:
+            return SimplexRef(ref.degens, image.base)
+        if not ref.degens:
+            return image
         n = self.source.dim_of(ref)
         base_dim = self.source.cells[ref.base]
         s = surj_from_collapse(ref.degens, n)
@@ -130,15 +134,30 @@ class SimplicialMap:
         return SimplexRef(collapse_of_surj(total), image.base)
 
     def validate(self):
-        for cell, d in self.source.cells.items():
-            image = self.assignment[cell]
-            if self.target.dim_of(image) != d:
+        """Check that every cell has an image of its own dimension and that
+        the map commutes with every face.  The face of a non-degenerate image
+        is read from the target's stored faces; a degenerate image goes
+        through the presheaf action."""
+        source, target = self.source, self.target
+        for cell, d in source.cells.items():
+            image = self.assignment.get(cell)
+            if image is None:
+                raise ValidationError(f"no assignment for {cell}")
+            if image.base not in target.cells:
+                raise ValidationError(f"image of {cell} is unknown target cell {image.base}")
+            if target.dim_of(image) != d:
                 raise ValidationError(f"assignment of {cell} changes dimension")
+        target_faces, source_faces = target.faces, source.faces
+        for cell, d in source.cells.items():
             if d == 0:
                 continue
+            image = self.assignment[cell]
             for j in range(d + 1):
-                lhs = self.target.act(image, delta_face(d, j))
-                rhs = self.apply(self.source.faces[(cell, j)])
+                if image.degens:
+                    lhs = target.act(image, delta_face(d, j))
+                else:
+                    lhs = target_faces[(image.base, j)]
+                rhs = self.apply(source_faces[(cell, j)])
                 if lhs != rhs:
                     raise ValidationError(f"map fails to commute with face {j} at {cell}")
         return True

@@ -6,30 +6,33 @@ vertex chain through {0,1}^d that spans from the bottom corner to the top
 corner (the simplices interior to the product triangulation); everything
 else is glued along the cubical face data by rewriting chains into the face
 cube, so gluing is name-based, never search-based.
+
+A vertex of the d-cube is coded as a d-bit integer whose most significant
+bit is coordinate 1, so product order is numeric order, v <= w
+coordinatewise exactly when v | w == w, and a simplex id renders the chain
+as its bit strings (`c#00;01;11`).  Passing to a face cube maps every vertex
+of a chain through a projection table of size 2^d, built once per call for
+each (d, constant coordinate, face degeneracies) it meets; each spanning
+chain's `#...` suffix is rendered once per call.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .cubical import CubicalSet
-from .simplicial import (
-    SimplexRef,
-    SimplicialSet,
-    collapse_of_surj,
-    mono_compose,
-)
+from .errors import GuardError
+from .simplicial import SimplexRef, SimplicialSet
 
 
 @lru_cache(maxsize=None)
 def spanning_chains(d: int):
-    """Strictly increasing chains in {0,1}^d from the all-0 to the all-1
-    corner, as tuples of bit-tuples.  The maximal ones are the d! lattice
+    """Strictly increasing chains of vertex codes in {0,1}^d from the all-0
+    to the all-1 corner, in the order of a depth-first search that tries the
+    next vertex in product order.  The maximal ones are the d! lattice
     paths."""
-    bottom = (0,) * d
-    top = (1,) * d
-    if d == 0:
-        return (((),),)
+    top = (1 << d) - 1
     chains = []
 
     def extend(chain):
@@ -38,75 +41,88 @@ def spanning_chains(d: int):
             chains.append(tuple(chain))
             return
         # any strictly larger vertex can come next
-        for v in _vertices(d):
-            if v != last and all(a <= b for a, b in zip(last, v)):
+        for v in range(last + 1, top + 1):
+            if last | v == v:
                 chain.append(v)
                 extend(chain)
                 chain.pop()
 
-    extend([bottom])
+    extend([0])
     return tuple(chains)
 
 
-@lru_cache(maxsize=None)
-def _vertices(d: int):
-    from itertools import product
-
-    return tuple(product((0, 1), repeat=d))
-
-
-def _simplex_id(cell: str, chain) -> str:
-    return cell + "#" + ";".join("".join(map(str, v)) for v in chain)
+def simplex_count(X: CubicalSet) -> int:
+    """Simplices of the triangulation of X: a d-cell contributes one per
+    ordered set partition of its d coordinates (the Fubini number)."""
+    fubini = [1]
+    for n in range(1, X.dim_bound + 1):
+        fubini.append(sum(comb(n, k) * fubini[n - k] for k in range(1, n + 1)))
+    return sum(fubini[d] for d in X.cells.values())
 
 
-def _dedupe(chain):
-    """Collapse repeated consecutive vertices; returns (new chain, epi tuple)."""
-    out = [chain[0]]
-    epi = [0]
-    for v in chain[1:]:
-        if v != out[-1]:
-            out.append(v)
-        epi.append(len(out) - 1)
-    return tuple(out), tuple(epi)
+def _projection(d: int, i: int, drop) -> tuple:
+    """Vertex codes of the d-cube carried to the face cube that remains after
+    deleting coordinate i (from 0) and then the directions in drop (from 1)
+    of the (d-1)-cube; returns (table, dimension of the face cube)."""
+    rest = [t for t in range(d) if t != i]
+    shifts = [d - 1 - t for s, t in enumerate(rest, 1) if s not in drop]
+    table = []
+    for v in range(1 << d):
+        w = 0
+        for sh in shifts:
+            w = w << 1 | v >> sh & 1
+        table.append(w)
+    return table, len(shifts)
 
 
-def _resolve(X: CubicalSet, cell: str, chain):
-    """Normal form of an arbitrary monotone vertex chain drawn in the cube of
-    a non-degenerate cell: a SimplexRef onto some cell's spanning chain."""
-    epi_total = tuple(range(len(chain)))
-    while True:
-        chain, epi = _dedupe(chain)
-        epi_total = mono_compose(epi, epi_total)
-        d = len(chain[0])
-        bottom, top = (0,) * d, (1,) * d
-        if chain[0] == bottom and chain[-1] == top:
-            base = _simplex_id(cell, chain)
-            return SimplexRef(collapse_of_surj(epi_total), base)
-        # find the first constant coordinate and pass to that face's cube
-        first, last = chain[0], chain[-1]
-        i = next(t for t in range(d) if first[t] == last[t])
-        eps = first[i]
-        ref = X.faces[(cell, i + 1, eps)]
-        drop = set(s - 1 for s in ref.degens)  # 0-indexed directions of the face cube
-        new_chain = []
-        for v in chain:
-            w = v[:i] + v[i + 1 :]
-            new_chain.append(tuple(b for t, b in enumerate(w) if t not in drop))
-        cell = ref.base
-        chain = tuple(new_chain)
+def triangulate(X: CubicalSet, guard: int = 10**6) -> SimplicialSet:
+    total = simplex_count(X)
+    if total > guard:
+        raise GuardError(f"triangulation into {total} simplices exceeds guard {guard}")
 
-
-def triangulate(X: CubicalSet) -> SimplicialSet:
+    position = {}  # d -> {chain: its index in spanning_chains(d)}
+    suffixes = {}  # d -> the `#...` suffix of each spanning chain
+    ids = {}  # cell -> its simplex ids, in spanning-chain order
     cells = {}
+    for c, d in X.cells.items():
+        chains = spanning_chains(d)
+        if d not in position:
+            position[d] = {chain: n for n, chain in enumerate(chains)}
+            bits = [format(v, f"0{d}b") if d else "" for v in range(1 << d)]
+            suffixes[d] = ["#" + ";".join(bits[v] for v in ch) for ch in chains]
+        ids[c] = sids = [c + s for s in suffixes[d]]
+        for chain, sid in zip(chains, sids):
+            cells[sid] = len(chain) - 1
+
+    X_faces = X.faces
+    projections = {}
+
+    def resolve(cell, d, chain):
+        """Normal form of a monotone vertex chain drawn in the cube of a
+        non-degenerate cell: a SimplexRef onto some cell's spanning chain."""
+        top = (1 << d) - 1
+        while chain[0] or chain[-1] != top:
+            # pass to the face cube of the first constant coordinate
+            i = d - (~(chain[0] ^ chain[-1]) & top).bit_length()
+            ref = X_faces[(cell, i + 1, chain[0] >> (d - 1 - i) & 1)]
+            key = (d, i, ref.degens)
+            proj = projections.get(key)
+            if proj is None:
+                proj = projections[key] = _projection(d, i, set(ref.degens))
+            table, d = proj
+            chain = tuple([table[v] for v in chain])
+            cell = ref.base
+            top = (1 << d) - 1
+        degens = tuple(t for t in range(len(chain) - 1) if chain[t] == chain[t + 1])
+        if degens:
+            chain = tuple(v for t, v in enumerate(chain) if t == 0 or v != chain[t - 1])
+        return SimplexRef(degens, ids[cell][position[d][chain]])
+
     faces = {}
     for c, d in X.cells.items():
-        for chain in spanning_chains(d):
-            sid = _simplex_id(c, chain)
-            k = len(chain) - 1
-            cells[sid] = k
-            if k == 0:
-                continue
-            for j in range(k + 1):
-                sub = chain[:j] + chain[j + 1 :]
-                faces[(sid, j)] = _resolve(X, c, sub)
+        if d == 0:
+            continue
+        for chain, sid in zip(spanning_chains(d), ids[c]):
+            for j in range(len(chain)):
+                faces[(sid, j)] = resolve(c, d, chain[:j] + chain[j + 1 :])
     return SimplicialSet(cells, faces, name=f"tri({X.name})")

@@ -219,6 +219,71 @@ def test_cli_corrupt_artifact_exits_2(capsys, tmp_path):
     assert len(lines) == 1 and "b2.json" in lines[0]
 
 
+def _set(path, value):
+    """An edit of a saved artifact: put value at the key path."""
+
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(["cells"], [["00", 0]]),
+        _set(["cells", "00"], -1),
+        _set(["cells", "00"], "0"),
+        _set(["faces"], {}),
+        _set(["faces", 0], ["*0", 0]),
+        _set(["faces", 0, "k"], "0"),
+        _set(["faces", 0, "eps"], True),
+        _set(["faces", 0, "degens"], [0.0]),
+        _set(["faces", 0, "degens"], 0),
+        _set(["faces", 0, "base"], "nowhere"),
+        _set(["faces", 0, "cell"], ["*0"]),
+        lambda data: data["faces"][0].pop("base"),
+        _set(["name"], 3),
+    ],
+    ids=[
+        "cells-list",
+        "negative-dimension",
+        "string-dimension",
+        "faces-object",
+        "face-list",
+        "string-index",
+        "bool-index",
+        "float-degeneracy",
+        "degens-int",
+        "unknown-base",
+        "list-cell",
+        "missing-base",
+        "int-name",
+    ],
+)
+def test_cli_malformed_artifact_exits_2(capsys, tmp_path, edit):
+    code, out = run(capsys, tmp_path, "cube", "build", "boundary", "--n", "2", "--name", "b2")
+    assert code == 0
+    path = tmp_path / "ws" / "b2.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    code = main(["--workspace", str(tmp_path / "ws"), "homology", "b2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_artifact_that_is_not_an_object_exits_2(capsys, tmp_path):
+    code, out = run(capsys, tmp_path, "cube", "build", "boundary", "--n", "2", "--name", "b2")
+    (tmp_path / "ws" / "b2.json").write_text("[]")
+    code = main(["--workspace", str(tmp_path / "ws"), "homology", "b2"])
+    assert code == 2 and "not a JSON object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["../escaped", "sub/b2", ".hidden", "manifest"])
 def test_cli_names_stay_inside_workspace(capsys, tmp_path, name):
     code, out = run(capsys, tmp_path, "cube", "build", "cube", "--n", "1", "--name", name)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import factorial
 from unittest import mock
 
@@ -18,7 +19,9 @@ from cubeworks.chains import (
     tensor_complexes,
 )
 from cubeworks.cubical import (
+    CellRef,
     CubicalMap,
+    CubicalSet,
     boundary,
     coproduct,
     nd,
@@ -27,11 +30,20 @@ from cubeworks.cubical import (
     standard_cube,
     tensor,
 )
-from cubeworks.errors import ValidationError
+from cubeworks.enriched import mapping_space
+from cubeworks.errors import GuardError, ValidationError
+from cubeworks.james_compare import james_translation, localized_E
 from cubeworks.presented import disjoint_union, find_isomorphism
 from cubeworks.simplicial import (
+    SimplexRef,
+    SimplicialMap,
+    SimplicialSet,
     circle,
+    collapse_of_surj,
+    delta_face,
+    mono_compose,
     standard_simplex,
+    surj_from_collapse,
     wedge_of_intervals,
 )
 from cubeworks import snf
@@ -41,7 +53,7 @@ from cubeworks.snf import (
     matmul,
     smith_normal_form,
 )
-from cubeworks.triangulate import spanning_chains, triangulate
+from cubeworks.triangulate import simplex_count, triangulate
 
 
 def H(X):
@@ -290,6 +302,226 @@ def test_triangulate_commutes_with_coproduct():
 def test_triangulated_boundary_validates():
     T = triangulate(boundary(3)[0])
     T.validate()
+
+
+# The tuple-coded triangulation that the integer-coded one replaced, kept as
+# the reference: vertices are bit tuples, and every face chain is deduplicated,
+# rewritten into its face cube and rendered into an id one step at a time.
+
+
+def reference_spanning_chains(d):
+    vertices = list(product((0, 1), repeat=d))
+    bottom, top = (0,) * d, (1,) * d
+    if d == 0:
+        return (((),),)
+    chains = []
+
+    def extend(chain):
+        last = chain[-1]
+        if last == top:
+            chains.append(tuple(chain))
+            return
+        for v in vertices:
+            if v != last and all(a <= b for a, b in zip(last, v)):
+                chain.append(v)
+                extend(chain)
+                chain.pop()
+
+    extend([bottom])
+    return tuple(chains)
+
+
+def reference_simplex_id(cell, chain):
+    return cell + "#" + ";".join("".join(map(str, v)) for v in chain)
+
+
+def reference_dedupe(chain):
+    out = [chain[0]]
+    epi = [0]
+    for v in chain[1:]:
+        if v != out[-1]:
+            out.append(v)
+        epi.append(len(out) - 1)
+    return tuple(out), tuple(epi)
+
+
+def reference_resolve(X, cell, chain):
+    epi_total = tuple(range(len(chain)))
+    while True:
+        chain, epi = reference_dedupe(chain)
+        epi_total = mono_compose(epi, epi_total)
+        d = len(chain[0])
+        if chain[0] == (0,) * d and chain[-1] == (1,) * d:
+            return SimplexRef(collapse_of_surj(epi_total), reference_simplex_id(cell, chain))
+        first, last = chain[0], chain[-1]
+        i = next(t for t in range(d) if first[t] == last[t])
+        ref = X.faces[(cell, i + 1, first[i])]
+        drop = set(s - 1 for s in ref.degens)
+        new_chain = []
+        for v in chain:
+            w = v[:i] + v[i + 1 :]
+            new_chain.append(tuple(b for t, b in enumerate(w) if t not in drop))
+        cell = ref.base
+        chain = tuple(new_chain)
+
+
+def reference_triangulate(X):
+    cells = {}
+    faces = {}
+    for c, d in X.cells.items():
+        for chain in reference_spanning_chains(d):
+            sid = reference_simplex_id(c, chain)
+            k = len(chain) - 1
+            cells[sid] = k
+            for j in range(k + 1) if k else ():
+                faces[(sid, j)] = reference_resolve(X, c, chain[:j] + chain[j + 1 :])
+    return SimplicialSet(cells, faces, name=f"tri({X.name})")
+
+
+def projective_plane():
+    """The three-cell cubical projective plane: a loop a at v and a square
+    whose (1,0) and (2,1) faces are a and whose other faces are degenerate
+    on v."""
+    v, a, sv = nd("v"), nd("a"), CellRef((1,), "v")
+    X = CubicalSet(
+        {"v": 0, "a": 1, "s": 2},
+        {
+            ("a", 1, 0): v,
+            ("a", 1, 1): v,
+            ("s", 1, 0): a,
+            ("s", 2, 1): a,
+            ("s", 1, 1): sv,
+            ("s", 2, 0): sv,
+        },
+        name="RP2",
+    )
+    X.validate()
+    return X
+
+
+def _triangulation_inputs():
+    rp2 = projective_plane()
+    EL = localized_E()
+    yield from (standard_cube(n) for n in range(5))
+    yield from (boundary(n)[0] for n in range(2, 6))
+    yield from (rp2, tensor(rp2, rp2), tensor(tensor(rp2, rp2), rp2))
+    for bound in range(1, 5):
+        yield mapping_space(EL, "c", "c", bound, with_stability=False).space
+
+
+def test_triangulate_matches_reference():
+    degenerate_faces = 0
+    for X in _triangulation_inputs():
+        T, R = triangulate(X), reference_triangulate(X)
+        assert list(T.cells.items()) == list(R.cells.items()), X.name
+        assert list(T.faces.items()) == list(R.faces.items()), X.name
+        assert T.name == R.name
+        assert simplex_count(X) == len(T.cells)
+        degenerate_faces += sum(1 for r in T.faces.values() if r.degens)
+    # the inputs exercise the degeneracy bookkeeping, not only plain faces
+    assert degenerate_faces > 0
+
+
+def test_triangulate_guard():
+    with pytest.raises(GuardError):
+        triangulate(standard_cube(3), guard=50)
+    assert len(triangulate(standard_cube(3), guard=51).cells) == 51
+    # the count comes before any chain is built: the 7-cube (189,171
+    # simplices) trips a budget of 10**5 without enumerating a chain
+    with mock.patch("cubeworks.triangulate.spanning_chains", side_effect=AssertionError):
+        with pytest.raises(GuardError):
+            triangulate(standard_cube(7), guard=10**5)
+
+
+# -- simplicial maps -------------------------------------------------------------
+
+
+def reference_commutes(m):
+    """The map check through the presheaf action alone: every face of every
+    image, degenerate or not, is computed by `act`."""
+    for cell, d in m.source.cells.items():
+        image = m.assignment[cell]
+        if m.target.dim_of(image) != d:
+            return False
+        for j in range(d + 1) if d else ():
+            ref = m.source.faces[(cell, j)]
+            img = m.assignment[ref.base]
+            s = surj_from_collapse(ref.degens, d - 1)
+            s_img = surj_from_collapse(img.degens, m.source.cells[ref.base])
+            rhs = SimplexRef(collapse_of_surj(mono_compose(s_img, s)), img.base)
+            if m.target.act(image, delta_face(d, j)) != rhs:
+                return False
+    return True
+
+
+def assert_verdict(m, commutes):
+    assert reference_commutes(m) is commutes
+    if commutes:
+        assert m.validate() is True
+    else:
+        with pytest.raises(ValidationError, match="fails to commute"):
+            m.validate()
+
+
+def point():
+    return SimplicialSet({"p": 0}, {}, name="pt")
+
+
+@pytest.mark.parametrize("bound", range(1, 5))
+def test_james_map_stored_faces_match_action(bound):
+    _, tri, J, assignment = james_translation(bound)
+    for sid, d in tri.cells.items():
+        image = assignment[sid]
+        for j in range(d + 1) if d else ():
+            assert J.faces[(image.base, j)] == J.act(image, delta_face(d, j))
+    assert_verdict(SimplicialMap(tri, J, assignment), True)
+
+
+def test_james_map_with_swapped_images_fails():
+    _, tri, J, assignment = james_translation(3)
+    for d in range(1, 4):
+        x, y = [sid for sid, e in tri.cells.items() if e == d][:2]
+        assert J.faces_of(assignment[x].base) != J.faces_of(assignment[y].base)
+        swapped = dict(assignment, **{x: assignment[y], y: assignment[x]})
+        assert_verdict(SimplicialMap(tri, J, swapped), False)
+
+
+def test_collapse_to_a_point():
+    D1 = standard_simplex(1)
+    m = SimplicialMap(D1, point(), {"0": nd("p"), "1": nd("p"), "0.1": SimplexRef((0,), "p")})
+    assert_verdict(m, True)
+    # a triangulation with degenerate faces, every cell sent to the point
+    T = triangulate(tensor(projective_plane(), projective_plane()))
+    assert any(r.degens for r in T.faces.values())
+    collapse = {c: SimplexRef(tuple(range(d)), "p") for c, d in T.cells.items()}
+    assert_verdict(SimplicialMap(T, point(), collapse), True)
+
+
+def test_degenerate_images():
+    D1, D2 = standard_simplex(1), standard_simplex(2)
+    # the surjection [2] -> [1] sending 2 to 1
+    good = {
+        "0": nd("0"),
+        "1": nd("1"),
+        "2": nd("1"),
+        "0.1": nd("0.1"),
+        "0.2": nd("0.1"),
+        "1.2": SimplexRef((0,), "1"),
+        "0.1.2": SimplexRef((1,), "0.1"),
+    }
+    assert_verdict(SimplicialMap(D2, D1, good), True)
+    assert_verdict(SimplicialMap(D2, D1, dict(good, **{"0.1.2": SimplexRef((0,), "0.1")})), False)
+    wrong = {"0": nd("0"), "1": nd("1"), "0.1": SimplexRef((0,), "0")}
+    assert_verdict(SimplicialMap(D1, D1, wrong), False)
+
+
+def test_map_with_missing_or_unknown_image_is_invalid():
+    D1 = standard_simplex(1)
+    with pytest.raises(ValidationError, match="no assignment for 0.1"):
+        SimplicialMap(D1, point(), {"0": nd("p"), "1": nd("p")}).validate()
+    unknown = {"0": nd("p"), "1": nd("q"), "0.1": SimplexRef((0,), "p")}
+    with pytest.raises(ValidationError, match="image of 1 is unknown target cell q"):
+        SimplicialMap(D1, point(), unknown).validate()
 
 
 @pytest.mark.parametrize("n", range(5))
