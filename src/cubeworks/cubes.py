@@ -22,14 +22,6 @@ CONST0 = ("c", 0)
 CONST1 = ("c", 1)
 
 
-def var(i: int):
-    return ("v", i)
-
-
-def const(eps: int):
-    return ("c", eps)
-
-
 @dataclass(frozen=True)
 class CubeMap:
     """Normal form of a morphism source_dim -> target_dim in the cube category."""
@@ -70,14 +62,6 @@ class CubeMap:
     def is_face_type(self) -> bool:
         """True when every input variable is used (a composite of face inclusions)."""
         return len(self.used_vars) == self.source_dim
-
-    def is_projection(self) -> bool:
-        return all(k == "v" for k, _ in self.slots)
-
-    def evaluate(self, point):
-        """Apply the map to a point of [0,1]^n (used as a test oracle on corners)."""
-        assert len(point) == self.source_dim
-        return tuple(val if kind == "c" else point[val - 1] for kind, val in self.slots)
 
     def __repr__(self):
         body = ",".join(str(v) if k == "c" else f"x{v}" for k, v in self.slots)

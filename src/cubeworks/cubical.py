@@ -107,23 +107,38 @@ class CubicalMap:
 
     def apply(self, ref: CellRef) -> CellRef:
         image = self.assignment[ref.base]
+        if not ref.degens:
+            return image
+        if not image.degens:
+            return CellRef(ref.degens, image.base)
         return self.target.degenerate(image, ref.degens)
 
     def validate(self):
-        for cell, d in self.source.cells.items():
-            if cell not in self.assignment:
+        """Check that every cell has an image of its own dimension and that
+        the map commutes with every face.  The face of a non-degenerate image
+        is read from the target's stored faces; a degenerate image goes
+        through the presheaf action."""
+        source, target = self.source, self.target
+        for cell, d in source.cells.items():
+            image = self.assignment.get(cell)
+            if image is None:
                 raise ValidationError(f"no assignment for {cell}")
-            image = self.assignment[cell]
-            if self.target.dim_of(image) != d:
+            if image.base not in target.cells:
+                raise ValidationError(f"image of {cell} is unknown target cell {image.base}")
+            if target.dim_of(image) != d:
                 raise ValidationError(f"assignment of {cell} changes dimension")
-            for k in range(1, d + 1):
-                for eps in (0, 1):
-                    lhs = self.target.act(image, face(d, k, eps))
-                    rhs = self.apply(self.source.faces[(cell, k, eps)])
-                    if lhs != rhs:
-                        raise ValidationError(
-                            f"map does not commute with face ({k},{eps}) at {cell}"
-                        )
+        target_faces, source_faces, apply = target.faces, source.faces, self.apply
+        for cell, d in source.cells.items():
+            image = self.assignment[cell]
+            for k, eps in source.face_indices(d):
+                if image.degens:
+                    lhs = target.act(image, face(d, k, eps))
+                else:
+                    lhs = target_faces[(image.base, k, eps)]
+                if lhs != apply(source_faces[(cell, k, eps)]):
+                    raise ValidationError(
+                        f"map does not commute with face ({k},{eps}) at {cell}"
+                    )
         return True
 
     def __repr__(self):
@@ -132,6 +147,23 @@ class CubicalMap:
 
 def identity_map(X: CubicalSet) -> CubicalMap:
     return CubicalMap(X, X, {c: nd(c) for c in X.cells})
+
+
+def is_isomorphism(X: CubicalSet, Y: CubicalSet, bijection: dict) -> bool:
+    """Whether ``bijection`` (cell id of X -> cell id of Y) is an isomorphism
+    X -> Y: a bijection from the cells of X onto the cells of Y that, as a
+    map on non-degenerate cells, preserves dimension and commutes with every
+    stored face.  Its inverse then commutes with every face too.  The two
+    sides need not share cell ids."""
+    if bijection.keys() != X.cells.keys() or len(X.cells) != len(Y.cells):
+        return False
+    if set(bijection.values()) != Y.cells.keys():
+        return False
+    try:
+        CubicalMap(X, Y, {c: nd(b) for c, b in bijection.items()}).validate()
+    except ValidationError:
+        return False
+    return True
 
 
 # -- representables and their subobjects ------------------------------------
@@ -338,23 +370,38 @@ def _pair_id(x: str, y: str) -> str:
 
 def tensor(X: CubicalSet, Y: CubicalSet) -> CubicalSet:
     """Day convolution: non-degenerate cells are pairs, dimensions add, faces
-    act blockwise with degeneracy words shifted into the correct block."""
+    act blockwise with degeneracy words shifted into the correct block.
+
+    Each pair id is rendered once, and the non-degenerate faces that point at
+    the same pair share one reference.  Raises ValidationError when two pairs
+    get the same id, which ids that contain ``|`` can cause."""
+    refs = {x: {y: nd(_pair_id(x, y)) for y in Y.cells} for x in X.cells}
+    y_faces = [
+        (y, dy, tuple(zip(CubicalSet.face_indices(dy), Y.faces_of(y))))
+        for y, dy in Y.cells.items()
+    ]
     cells = {}
     faces = {}
     for x, dx in X.cells.items():
-        for y, dy in Y.cells.items():
-            cid = _pair_id(x, y)
+        x_faces = tuple(zip(CubicalSet.face_indices(dx), X.faces_of(x)))
+        row = refs[x]
+        for y, dy, yf in y_faces:
+            cid = row[y].base
             cells[cid] = dx + dy
-            for k in range(1, dx + 1):
-                for eps in (0, 1):
-                    ref = X.faces[(x, k, eps)]
-                    faces[(cid, k, eps)] = CellRef(ref.degens, _pair_id(ref.base, y))
-            for k in range(1, dy + 1):
-                for eps in (0, 1):
-                    ref = Y.faces[(y, k, eps)]
-                    base_dim_x = dx
-                    shifted = tuple(i + base_dim_x for i in ref.degens)
-                    faces[(cid, dx + k, eps)] = CellRef(shifted, _pair_id(x, ref.base))
+            for (k, eps), ref in x_faces:
+                pair = refs[ref.base][y]
+                if ref.degens:
+                    pair = CellRef(ref.degens, pair.base)
+                faces[(cid, k, eps)] = pair
+            for (k, eps), ref in yf:
+                pair = row[ref.base]
+                if ref.degens:
+                    pair = CellRef(tuple(i + dx for i in ref.degens), pair.base)
+                faces[(cid, dx + k, eps)] = pair
+    if len(cells) != len(X.cells) * len(Y.cells):
+        raise ValidationError(
+            f"tensor of {X.name} and {Y.name}: cell ids joined by '|' collide"
+        )
     return CubicalSet(cells, faces, name=f"{X.name}(x){Y.name}")
 
 

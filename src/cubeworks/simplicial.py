@@ -23,10 +23,6 @@ def mono_compose(outer, inner):
     return tuple(outer[v] for v in inner)
 
 
-def mono_identity(n):
-    return tuple(range(n + 1))
-
-
 def delta_face(n, j):
     """The injection [n-1] -> [n] missing j."""
     return tuple(v for v in range(n + 1) if v != j)

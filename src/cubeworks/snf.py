@@ -127,48 +127,6 @@ def smith_normal_form(M) -> SNFResult:
     return SNFResult(diag, D, R, C)
 
 
-def matmul(A, B):
-    n = len(A)
-    k = len(B)
-    m = len(B[0]) if k else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                for j in range(m):
-                    Oi[j] += a * Bt[j]
-    return out
-
-
-def det_exact(A) -> int:
-    """Fraction-free Bareiss determinant (exact, for unimodularity checks)."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
 # -- sparse invariant factors --------------------------------------------------
 
 

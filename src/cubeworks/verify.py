@@ -13,11 +13,13 @@ from . import cubes
 from .chains import cubical_chains, homology, simplicial_chains
 from .cubical import (
     CubicalMap,
+    _pair_id,
     boundary,
     coproduct,
     endpoint_inclusion,
     find_isomorphism,
     interval_inclusion,
+    is_isomorphism,
     iterated_pushout_product,
     nd,
     open_box,
@@ -130,44 +132,82 @@ def criterion_2():
     return _result(2, "generator geometry (pushout-products)", ok, detail)
 
 
+def _cube_word(cell: str) -> str:
+    """The slot word of a cell of a standard cube; the point's word is empty."""
+    return "" if cell == "pt" else cell
+
+
+def _both_routes(T, X, bijection) -> bool:
+    """An isomorphism T -> X by two independent routes: the explicit
+    structure map checked face by face, and search alone."""
+    witness = is_isomorphism(T, X, bijection)
+    return find_isomorphism(T, X) is not None and witness
+
+
 def criterion_3():
     """Tensor unit and associativity, and the cube addition law, total
-    dimension <= 4."""
+    dimension <= 4.  Each row writes its structure map down as a cell
+    bijection and checks it face by face with `is_isomorphism`:
+
+    - cube addition cube(p) (x) cube(q) -> cube(p+q) concatenates the slot
+      words, a|b -> ab, with the point as the empty word;
+    - the left and right unitors drop the point, pt|x -> x and x|pt -> x;
+    - the associator sends (x|y)|z to x|(y|z).
+
+    The cube-addition and unit rows also need `find_isomorphism` to succeed,
+    as a second, independent route; the associativity rows rest on the
+    witness.  Each inner tensor of two generators is built once."""
     ok = True
     detail = {"cube_addition": [], "unit": [], "associativity": []}
+    cube = [standard_cube(n) for n in range(5)]
     for p in range(5):
         for q in range(5 - p):
-            T = tensor(standard_cube(p), standard_cube(q))
-            iso = find_isomorphism(T, standard_cube(p + q))
-            detail["cube_addition"].append({"p": p, "q": q, "isomorphic": iso is not None})
-            ok &= iso is not None
-    unit = standard_cube(0)
-    probes = [standard_cube(2), boundary(2)[0], open_box(2, 1, 0)[0], _glued_loop()]
+            addition = {
+                _pair_id(a, b): _cube_word(a) + _cube_word(b) or "pt"
+                for a in cube[p].cells
+                for b in cube[q].cells
+            }
+            iso = _both_routes(tensor(cube[p], cube[q]), cube[p + q], addition)
+            detail["cube_addition"].append({"p": p, "q": q, "isomorphic": iso})
+            ok &= iso
+    unit = cube[0]
+    probes = [cube[2], boundary(2)[0], open_box(2, 1, 0)[0], _glued_loop()]
     for X in probes:
-        left = find_isomorphism(tensor(unit, X), X) is not None
-        right = find_isomorphism(tensor(X, unit), X) is not None
+        left_unitor = {_pair_id(u, x): x for u in unit.cells for x in X.cells}
+        right_unitor = {_pair_id(x, u): x for x in X.cells for u in unit.cells}
+        left = _both_routes(tensor(unit, X), X, left_unitor)
+        right = _both_routes(tensor(X, unit), X, right_unitor)
         detail["unit"].append({"space": X.name, "left": left, "right": right})
         ok &= left and right
     gens = [
-        standard_cube(0),
-        standard_cube(1),
-        standard_cube(2),
+        cube[0],
+        cube[1],
+        cube[2],
         boundary(1)[0],
         boundary(2)[0],
         boundary(3)[0],
         open_box(2, 2, 1)[0],
         open_box(3, 1, 0)[0],
     ]
-    for X in gens:
-        for Y in gens:
-            for Z in gens:
+    inner = {(i, j): tensor(X, Y) for i, X in enumerate(gens) for j, Y in enumerate(gens)}
+    for i, X in enumerate(gens):
+        for j, Y in enumerate(gens):
+            for k, Z in enumerate(gens):
                 if X.dim_bound + Y.dim_bound + Z.dim_bound > 4:
                     continue
-                iso = find_isomorphism(tensor(tensor(X, Y), Z), tensor(X, tensor(Y, Z)))
-                detail["associativity"].append(
-                    {"triple": (X.name, Y.name, Z.name), "isomorphic": iso is not None}
+                associator = {
+                    _pair_id(_pair_id(x, y), z): _pair_id(x, _pair_id(y, z))
+                    for x in X.cells
+                    for y in Y.cells
+                    for z in Z.cells
+                }
+                iso = is_isomorphism(
+                    tensor(inner[(i, j)], Z), tensor(X, inner[(j, k)]), associator
                 )
-                ok &= iso is not None
+                detail["associativity"].append(
+                    {"triple": (X.name, Y.name, Z.name), "isomorphic": iso}
+                )
+                ok &= iso
     return _result(3, "tensor unit/associativity and cube addition", ok, detail)
 
 

@@ -5,6 +5,7 @@ same table.
 """
 
 import json
+from unittest import mock
 
 import pytest
 
@@ -20,6 +21,22 @@ def test_criterion(index, capsys):
     assert result["pass"], json.dumps(result["detail"], indent=2, default=str)
 
 
+@pytest.mark.parametrize("route", ["search", "witness"])
+def test_criterion_3_needs_both_routes(route):
+    # every row checks its structure map; only the cube-addition and unit
+    # rows also need search, so without search exactly those rows fail
+    search = mock.patch.object(verify, "find_isomorphism", return_value=None)
+    witness = mock.patch.object(verify, "is_isomorphism", return_value=False)
+    with search if route == "search" else witness as broken:
+        result = verify.criterion_3()
+    detail = result["detail"]
+    assert broken.call_count == (23 if route == "search" else 427)
+    assert not result["pass"]
+    assert not any(row["isomorphic"] for row in detail["cube_addition"])
+    assert not any(row["left"] or row["right"] for row in detail["unit"])
+    assert all(row["isomorphic"] is (route == "search") for row in detail["associativity"])
+
+
 def test_verify_all_cli_exits_zero(tmp_path, capsys):
     from cubeworks.cli import main
 
@@ -30,11 +47,12 @@ def test_verify_all_cli_exits_zero(tmp_path, capsys):
 
 
 def test_verify_all_report_deterministic(tmp_path):
-    # identical runs produce identical reports modulo the timestamp line
+    # a serial run and a process-pool run produce identical reports modulo
+    # the timing field
     from cubeworks.verify import run_all
 
     r1, ok1 = run_all()
-    r2, ok2 = run_all()
+    r2, ok2 = run_all(jobs=2)
     strip = lambda rs: [{k: v for k, v in r.items() if k != "seconds"} for r in rs]
     assert strip(r1) == strip(r2)
     assert ok1 and ok2

@@ -71,6 +71,17 @@ def test_workspace_failed_save_keeps_old_files(tmp_path):
     assert (tmp_path / "ws" / "manifest.json").read_bytes() == manifest
 
 
+def test_cli_tensor_with_colliding_ids_exits_2(capsys, tmp_path):
+    ws = Workspace(str(tmp_path / "ws"))
+    ws.save("x", CubicalSet({"a": 0, "a|b": 0}, {}, name="X"))
+    ws.save("y", CubicalSet({"b|c": 0, "c": 0}, {}, name="Y"))
+    code = main(["--workspace", str(tmp_path / "ws"), "cube", "tensor", "x", "y"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "collide" in captured.err
+
+
 def test_cli_build_and_homology(capsys, tmp_path):
     code, out = run(capsys, tmp_path, "cube", "build", "boundary", "--n", "3", "--name", "b3")
     assert code == 0

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -6,6 +7,8 @@ from cubeworks.cubes import enumerate_hom, face
 from cubeworks.cubical import (
     CellRef,
     CubicalMap,
+    CubicalSet,
+    _pair_id,
     boundary,
     coproduct,
     empty_set,
@@ -16,6 +19,7 @@ from cubeworks.cubical import (
     find_isomorphism,
     identity_map,
     interval_inclusion,
+    is_isomorphism,
     iterated_pushout_product,
     kan_check,
     nd,
@@ -146,9 +150,9 @@ def test_pushout_glues_loop():
     Q.validate()
 
 
-def test_pushout_collapsing_an_edge_repoints_degenerately():
-    # Push out the square along collapsing one of its edges to a point: the
-    # edge cell must be re-pointed at a degeneracy, not kept as a 1-cell.
+def collapsed_square():
+    """The square with the edge 0* collapsed to a point, with the leg from
+    the square: its 2-cell has a degenerate face."""
     sq = standard_cube(2)
     I = standard_cube(1)
     P = standard_cube(0)
@@ -156,6 +160,13 @@ def test_pushout_collapsing_an_edge_repoints_degenerately():
     collapse = CubicalMap(I, P, {"0": nd("pt"), "1": nd("pt"), "*": CellRef((1,), "pt")})
     collapse.validate()
     Q, leg_sq, _ = pushout(edge_in_sq, collapse)
+    return Q, leg_sq
+
+
+def test_pushout_collapsing_an_edge_repoints_degenerately():
+    # Push out the square along collapsing one of its edges to a point: the
+    # edge cell must be re-pointed at a degeneracy, not kept as a 1-cell.
+    Q, leg_sq = collapsed_square()
     Q.validate()
     assert Q.cell_counts() == {0: 3, 1: 3, 2: 1}
     assert leg_sq.assignment["0*"].degens != ()
@@ -186,10 +197,57 @@ def test_tensor_of_point_pairs():
 def test_tensor_validates():
     T = tensor(boundary(2)[0], standard_cube(1))
     T.validate()
-    assert find_isomorphism(T, tensor(standard_cube(1), boundary(2)[0])) is None or True
+    # the tensor is not symmetric: the (1, eps) faces of the left side use
+    # 4 edges twice each, those of the right side 8 edges once each
+    assert find_isomorphism(T, tensor(standard_cube(1), boundary(2)[0])) is None
+
+
+def test_tensor_shifts_degenerate_faces_into_their_block():
+    Q, _ = collapsed_square()
+    I = standard_cube(1)
+    for T in (tensor(Q, I), tensor(I, Q), tensor(Q, Q)):
+        T.validate()
+    # the degenerate (1, 0) face of the square's cell is the (2, 0) face of
+    # the interval times it, degenerate in direction 2
+    assert tensor(I, Q).faces[("*|X:**", 2, 0)] == CellRef((2,), "*|X:00")
+    assert tensor(Q, I).faces[("X:**|*", 1, 0)] == CellRef((1,), "X:00|*")
+
+
+def test_tensor_refuses_colliding_ids():
+    # (a, b|c) and (a|b, c) would both be called a|b|c
+    X = CubicalSet({"a": 0, "a|b": 0}, {}, name="X")
+    Y = CubicalSet({"b|c": 0, "c": 0}, {}, name="Y")
+    with pytest.raises(ValidationError, match="collide"):
+        tensor(X, Y)
+
+
+def relabelled(X, seed):
+    """A copy of X with its cells renamed and listed in a shuffled order,
+    with the renaming."""
+    order = list(X.cells)
+    random.Random(seed).shuffle(order)
+    name = {c: f"c{n}" for n, c in enumerate(order)}
+    cells = {name[c]: X.cells[c] for c in order}
+    faces = {
+        (name[c], *i): CellRef(ref.degens, name[ref.base])
+        for (c, *i), ref in X.faces.items()
+    }
+    return CubicalSet(cells, faces, name=f"relabelled {X.name}"), name
+
+
+def associator(X, Y, Z):
+    return {
+        _pair_id(_pair_id(x, y), z): _pair_id(x, _pair_id(y, z))
+        for x in X.cells
+        for y in Y.cells
+        for z in Z.cells
+    }
 
 
 def test_tensor_associative_on_generators():
+    # search finds the associator on a relabelled copy, with no help from
+    # shared cell ids, and the associator composed with the renaming is a
+    # witness
     gens = [standard_cube(1), boundary(2)[0], open_box(2, 1, 0)[0]]
     for X in gens:
         for Y in gens:
@@ -197,8 +255,139 @@ def test_tensor_associative_on_generators():
                 if X.dim_bound + Y.dim_bound + Z.dim_bound > 4:
                     continue
                 L = tensor(tensor(X, Y), Z)
-                R = tensor(X, tensor(Y, Z))
-                assert find_isomorphism(L, R) is not None
+                R, name = relabelled(tensor(X, tensor(Y, Z)), seed=len(L.cells))
+                found = find_isomorphism(L, R)
+                assert found is not None
+                assert is_isomorphism(L, R, found)
+                witness = {c: name[b] for c, b in associator(X, Y, Z).items()}
+                assert is_isomorphism(L, R, witness)
+
+
+def test_wrong_associator_is_refused():
+    X, Y, Z = boundary(2)[0], standard_cube(1), open_box(2, 1, 0)[0]
+    L, R = tensor(tensor(X, Y), Z), tensor(X, tensor(Y, Z))
+    assoc = associator(X, Y, Z)
+    assert is_isomorphism(L, R, assoc)
+    for d in range(4):
+        a, b = [c for c, e in L.cells.items() if e == d][:2]
+        assert is_isomorphism(L, R, dict(assoc, **{a: assoc[b], b: assoc[a]})) is False
+    # two faces of one target cell swapped
+    cell = next(c for c, e in R.cells.items() if e == 2)
+    faces = dict(R.faces)
+    faces[(cell, 1, 0)], faces[(cell, 1, 1)] = faces[(cell, 1, 1)], faces[(cell, 1, 0)]
+    assert faces[(cell, 1, 0)] != faces[(cell, 1, 1)]
+    assert is_isomorphism(L, CubicalSet(R.cells, faces), assoc) is False
+
+
+def test_cube_addition_witness():
+    I, sq, C = standard_cube(1), standard_cube(2), standard_cube(3)
+    T = tensor(I, sq)
+    add = {_pair_id(a, b): a + b for a in I.cells for b in sq.cells}
+    assert is_isomorphism(T, C, add)
+    # swapped images of the same dimension
+    assert is_isomorphism(T, C, dict(add, **{"0|0*": "0*1", "0|*1": "00*"})) is False
+    # one face of the target edited
+    faces = dict(C.faces)
+    faces[("0**", 1, 0)] = nd("01*")
+    assert is_isomorphism(T, CubicalSet(C.cells, faces), add) is False
+    # not a bijection onto the target cells
+    assert is_isomorphism(T, C, dict(add, **{"0|00": "100"})) is False
+    assert is_isomorphism(T, C, {c: b for c, b in add.items() if c != "*|**"}) is False
+    assert is_isomorphism(tensor(standard_cube(0), standard_cube(0)), C, {"pt|pt": "pt"}) is False
+    two = boundary(1)[0]
+    assert is_isomorphism(two, two, {"0": "0", "1": "0"}) is False
+
+
+def reference_commutes(m):
+    """The map check through the presheaf action alone: every face of every
+    image, degenerate or not, is computed by `act`."""
+    for cell, d in m.source.cells.items():
+        image = m.assignment[cell]
+        if m.target.dim_of(image) != d:
+            return False
+        for k in range(1, d + 1):
+            for eps in (0, 1):
+                ref = m.source.faces[(cell, k, eps)]
+                rhs = m.target.degenerate(m.assignment[ref.base], ref.degens)
+                if m.target.act(image, face(d, k, eps)) != rhs:
+                    return False
+    return True
+
+
+def assert_verdict(m, commutes):
+    assert reference_commutes(m) is commutes
+    if commutes:
+        assert m.validate() is True
+    else:
+        with pytest.raises(ValidationError, match="does not commute"):
+            m.validate()
+
+
+def test_map_check_routes_agree_on_every_interval_in_square():
+    I, sq = standard_cube(1), standard_cube(2)
+    found = {tuple(sorted(m.assignment.items())) for m in enumerate_maps(I, sq)}
+    assert len(found) == 4 + 4  # by Yoneda, the edges and degenerate vertices
+    seen = 0
+    for v0 in sq.refs_of_dim(0):
+        for v1 in sq.refs_of_dim(0):
+            for e in sq.refs_of_dim(1):
+                m = CubicalMap(I, sq, {"0": v0, "1": v1, "*": e})
+                commutes = tuple(sorted(m.assignment.items())) in found
+                assert_verdict(m, commutes)
+                seen += commutes
+    assert seen == len(found)
+
+
+def test_map_check_routes_agree_on_boundary_in_square():
+    B, sq = boundary(2)[0], standard_cube(2)
+    maps = enumerate_maps(B, sq)
+    assert any(r.degens for m in maps for r in m.assignment.values())
+    refused = 0
+    for m in maps:
+        assert_verdict(m, True)
+        for cell, d in B.cells.items():
+            for other in sq.refs_of_dim(d):
+                changed = CubicalMap(B, sq, dict(m.assignment, **{cell: other}))
+                commutes = reference_commutes(changed)
+                assert_verdict(changed, commutes)
+                refused += not commutes
+    assert refused > 0
+
+
+def test_map_check_routes_agree_on_degenerate_source_faces():
+    Q, leg_sq = collapsed_square()
+    assert any(r.degens for r in Q.faces.values())
+    assert_verdict(identity_map(Q), True)
+    assert_verdict(leg_sq, True)
+    I = standard_cube(1)
+    maps = enumerate_maps(Q, I)
+    assert maps
+    top = next(c for c, d in Q.cells.items() if d == 2)
+    for m in maps:
+        assert_verdict(m, True)
+        for other in I.refs_of_dim(2):
+            changed = CubicalMap(Q, I, dict(m.assignment, **{top: other}))
+            assert_verdict(changed, reference_commutes(changed))
+
+
+def test_wrong_degenerate_image_is_refused():
+    I, sq = standard_cube(1), standard_cube(2)
+    # the projection of the square onto its first coordinate, and the same
+    # map with the degeneracy on the wrong coordinate
+    proj = {"00": nd("0"), "01": nd("0"), "10": nd("1"), "11": nd("1"),
+            "*0": nd("*"), "*1": nd("*"), "0*": CellRef((1,), "0"),
+            "1*": CellRef((1,), "1"), "**": CellRef((2,), "*")}
+    assert_verdict(CubicalMap(sq, I, proj), True)
+    assert_verdict(CubicalMap(sq, I, dict(proj, **{"**": CellRef((1,), "*")})), False)
+    assert_verdict(CubicalMap(I, I, {"0": nd("0"), "1": nd("1"), "*": CellRef((1,), "0")}), False)
+
+
+def test_map_with_missing_or_unknown_image_is_invalid():
+    I = standard_cube(1)
+    with pytest.raises(ValidationError, match=r"no assignment for \*"):
+        CubicalMap(I, I, {"0": nd("0"), "1": nd("1")}).validate()
+    with pytest.raises(ValidationError, match=r"image of \* is unknown target cell zz"):
+        CubicalMap(I, I, {"0": nd("0"), "1": nd("1"), "*": nd("zz")}).validate()
 
 
 def test_pushout_product_boundary_squares():

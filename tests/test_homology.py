@@ -47,12 +47,7 @@ from cubeworks.simplicial import (
     wedge_of_intervals,
 )
 from cubeworks import snf
-from cubeworks.snf import (
-    det_exact,
-    invariant_factors_sparse,
-    matmul,
-    smith_normal_form,
-)
+from cubeworks.snf import invariant_factors_sparse, smith_normal_form
 from cubeworks.triangulate import simplex_count, triangulate
 
 
@@ -67,6 +62,48 @@ def point_homology(report, top):
 
 
 # -- Smith normal form ----------------------------------------------------------
+
+
+def matmul(A, B):
+    n = len(A)
+    k = len(B)
+    m = len(B[0]) if k else 0
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        Ai = A[i]
+        Oi = out[i]
+        for t in range(k):
+            a = Ai[t]
+            if a:
+                Bt = B[t]
+                for j in range(m):
+                    Oi[j] += a * Bt[j]
+    return out
+
+
+def det_exact(A) -> int:
+    """Fraction-free Bareiss determinant (exact, for unimodularity checks)."""
+    n = len(A)
+    if n == 0:
+        return 1
+    M = [list(row) for row in A]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+            M[i][k] = 0
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
 
 
 def test_snf_example():
