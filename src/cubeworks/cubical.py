@@ -17,8 +17,17 @@ from itertools import combinations
 from . import cubes
 from .cubes import CubeMap, compose, face, projection_dropping, split_projection_face
 from .errors import GuardError, ValidationError
-# find_isomorphism stays importable from here for callers of the cubical API
-from .presented import CellRef, PresentedSet, disjoint_union, find_isomorphism, nd
+# find_isomorphism and is_isomorphism stay importable from here for callers
+# of the cubical API
+from .presented import (
+    CellRef,
+    PresentedMap,
+    PresentedSet,
+    disjoint_union,
+    find_isomorphism,
+    is_isomorphism,
+    nd,
+)
 
 
 class CubicalSet(PresentedSet):
@@ -28,6 +37,7 @@ class CubicalSet(PresentedSet):
     kind = "cubical_set"
     face_fields = ("k", "eps")
     index_base = 1
+    face_map = staticmethod(face)
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -49,10 +59,6 @@ class CubicalSet(PresentedSet):
 
     def act(self, ref: CellRef, f: CubeMap) -> CellRef:
         """The presheaf action of f on an element of dimension f.target_dim."""
-        key = (ref, f)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
         if self.dim_of(ref) != f.target_dim:
             raise ValidationError("element dimension does not match map target")
         p_w = projection_dropping(f.target_dim, ref.degens)
@@ -61,9 +67,7 @@ class CubicalSet(PresentedSet):
         z = self._apply_face_part(ref.base, delta)
         p_z = projection_dropping(proj.target_dim, z.degens)
         total = compose(p_z, proj)
-        out = CellRef(total.dropped_vars, z.base)
-        self._act_cache[key] = out
-        return out
+        return CellRef(total.dropped_vars, z.base)
 
     def _apply_face_part(self, cell: str, delta: CubeMap) -> CellRef:
         """Action of a face-type map (every variable used) on a non-degenerate cell."""
@@ -81,89 +85,12 @@ class CubicalSet(PresentedSet):
         step = self.faces[(cell, k, eps)]
         return self.act(step, rest)
 
-    def _check_identities(self, cell: str, d: int):
-        # cubical identities: the two ways of taking double faces through
-        # the stored data must agree (rewriting through degeneracy words
-        # uses cube-category composition as the oracle)
-        for k in range(1, d + 1):
-            for j in range(1, k):
-                for eps in (0, 1):
-                    for eta in (0, 1):
-                        left = self.act(self.faces[(cell, k, eps)], face(d - 1, j, eta))
-                        right = self.act(self.faces[(cell, j, eta)], face(d - 1, k - 1, eps))
-                        if left != right:
-                            raise ValidationError(
-                                f"cubical identity fails at {cell}, ({j},{eta}),({k},{eps})"
-                            )
 
-
-class CubicalMap:
-    """A natural transformation, stored on non-degenerate cells only."""
-
-    def __init__(self, source: CubicalSet, target: CubicalSet, assignment: dict):
-        self.source = source
-        self.target = target
-        self.assignment = dict(assignment)  # source cell id -> CellRef in target
-
-    def apply(self, ref: CellRef) -> CellRef:
-        image = self.assignment[ref.base]
-        if not ref.degens:
-            return image
-        if not image.degens:
-            return CellRef(ref.degens, image.base)
-        return self.target.degenerate(image, ref.degens)
-
-    def validate(self):
-        """Check that every cell has an image of its own dimension and that
-        the map commutes with every face.  The face of a non-degenerate image
-        is read from the target's stored faces; a degenerate image goes
-        through the presheaf action."""
-        source, target = self.source, self.target
-        for cell, d in source.cells.items():
-            image = self.assignment.get(cell)
-            if image is None:
-                raise ValidationError(f"no assignment for {cell}")
-            if image.base not in target.cells:
-                raise ValidationError(f"image of {cell} is unknown target cell {image.base}")
-            if target.dim_of(image) != d:
-                raise ValidationError(f"assignment of {cell} changes dimension")
-        target_faces, source_faces, apply = target.faces, source.faces, self.apply
-        for cell, d in source.cells.items():
-            image = self.assignment[cell]
-            for k, eps in source.face_indices(d):
-                if image.degens:
-                    lhs = target.act(image, face(d, k, eps))
-                else:
-                    lhs = target_faces[(image.base, k, eps)]
-                if lhs != apply(source_faces[(cell, k, eps)]):
-                    raise ValidationError(
-                        f"map does not commute with face ({k},{eps}) at {cell}"
-                    )
-        return True
-
-    def __repr__(self):
-        return f"CubicalMap({self.source!r} -> {self.target!r})"
+CubicalMap = PresentedMap
 
 
 def identity_map(X: CubicalSet) -> CubicalMap:
     return CubicalMap(X, X, {c: nd(c) for c in X.cells})
-
-
-def is_isomorphism(X: CubicalSet, Y: CubicalSet, bijection: dict) -> bool:
-    """Whether ``bijection`` (cell id of X -> cell id of Y) is an isomorphism
-    X -> Y: a bijection from the cells of X onto the cells of Y that, as a
-    map on non-degenerate cells, preserves dimension and commutes with every
-    stored face.  Its inverse then commutes with every face too.  The two
-    sides need not share cell ids."""
-    if bijection.keys() != X.cells.keys() or len(X.cells) != len(Y.cells):
-        return False
-    if set(bijection.values()) != Y.cells.keys():
-        return False
-    try:
-        CubicalMap(X, Y, {c: nd(b) for c, b in bijection.items()}).validate()
-    except ValidationError:
-        return False
-    return True
 
 
 # -- representables and their subobjects ------------------------------------
@@ -464,36 +391,42 @@ def empty_to_point() -> CubicalMap:
 # -- map enumeration, lifting, isomorphism ------------------------------------
 
 
+def _fits(X: CubicalSet, Y: CubicalSet, c: str, faces, assign: dict) -> bool:
+    """Whether an element of Y whose faces, in face-index order, are
+    ``faces`` can be the image of cell c of X, given the images in
+    ``assign`` of the bases of the faces of c."""
+    for image_face, fr in zip(faces, X.faces_of(c)):
+        if image_face != Y.degenerate(assign[fr.base], fr.degens):
+            return False
+    return True
+
+
 def enumerate_maps(X: CubicalSet, Y: CubicalSet, guard: int = 10**7):
-    """All cubical maps X -> Y, by dimension-increasing backtracking."""
+    """All cubical maps X -> Y, by dimension-increasing backtracking.  The
+    faces of each candidate image are read once per call."""
     order = sorted(X.cells, key=lambda c: (X.cells[c], c))
-    candidates = {}
+    by_dim = {}
     space = 1
     for c in order:
-        cands = Y.refs_of_dim(X.cells[c])
-        candidates[c] = cands
-        space *= max(len(cands), 1)
+        d = X.cells[c]
+        if d not in by_dim:
+            by_dim[d] = Y.refs_of_dim(d)
+        space *= max(len(by_dim[d]), 1)
         if space > guard:
             raise GuardError(f"search space exceeds guard {guard}")
+    candidates = {
+        d: [(ref, [Y.face_of(ref, *i) for i in Y.face_indices(d)]) for ref in refs]
+        for d, refs in by_dim.items()
+    }
     out = []
-
-    def fits(c, ref, partial):
-        d = X.cells[c]
-        for k in range(1, d + 1):
-            for eps in (0, 1):
-                fr = X.faces[(c, k, eps)]
-                expected = Y.degenerate(partial[fr.base], fr.degens)
-                if Y.act(ref, face(d, k, eps)) != expected:
-                    return False
-        return True
 
     def rec(i, partial):
         if i == len(order):
             out.append(CubicalMap(X, Y, dict(partial)))
             return
         c = order[i]
-        for ref in candidates[c]:
-            if fits(c, ref, partial):
+        for ref, faces in candidates[X.cells[c]]:
+            if _fits(X, Y, c, faces, partial):
                 partial[c] = ref
                 rec(i + 1, partial)
                 del partial[c]
@@ -510,29 +443,25 @@ def extend_map(
 ):
     """Find one extension of a partial assignment (on the subobject) to the
     listed missing cells of `whole`, or None.  Cell ids of the subobject must
-    coincide with their images in `whole`."""
+    coincide with their images in `whole`.  Every face of a missing cell
+    must be assigned or missing itself."""
     order = sorted(missing, key=lambda c: (whole.cells[c], c))
-
-    def fits(c, ref, assign):
-        d = whole.cells[c]
-        for k in range(1, d + 1):
-            for eps in (0, 1):
-                fr = whole.faces[(c, k, eps)]
-                if fr.base not in assign:
-                    return True  # deferred; only happens if faces are missing too
-                expected = Y.degenerate(assign[fr.base], fr.degens)
-                if Y.act(ref, face(d, k, eps)) != expected:
-                    return False
-        return True
-
+    for c in order:
+        for fr in whole.faces_of(c):
+            if fr.base not in partial_map and fr.base not in order:
+                raise ValidationError(
+                    f"face {fr.base} of missing cell {c} is neither assigned nor missing"
+                )
     assign = dict(partial_map)
 
     def rec(i):
         if i == len(order):
             return True
         c = order[i]
-        for ref in Y.refs_of_dim(whole.cells[c]):
-            if fits(c, ref, assign):
+        d = whole.cells[c]
+        for ref in Y.refs_of_dim(d):
+            faces = (Y.face_of(ref, *index) for index in Y.face_indices(d))
+            if _fits(whole, Y, c, faces, assign):
                 assign[c] = ref
                 if rec(i + 1):
                     return True

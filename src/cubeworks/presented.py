@@ -6,7 +6,9 @@ face index, and elements written as a canonical degeneracy word applied to a
 non-degenerate base cell.  The two kinds differ only in how a face index
 looks, where indices start, and how the presheaf action rewrites elements;
 subclasses supply those.  Everything that reads the presentation alone
-(cell tables, coproducts, isomorphism search) lives here.
+lives here: cell tables, the face rule, maps, validation, coproducts and
+isomorphism search.  The face of a non-degenerate element is read from the
+stored faces; only a degenerate element goes through the presheaf action.
 """
 
 from __future__ import annotations
@@ -47,20 +49,22 @@ class PresentedSet:
     Subclasses set ``kind`` (the JSON kind tag), ``face_fields`` (the names
     of the parts of a face index), ``index_base`` (the first coordinate
     direction and first face index: 1 for cubes, 0 for simplices) and
-    ``face_indices(d)``, the face indices of a d-cell in canonical order.
-    Face data is keyed by ``(cell, *index)``.
+    ``face_indices(d)``, the face indices of a d-cell in canonical order,
+    and ``face_map(n, *index)``, the face morphism into dimension n that the
+    presheaf action ``act(ref, f)`` takes; they also supply ``act`` and
+    ``degenerate(ref, extra)``.  Face data is keyed by ``(cell, *index)``.
     """
 
     kind = ""
     face_fields = ()
     index_base = 0
+    face_map = None
 
     def __init__(self, cells: dict, faces: dict, name: str = ""):
         self.cells = dict(cells)  # cell id -> dimension
         self.faces = dict(faces)  # (cell id, *face index) -> CellRef
         self.name = name
         self._by_dim = None
-        self._act_cache = {}
 
     @staticmethod
     def face_indices(d: int) -> tuple:
@@ -101,9 +105,16 @@ class PresentedSet:
         faces = self.faces
         return [faces[(cell, *i)] for i in self.face_indices(self.cells[cell])]
 
+    def face_of(self, ref: CellRef, *i) -> CellRef:
+        """The face i of an element: stored for a non-degenerate element,
+        computed by the presheaf action for a degenerate one."""
+        if not ref.degens:
+            return self.faces[(ref.base,) + i]
+        return self.act(ref, self.face_map(self.dim_of(ref), *i))
+
     def validate(self):
         """Check that every face key is present and well formed and that each
-        face lies one dimension down, then the subclass's face identities."""
+        face lies one dimension down, then the face identities."""
         for key, ref in self.faces.items():
             cell = key[0]
             if cell not in self.cells:
@@ -119,11 +130,23 @@ class PresentedSet:
             for i in self.face_indices(d):
                 if (cell, *i) not in self.faces:
                     raise ValidationError(f"missing face {(cell, *i)}")
-            self._check_identities(cell, d)
+            if d >= 2:
+                self._check_identities(cell, d)
         return True
 
     def _check_identities(self, cell: str, d: int):
-        raise NotImplementedError
+        """The face identities of a d-cell, d >= 2: for face indices a, b with
+        a[0] < b[0], face a of face b equals face (b[0] - 1, *b[1:]) of face a.
+        These are the cubical (j < k) and simplicial (i < j) identities."""
+        faces, face_of = self.faces, self.face_of
+        indices = self.face_indices(d)
+        for b in indices:
+            fb = faces[(cell, *b)]
+            for a in indices:
+                if a[0] < b[0] and face_of(fb, *a) != face_of(
+                    faces[(cell, *a)], b[0] - 1, *b[1:]
+                ):
+                    raise ValidationError(f"face identity fails at {cell}, {a},{b}")
 
     def __repr__(self):
         counts = self.cell_counts()
@@ -144,6 +167,74 @@ def disjoint_union(X: PresentedSet, Y: PresentedSet) -> PresentedSet:
         for (c, *i), ref in Z.faces.items():
             faces[(f"{tag}:{c}", *i)] = CellRef(ref.degens, f"{tag}:{ref.base}")
     return type(X)(cells, faces, name=f"{X.name}+{Y.name}")
+
+
+class PresentedMap:
+    """A map of presented sets of one kind, stored on non-degenerate cells
+    only."""
+
+    def __init__(self, source: PresentedSet, target: PresentedSet, assignment: dict):
+        self.source = source
+        self.target = target
+        self.assignment = dict(assignment)  # source cell id -> CellRef in target
+
+    def apply(self, ref: CellRef) -> CellRef:
+        image = self.assignment[ref.base]
+        if not ref.degens:
+            return image
+        if not image.degens:
+            return CellRef(ref.degens, image.base)
+        return self.target.degenerate(image, ref.degens)
+
+    def validate(self):
+        """Check that every cell has an image of its own dimension and that
+        the map commutes with every face.  The face of a non-degenerate image
+        is read from the target's stored faces; a degenerate image goes
+        through the presheaf action."""
+        source, target = self.source, self.target
+        for cell, d in source.cells.items():
+            image = self.assignment.get(cell)
+            if image is None:
+                raise ValidationError(f"no assignment for {cell}")
+            if image.base not in target.cells:
+                raise ValidationError(f"image of {cell} is unknown target cell {image.base}")
+            if target.dim_of(image) != d:
+                raise ValidationError(f"assignment of {cell} changes dimension")
+        target_faces, source_faces, apply = target.faces, source.faces, self.apply
+        for cell, d in source.cells.items():
+            image = self.assignment[cell]
+            at_cell, at_image = (cell,), (image.base,)  # face keys minus the index
+            for i in source.face_indices(d):
+                if image.degens:
+                    lhs = target.face_of(image, *i)
+                else:
+                    lhs = target_faces[at_image + i]
+                if lhs != apply(source_faces[at_cell + i]):
+                    face = ",".join(map(str, i))
+                    raise ValidationError(f"map does not commute with face ({face}) at {cell}")
+        return True
+
+    def __repr__(self):
+        return f"PresentedMap({self.source!r} -> {self.target!r})"
+
+
+def is_isomorphism(X: PresentedSet, Y: PresentedSet, bijection: dict) -> bool:
+    """Whether ``bijection`` (cell id of X -> cell id of Y) is an isomorphism
+    X -> Y: a bijection from the cells of X onto the cells of Y that, as a
+    map on non-degenerate cells, preserves dimension and commutes with every
+    stored face.  Its inverse then commutes with every face too.  The two
+    sides need not share cell ids."""
+    if type(X) is not type(Y):
+        return False
+    if bijection.keys() != X.cells.keys() or len(X.cells) != len(Y.cells):
+        return False
+    if set(bijection.values()) != Y.cells.keys():
+        return False
+    try:
+        PresentedMap(X, Y, {c: nd(b) for c, b in bijection.items()}).validate()
+    except ValidationError:
+        return False
+    return True
 
 
 # -- isomorphism search ----------------------------------------------------------

@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import ValidationError
-from .presented import CellRef, PresentedSet, nd
+from .presented import CellRef, PresentedMap, PresentedSet, nd
 
 
 # -- monotone map plumbing ------------------------------------------------------
@@ -60,19 +60,26 @@ class SimplicialSet(PresentedSet):
     kind = "simplicial_set"
     face_fields = ("j",)
     index_base = 0
+    face_map = staticmethod(delta_face)
 
     @staticmethod
     @lru_cache(maxsize=None)
     def face_indices(d: int) -> tuple:
         return tuple((j,) for j in range(d + 1)) if d else ()
 
+    def degenerate(self, ref: SimplexRef, extra) -> SimplexRef:
+        """Apply a further degeneracy word (collapse positions in the larger
+        dimension) to an element."""
+        if not extra:
+            return ref
+        n = self.dim_of(ref) + len(extra)
+        s = surj_from_collapse(ref.degens, n - len(extra))
+        total = mono_compose(s, surj_from_collapse(extra, n))
+        return SimplexRef(collapse_of_surj(total), ref.base)
+
     def act(self, ref: SimplexRef, f) -> SimplexRef:
         """Presheaf action of the monotone map f (a value tuple into
         [dim_of(ref)]) on the element ref."""
-        key = (ref, f)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
         n = self.dim_of(ref)
         if max(f, default=0) > n or len(f) == 0:
             raise ValidationError("monotone map does not match element dimension")
@@ -81,9 +88,7 @@ class SimplicialSet(PresentedSet):
         mono, epi = epi_mono_factor(g)
         z = self._apply_injection(ref.base, mono)
         total = mono_compose(surj_from_collapse(z.degens, max(epi)), epi)
-        out = SimplexRef(collapse_of_surj(total), z.base)
-        self._act_cache[key] = out
-        return out
+        return SimplexRef(collapse_of_surj(total), z.base)
 
     def _apply_injection(self, cell: str, mono) -> SimplexRef:
         """Action of an injective monotone map [k] -> [m] on a non-degenerate
@@ -96,67 +101,8 @@ class SimplicialSet(PresentedSet):
         rest = tuple(v if v < missed else v - 1 for v in mono)
         return self.act(step, rest)
 
-    def _check_identities(self, cell: str, d: int):
-        # simplicial identities d_i d_j = d_{j-1} d_i for i < j through the
-        # stored data
-        if d >= 2:
-            for j in range(d + 1):
-                for i in range(j):
-                    left = self.act(self.faces[(cell, j)], delta_face(d - 1, i))
-                    right = self.act(self.faces[(cell, i)], delta_face(d - 1, j - 1))
-                    if left != right:
-                        raise ValidationError(
-                            f"simplicial identity fails at {cell} ({i},{j})"
-                        )
 
-
-class SimplicialMap:
-    def __init__(self, source: SimplicialSet, target: SimplicialSet, assignment: dict):
-        self.source = source
-        self.target = target
-        self.assignment = dict(assignment)
-
-    def apply(self, ref: SimplexRef) -> SimplexRef:
-        image = self.assignment[ref.base]
-        if not image.degens:
-            return SimplexRef(ref.degens, image.base)
-        if not ref.degens:
-            return image
-        n = self.source.dim_of(ref)
-        base_dim = self.source.cells[ref.base]
-        s = surj_from_collapse(ref.degens, n)
-        s_img = surj_from_collapse(image.degens, base_dim)
-        total = mono_compose(s_img, s)
-        return SimplexRef(collapse_of_surj(total), image.base)
-
-    def validate(self):
-        """Check that every cell has an image of its own dimension and that
-        the map commutes with every face.  The face of a non-degenerate image
-        is read from the target's stored faces; a degenerate image goes
-        through the presheaf action."""
-        source, target = self.source, self.target
-        for cell, d in source.cells.items():
-            image = self.assignment.get(cell)
-            if image is None:
-                raise ValidationError(f"no assignment for {cell}")
-            if image.base not in target.cells:
-                raise ValidationError(f"image of {cell} is unknown target cell {image.base}")
-            if target.dim_of(image) != d:
-                raise ValidationError(f"assignment of {cell} changes dimension")
-        target_faces, source_faces = target.faces, source.faces
-        for cell, d in source.cells.items():
-            if d == 0:
-                continue
-            image = self.assignment[cell]
-            for j in range(d + 1):
-                if image.degens:
-                    lhs = target.act(image, delta_face(d, j))
-                else:
-                    lhs = target_faces[(image.base, j)]
-                rhs = self.apply(source_faces[(cell, j)])
-                if lhs != rhs:
-                    raise ValidationError(f"map fails to commute with face {j} at {cell}")
-        return True
+SimplicialMap = PresentedMap
 
 
 def standard_simplex(n: int) -> SimplicialSet:

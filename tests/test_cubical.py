@@ -534,6 +534,20 @@ def test_extend_map_finds_filler():
     ext.validate()
 
 
+def test_extend_map_refuses_a_face_neither_assigned_nor_missing():
+    sq, I = standard_cube(2), standard_cube(1)
+    vertices = {"00": nd("0"), "01": nd("0"), "10": nd("1"), "11": nd("1")}
+    # the face 1* of ** is neither assigned nor missing: refused, not
+    # returned as a map that leaves *0, 1* and *1 unassigned
+    with pytest.raises(
+        ValidationError, match=r"face 1\* of missing cell \*\* is neither assigned nor missing"
+    ):
+        extend_map(sq, I, vertices, ["**", "0*"])
+    ext = extend_map(sq, I, vertices, ["**", "0*", "1*", "*0", "*1"])
+    assert ext.validate() is True
+    assert ext.assignment["**"] == CellRef((2,), "*")
+
+
 def test_action_functoriality_random():
     # presheaf contravariance through the stored data: acting by a composite
     # equals acting in two steps, for every element and composable pair

@@ -496,7 +496,7 @@ def assert_verdict(m, commutes):
     if commutes:
         assert m.validate() is True
     else:
-        with pytest.raises(ValidationError, match="fails to commute"):
+        with pytest.raises(ValidationError, match="map does not commute with face"):
             m.validate()
 
 

@@ -1,0 +1,244 @@
+"""The face rule shared by cubical and simplicial sets: `face_of`, the one
+identity check and the one map class, each against the per-kind code they
+replaced, kept here as references."""
+
+from itertools import combinations
+
+import pytest
+
+from cubeworks.cubes import face
+from cubeworks.cubical import (
+    CubicalMap,
+    CubicalSet,
+    boundary,
+    pushout,
+    standard_cube,
+)
+from cubeworks.errors import ValidationError
+from cubeworks.james import james
+from cubeworks.presented import CellRef, PresentedMap, is_isomorphism, nd
+from cubeworks.simplicial import (
+    SimplexRef,
+    SimplicialMap,
+    SimplicialSet,
+    circle,
+    collapse_of_surj,
+    delta_face,
+    mono_compose,
+    standard_simplex,
+    surj_from_collapse,
+    wedge_of_intervals,
+)
+
+
+# -- references: the per-kind bodies before the shared core -----------------------
+
+
+def reference_cubical_identities(X):
+    """The cubical identities with every double face computed by `act`."""
+    for cell, d in X.cells.items():
+        for k in range(1, d + 1):
+            for j in range(1, k):
+                for eps in (0, 1):
+                    for eta in (0, 1):
+                        left = X.act(X.faces[(cell, k, eps)], face(d - 1, j, eta))
+                        right = X.act(X.faces[(cell, j, eta)], face(d - 1, k - 1, eps))
+                        if left != right:
+                            return False
+    return True
+
+
+def reference_simplicial_identities(X):
+    """d_i d_j = d_{j-1} d_i for i < j, with every double face computed by `act`."""
+    for cell, d in X.cells.items():
+        if d >= 2:
+            for j in range(d + 1):
+                for i in range(j):
+                    left = X.act(X.faces[(cell, j)], delta_face(d - 1, i))
+                    right = X.act(X.faces[(cell, i)], delta_face(d - 1, j - 1))
+                    if left != right:
+                        return False
+    return True
+
+
+def reference_simplicial_apply(m, ref):
+    """A simplicial map applied to an element by composing the two collapse
+    surjections inline."""
+    image = m.assignment[ref.base]
+    if not image.degens:
+        return SimplexRef(ref.degens, image.base)
+    if not ref.degens:
+        return image
+    n = m.source.dim_of(ref)
+    base_dim = m.source.cells[ref.base]
+    s = surj_from_collapse(ref.degens, n)
+    s_img = surj_from_collapse(image.degens, base_dim)
+    total = mono_compose(s_img, s)
+    return SimplexRef(collapse_of_surj(total), image.base)
+
+
+def reference_identities(X):
+    if isinstance(X, CubicalSet):
+        return reference_cubical_identities(X)
+    return reference_simplicial_identities(X)
+
+
+def validates(X):
+    try:
+        X.validate()
+    except ValidationError:
+        return False
+    return True
+
+
+# -- fixtures ---------------------------------------------------------------------
+
+
+def pinched_triangle(t0=SimplexRef((0,), "u")):
+    """A loop e at u and a triangle t whose 0-th face is degenerate, plus a
+    separate vertex v (the set of the James tests)."""
+    return SimplicialSet(
+        {"v": 0, "u": 0, "e": 1, "t": 2},
+        {
+            ("e", 0): nd("u"),
+            ("e", 1): nd("u"),
+            ("t", 0): t0,
+            ("t", 1): nd("e"),
+            ("t", 2): nd("e"),
+        },
+        name="pinched",
+    )
+
+
+def collapsed_square():
+    """The square with its edge 0* collapsed to a point: the top cell has a
+    degenerate face."""
+    I, sq, P = standard_cube(1), standard_cube(2), standard_cube(0)
+    edge = CubicalMap(I, sq, {"0": nd("00"), "1": nd("01"), "*": nd("0*")})
+    collapse = CubicalMap(I, P, {"0": nd("pt"), "1": nd("pt"), "*": CellRef((1,), "pt")})
+    Q, _, _ = pushout(edge, collapse)
+    return Q
+
+
+def swapped(X, cell, a, b):
+    faces = dict(X.faces)
+    faces[(cell, *a)], faces[(cell, *b)] = faces[(cell, *b)], faces[(cell, *a)]
+    return type(X)(X.cells, faces, name=X.name)
+
+
+SETS = {
+    "cube3": lambda: standard_cube(3),
+    "boundary3": lambda: boundary(3)[0],
+    "collapsed_square": collapsed_square,
+    "simplex3": lambda: standard_simplex(3),
+    "circle": circle,
+    "pinched": pinched_triangle,
+    "james_wedge3": lambda: james(wedge_of_intervals(2), "w", 3),
+    "james_pinched3": lambda: james(pinched_triangle(), "u", 3),
+}
+
+
+# -- face_of ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["cube3", "boundary3", "simplex3", "james_wedge3", "james_pinched3"])
+def test_face_of_matches_action_on_every_element(name):
+    X = SETS[name]()
+    degenerate = 0
+    for d in range(1, X.dim_bound + 2):
+        for ref in X.refs_of_dim(d):
+            degenerate += bool(ref.degens)
+            for i in X.face_indices(d):
+                assert X.face_of(ref, *i) == X.act(ref, X.face_map(d, *i))
+    assert degenerate > 0
+
+
+# -- the identity check -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_identity_check_passes_where_the_reference_does(name):
+    X = SETS[name]()
+    assert reference_identities(X)
+    assert X.validate() is True
+
+
+def test_square_with_two_faces_swapped_is_refused():
+    sq = standard_cube(2)
+    broken = swapped(sq, "**", (1, 0), (1, 1))
+    assert not reference_cubical_identities(broken)
+    with pytest.raises(ValidationError, match=r"face identity fails at \*\*"):
+        broken.validate()
+
+
+def test_triangle_whose_faces_disagree_at_a_vertex_is_refused():
+    # the edge 1.2 now runs from 0 to 2, so the faces of 0.1.2 meet at 0
+    # where they should meet at 1
+    D = standard_simplex(2)
+    broken = SimplicialSet(D.cells, {**D.faces, ("1.2", 1): nd("0")})
+    assert not reference_simplicial_identities(broken)
+    with pytest.raises(ValidationError, match="face identity fails at 0.1.2"):
+        broken.validate()
+
+
+def test_identity_through_a_degenerate_face_is_checked():
+    # the degenerate 0-th face of t now sits at v instead of u; only the
+    # presheaf action sees its faces
+    broken = pinched_triangle(t0=SimplexRef((0,), "v"))
+    assert not reference_simplicial_identities(broken)
+    with pytest.raises(ValidationError, match="face identity fails at t"):
+        broken.validate()
+    Q = collapsed_square()
+    top = next(c for c, d in Q.cells.items() if d == 2)
+    assert Q.faces[(top, 1, 0)].degens
+    broken = swapped(Q, top, (1, 0), (2, 1))
+    assert not reference_cubical_identities(broken)
+    with pytest.raises(ValidationError, match="face identity fails"):
+        broken.validate()
+
+
+@pytest.mark.parametrize("name", ["cube3", "simplex3", "collapsed_square"])
+def test_identity_check_agrees_with_reference_on_every_swap(name):
+    X = SETS[name]()
+    refused = 0
+    for cell, d in X.cells.items():
+        for a, b in combinations(X.face_indices(d), 2):
+            broken = swapped(X, cell, a, b)
+            assert validates(broken) == reference_identities(broken)
+            refused += not validates(broken)
+    assert refused > 0
+
+
+# -- one map class ------------------------------------------------------------------
+
+
+def test_both_kinds_share_one_map_class():
+    assert CubicalMap is PresentedMap
+    assert SimplicialMap is PresentedMap
+
+
+@pytest.mark.parametrize("make", [lambda: standard_simplex(2), circle, pinched_triangle])
+def test_simplicial_degenerate_matches_reference_apply(make):
+    X = make()
+    checked = 0
+    for e in range(4):
+        for image in X.refs_of_dim(e):
+            m = SimplicialMap(SimplicialSet({"x": e}, {}), X, {"x": image})
+            for ref in (r for n in range(e, 5) for r in m.source.refs_of_dim(n)):
+                expected = reference_simplicial_apply(m, ref)
+                assert m.apply(ref) == expected
+                assert X.degenerate(image, ref.degens) == expected
+                checked += bool(image.degens and ref.degens)
+    assert checked > 0
+
+
+def test_is_isomorphism_on_simplicial_sets():
+    D = standard_simplex(2)
+    relabel = {c: f"x{c}" for c in D.cells}
+    R = SimplicialSet(
+        {relabel[c]: d for c, d in D.cells.items()},
+        {(relabel[c], *i): nd(relabel[r.base]) for (c, *i), r in D.faces.items()},
+    )
+    assert is_isomorphism(D, R, relabel)
+    assert not is_isomorphism(D, R, dict(relabel, **{"0": "x1", "1": "x0"}))
+    assert not is_isomorphism(standard_simplex(0), standard_cube(0), {"0": "pt"})
