@@ -76,6 +76,11 @@ def _resolve_cubical(ws: Workspace, spec: str):
     return obj
 
 
+# inline spec heads: an artifact saved under one of these names could never
+# be read back by name
+_SPEC_KEYWORDS = frozenset(_CUBICAL_SPECS) | {"circle", "wedge", "delta"}
+
+
 def _resolve_simplicial(ws: Workspace, spec: str):
     head, *args = spec.split(":")
     if head == "circle":
@@ -369,6 +374,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "name", None) in _SPEC_KEYWORDS:
+            raise ValidationError(
+                f"artifact name {args.name!r} is a spec keyword; choose another"
+            )
         return _HANDLERS[args.cmd](args, Workspace(args.workspace))
     except GuardError as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)

@@ -4,15 +4,18 @@ arithmetic throughout.
 Two entry points: `smith_normal_form` computes D together with unimodular
 R, C such that M = R * D * C (diagonal d1 | d2 | ...), pivoting by minimal
 absolute value to control coefficient growth; `invariant_factors_sparse`
-is a transform-free fast path that eliminates unit pivots on a sparse
-representation first, taking the shortest row with a unit entry next, and
-only densifies the small remainder.
+is a transform-free fast path that eliminates on a sparse representation,
+taking the shortest row next and pivoting on a unit or, failing one, on an
+entry that divides its whole row and column, and only densifies what is
+left.  `smith_normal_form` is its fallback for that remainder and its
+oracle in the tests.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import gcd
 
 
 def _identity(n):
@@ -133,13 +136,17 @@ def smith_normal_form(M) -> SNFResult:
 def invariant_factors_sparse(entries, nrows: int, ncols: int):
     """Invariant factors of a sparse integer matrix given as {(i, j): v}.
 
-    Unit pivots are eliminated on the sparse structure, shortest row first
-    (Markowitz's rule): a heap holds (row length, row), the popped row
-    pivots on its unit entry in the column with fewest entries, and only
-    the rows a pivot modified are pushed again.  A row with no unit entry is
-    dropped from the heap until a pivot modifies it.  Whatever remains
-    (rarely more than a few rows for cell-complex boundary matrices) is
-    handed to the dense routine.
+    Pivots are eliminated on the sparse structure, shortest row first
+    (Markowitz's rule): a heap holds (row length, row), and only the rows a
+    pivot modified are pushed again.  The popped row pivots on its unit
+    entry in the column with fewest entries; failing a unit, on a divisible
+    pivot (see `_divisible_pivot`), whose column is then cleared by exact
+    row operations and which splits off the summand |v|.  A row with
+    neither is parked.  Since a row can become eligible when only its
+    column changes, the parked rows are revisited after each round of the
+    heap until a round makes no pivot.  Whatever remains is handed to the
+    dense routine, and the split-off summands join its factors in one
+    divisibility chain.
     """
     rows = {}
     cols = {}
@@ -149,62 +156,107 @@ def invariant_factors_sparse(entries, nrows: int, ncols: int):
             cols.setdefault(j, set()).add(i)
 
     heap = [(len(row), i) for i, row in rows.items()]
-    heapq.heapify(heap)
     ones = 0
+    split = []  # |v| of each non-unit pivot
     while heap:
-        length, i = heapq.heappop(heap)
-        pivot_row = rows.get(i)
-        if pivot_row is None or len(pivot_row) != length:
-            continue  # deleted, or a newer entry holds its current length
-        j = None
-        best = 0
-        for jj, v in pivot_row.items():
-            if v == 1 or v == -1:
-                count = len(cols[jj])
-                if j is None or count < best:
-                    j, best = jj, count
-                    if count == 1:
-                        break
-        if j is None:
-            continue
-        del rows[i]
-        piv = pivot_row.pop(j)
-        others = cols.pop(j)
-        others.discard(i)
-        for i2 in others:
-            row2 = rows[i2]
-            factor = row2.pop(j) * piv  # exact quotient, pivot is a unit
-            for jj, vv in pivot_row.items():
-                delta = factor * vv
-                old = row2.get(jj)
-                if old is None:
-                    row2[jj] = -delta
-                    cols[jj].add(i2)
-                elif old != delta:
-                    row2[jj] = old - delta
+        heapq.heapify(heap)
+        parked = set()
+        progress = False
+        while heap:
+            length, i = heapq.heappop(heap)
+            pivot_row = rows.get(i)
+            if pivot_row is None or len(pivot_row) != length:
+                continue  # deleted, or a newer entry holds its current length
+            j = None
+            best = 0
+            for jj, v in pivot_row.items():
+                if v == 1 or v == -1:
+                    count = len(cols[jj])
+                    if j is None or count < best:
+                        j, best = jj, count
+                        if count == 1:
+                            break
+            if j is None:
+                j = _divisible_pivot(pivot_row, rows, cols)
+                if j is None:
+                    parked.add(i)
+                    continue
+            del rows[i]
+            piv = pivot_row.pop(j)
+            others = cols.pop(j)
+            others.discard(i)
+            for i2 in others:
+                row2 = rows[i2]
+                factor = row2.pop(j) // piv  # exact: the pivot divides its column
+                for jj, vv in pivot_row.items():
+                    delta = factor * vv
+                    old = row2.get(jj)
+                    if old is None:
+                        row2[jj] = -delta
+                        cols[jj].add(i2)
+                    elif old != delta:
+                        row2[jj] = old - delta
+                    else:
+                        del row2[jj]
+                        cols[jj].discard(i2)
+                if row2:
+                    heapq.heappush(heap, (len(row2), i2))
                 else:
-                    del row2[jj]
-                    cols[jj].discard(i2)
-            if row2:
-                heapq.heappush(heap, (len(row2), i2))
+                    del rows[i2]
+            for jj in pivot_row:
+                col = cols[jj]
+                col.discard(i)
+                if not col:
+                    del cols[jj]
+            if piv == 1 or piv == -1:
+                ones += 1
             else:
-                del rows[i2]
-        for jj in pivot_row:
-            col = cols[jj]
-            col.discard(i)
-            if not col:
-                del cols[jj]
-        ones += 1
+                split.append(abs(piv))
+            progress = True
+        heap = [(len(rows[i]), i) for i in parked if i in rows] if progress else []
 
-    if not rows:
-        return [1] * ones
-    row_ids = sorted(rows)
-    col_ids = sorted({j for row in rows.values() for j in row})
-    col_index = {j: t for t, j in enumerate(col_ids)}
-    dense = [[0] * len(col_ids) for _ in row_ids]
-    for t, i in enumerate(row_ids):
-        for j, v in rows[i].items():
-            dense[t][col_index[j]] = v
-    rest = smith_normal_form(dense).diag
-    return [1] * ones + list(rest)
+    rest = []
+    if rows:
+        row_ids = sorted(rows)
+        col_ids = sorted({j for row in rows.values() for j in row})
+        col_index = {j: t for t, j in enumerate(col_ids)}
+        dense = [[0] * len(col_ids) for _ in row_ids]
+        for t, i in enumerate(row_ids):
+            for j, v in rows[i].items():
+                dense[t][col_index[j]] = v
+        rest = smith_normal_form(dense).diag
+    if split:
+        rest = _divisibility_chain(split + rest)
+    return [1] * ones + rest
 
+
+def _divisible_pivot(row, rows, cols):
+    """The column of an entry of `row` that divides every live entry of its
+    row and of its column, on the shortest such column, or None.  Only an
+    entry of least absolute value can divide the whole row."""
+    least = min(abs(v) for v in row.values())
+    if any(v % least for v in row.values()):
+        return None
+    candidates = [j for j, v in row.items() if v == least or v == -least]
+    candidates.sort(key=lambda j: len(cols[j]))
+    for j in candidates:
+        if all(rows[i][j] % least == 0 for i in cols[j]):
+            return j
+    return None
+
+
+def _divisibility_chain(values):
+    """The invariant factors of diag(values), all positive: adjacent gcd/lcm
+    exchanges keep the product and, for each prime, the multiset of
+    exponents, and sort those exponents until each value divides the next."""
+    d = sorted(values)
+    changed = True
+    while changed:
+        changed = False
+        for t in range(len(d) - 1):
+            a, b = d[t], d[t + 1]
+            if b % a:
+                g = gcd(a, b)
+                d[t], d[t + 1] = g, a // g * b
+                changed = True
+    return d

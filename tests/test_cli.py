@@ -304,6 +304,36 @@ def test_cli_names_stay_inside_workspace(capsys, tmp_path, name):
         Workspace(str(tmp_path / "ws")).load(name)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cube", "build", "box", "--n", "2", "--k", "1", "--eps", "0", "--name", "box"],
+        ["cube", "build", "cube", "--n", "1", "--name", "cube"],
+        ["cube", "tensor", "cube:1", "cube:1", "--name", "boundary"],
+        ["james", "circle", "--bound", "2", "--name", "circle"],
+        ["james", "wedge:2", "--bound", "2", "--name", "wedge"],
+        ["cube", "build", "boundary", "--n", "2", "--name", "delta"],
+    ],
+)
+def test_cli_refuses_spec_keywords_as_names(capsys, tmp_path, argv):
+    # such an artifact would be read as the inline spec, never by its name
+    code = main(["--workspace", str(tmp_path / "ws"), *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "spec keyword" in captured.err
+    assert Workspace(str(tmp_path / "ws")).names() == []
+
+
+def test_cli_names_that_extend_a_keyword_read_back(capsys, tmp_path):
+    argv = ["cube", "build", "box", "--n", "2", "--k", "1", "--eps", "0", "--name", "box2"]
+    code, _ = run(capsys, tmp_path, *argv)
+    assert code == 0
+    code, stored = run(capsys, tmp_path, "homology", "box2")
+    assert code == 0
+    code, inline = run(capsys, tmp_path, "homology", "box:2:1:0")
+    assert code == 0 and stored == inline
+
+
 def test_wire_format_of_both_kinds():
     assert json.loads(dumps(standard_cube(1))) == {
         "cells": {"*": 1, "0": 0, "1": 0},

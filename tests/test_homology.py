@@ -163,12 +163,14 @@ def test_snf_reconstruction_property(M):
 
 def test_sparse_invariant_factors_match_dense():
     rng = random.Random(3)
-    for _ in range(80):
-        m = rng.randint(1, 6)
-        n = rng.randint(1, 6)
-        M = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(n)] for _ in range(m)]
-        entries = {(i, j): M[i][j] for i in range(m) for j in range(n) if M[i][j]}
-        assert invariant_factors_sparse(entries, m, n) == smith_normal_form(M).diag
+    # the second set has no units, so every sparse pivot is a divisible one
+    for values, count in (([0, 0, 0, 1, -1, 2, -3], 80), ([0, 0, 2, -2, 3, 4, -4, 6], 400)):
+        for _ in range(count):
+            m = rng.randint(1, 9)
+            n = rng.randint(1, 9)
+            M = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
+            entries = {(i, j): M[i][j] for i in range(m) for j in range(n) if M[i][j]}
+            assert invariant_factors_sparse(entries, m, n) == smith_normal_form(M).diag
 
 
 @st.composite
@@ -220,6 +222,43 @@ def test_sparse_invariant_factors_property(matrix):
     assert entries == given_entries
     # every unit entry, including one made by fill, is pivoted on sparsely
     assert all(v not in (1, -1) for R in remainders for row in R for v in row)
+    # and so is every entry that divides its whole row and column
+    for R in remainders:
+        for r, row in enumerate(R):
+            for c, v in enumerate(row):
+                if v:
+                    assert any(x % v for x in row) or any(R2[c] % v for R2 in R)
+
+
+@pytest.mark.parametrize(
+    "entries, m, n, factors, remainders",
+    [
+        # divisible pivots split off 2 and 3, which read as Z/6
+        ({(0, 0): 2, (1, 1): 3}, 2, 2, [1, 6], []),
+        ({(0, 0): 4, (1, 1): 6}, 2, 2, [2, 12], []),
+        ({(0, 0): -2, (1, 1): 2, (2, 2): 4}, 3, 3, [2, 2, 4], []),
+        # pivoting on the 2 turns the 5 below it into a unit
+        ({(0, 0): 2, (0, 1): 2, (1, 0): 4, (1, 1): 5}, 2, 2, [1, 2], []),
+        # the 2 is eligible only after the unit pivot empties its column of the 3
+        ({(0, 0): 2, (1, 0): 3, (1, 1): 1}, 2, 2, [1, 2], []),
+        # 2 does not divide the 3 in its column or row (nor 3 the 2): pivoting
+        # on either would leave a fraction, so both go to the dense routine
+        ({(0, 0): 2, (1, 0): 3}, 2, 1, [1], [[[2], [3]]]),
+        ({(0, 0): 2, (0, 1): 3}, 1, 2, [1], [[[2, 3]]]),
+    ],
+)
+def test_sparse_divisible_pivots(entries, m, n, factors, remainders):
+    found = []
+
+    def dense(R):
+        found.append(R)
+        return smith_normal_form(R)
+
+    with mock.patch.object(snf, "smith_normal_form", dense):
+        assert invariant_factors_sparse(entries, m, n) == factors
+    M = [[entries.get((i, j), 0) for j in range(n)] for i in range(m)]
+    assert smith_normal_form(M).diag == factors
+    assert found == remainders
 
 
 def test_torsion_detected():
@@ -434,6 +473,120 @@ def projective_plane():
     )
     X.validate()
     return X
+
+
+def klein_bottle():
+    """A one-square Klein bottle: loops a and b at v, and a square whose
+    faces read a a b b around its boundary, so that d(k) = 2a - 2b."""
+    v, a, b = nd("v"), nd("a"), nd("b")
+    X = CubicalSet(
+        {"v": 0, "a": 1, "b": 1, "k": 2},
+        {
+            ("a", 1, 0): v,
+            ("a", 1, 1): v,
+            ("b", 1, 0): v,
+            ("b", 1, 1): v,
+            ("k", 1, 0): b,
+            ("k", 1, 1): a,
+            ("k", 2, 0): a,
+            ("k", 2, 1): b,
+        },
+        name="K",
+    )
+    X.validate()
+    return X
+
+
+def moore_space_mod3():
+    """A mod-3 Moore space: loops a and b at v, and squares p and q with
+    d(p) = a + b and d(q) = 2a - b, a pair of relations of determinant -3."""
+    v, a, b, sv = nd("v"), nd("a"), nd("b"), CellRef((1,), "v")
+    X = CubicalSet(
+        {"v": 0, "a": 1, "b": 1, "p": 2, "q": 2},
+        {
+            ("a", 1, 0): v,
+            ("a", 1, 1): v,
+            ("b", 1, 0): v,
+            ("b", 1, 1): v,
+            ("p", 1, 0): sv,
+            ("p", 1, 1): a,
+            ("p", 2, 0): b,
+            ("p", 2, 1): sv,
+            ("q", 1, 0): b,
+            ("q", 1, 1): a,
+            ("q", 2, 0): a,
+            ("q", 2, 1): sv,
+        },
+        name="M3",
+    )
+    X.validate()
+    return X
+
+
+def groups(report):
+    """[(betti, torsion)] by degree."""
+    return [(b, t) for _, b, t in report.entries]
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (projective_plane, [(1, ()), (0, (2,)), (0, ())]),
+        (klein_bottle, [(1, ()), (1, (2,)), (0, ())]),
+        (moore_space_mod3, [(1, ()), (0, (3,)), (0, ())]),
+    ],
+)
+def test_torsion_oracles_both_pipelines(build, want):
+    X = build()
+    cubical = homology(cubical_chains(X))
+    assert groups(cubical) == want
+    assert homology(simplicial_chains(triangulate(X))) == cubical
+
+
+def rp2_power_groups(k):
+    """Homology of the k-fold tensor power of RP2 from its mod-2 Poincare
+    polynomial (1 + t + t^2)^k: H0 = Z, every other group is a sum of Z/2,
+    and dim H_d(-; F2) = b_d + t_d + t_(d-1) for t_d summands Z/2 in H_d."""
+    mod2 = [1]
+    for _ in range(k):
+        mod2 = [sum(mod2[d - e] for e in range(3) if 0 <= d - e < len(mod2))
+                for d in range(len(mod2) + 2)]
+    out = []
+    prev = 0
+    for d, p in enumerate(mod2):
+        betti = 1 if d == 0 else 0
+        t = p - betti - prev
+        out.append((betti, (2,) * t))
+        prev = t
+    return out
+
+
+def _homology_counting_dense(chains):
+    with mock.patch.object(snf, "smith_normal_form", wraps=smith_normal_form) as dense:
+        report = homology(chains)
+    return report, dense.call_count
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_rp2_powers_need_no_dense_elimination(k):
+    X = projective_plane()
+    for _ in range(k - 1):
+        X = tensor(X, projective_plane())
+    report, dense_calls = _homology_counting_dense(cubical_chains(X))
+    assert groups(report) == rp2_power_groups(k)
+    assert dense_calls == 0
+    if k <= 3:  # the triangulated cube of RP2^3 had a dense remainder of 325 x 1
+        tri, dense_calls = _homology_counting_dense(simplicial_chains(triangulate(X)))
+        assert tri == report
+        assert dense_calls == 0
+
+
+def test_triangulated_cube6_boundary_needs_no_dense_elimination():
+    X = boundary(6)[0]
+    tri, dense_calls = _homology_counting_dense(simplicial_chains(triangulate(X)))
+    assert groups(tri) == [(1, ())] + [(0, ())] * 4 + [(1, ())]
+    assert dense_calls == 0
+    assert homology(cubical_chains(X)) == tri
 
 
 def _triangulation_inputs():

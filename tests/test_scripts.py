@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under scripts/, run as the README runs them."""
 
+import json
 import os
 import subprocess
 import sys
@@ -33,3 +34,56 @@ def test_kan_survey_script():
     out = run_script("kan_survey.py")
     assert "interval: has unfillable boxes" in out
     assert "point: fills all boxes" in out
+
+
+def _harness_lines(sha, trace, wall_ref=None, dense=(), layer=0):
+    """The two JSON lines one harness run prints, cut down to what the
+    ledger reads, with a log line in front."""
+    context = {
+        "workload": "torsion", "seed": 5, "trace": trace, "commit": None,
+        "src_sha256": sha, "failures": [], "counts": {"task": {"cells": [1, 1]}},
+    }
+    if trace:
+        context.update(pass_seconds={"untraced": [1.0], "traced": [1.1]},
+                       dense_snf_shapes=[list(s) for s in dense])
+        metrics = {"snf.smith_normal_form.calls": {"value": layer, "unit": "count"}}
+    else:
+        context.update(pass_seconds=[wall_ref / 100, wall_ref / 100])
+        metrics = {
+            "wall_ref": {"value": wall_ref, "unit": "ref"},
+            "setup_s": {"value": 0.5, "unit": "s"},
+            "peak_rss_mb": {"value": 50.0, "unit": "MB"},
+        }
+    result = {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
+    return ["progress: not json", json.dumps({"context": context}), json.dumps(result)]
+
+
+def test_bench_ledger_script(tmp_path):
+    parent = [line for w in (600.0, 620.0, 610.0) for line in _harness_lines("p", 0, w)]
+    parent += _harness_lines("p", 1, dense=[(7, 7), (393, 357)], layer=23)
+    change = [line for w in (240.0, 250.0) for line in _harness_lines("c", 0, w)]
+    change += _harness_lines("c", 1, layer=0)
+    (tmp_path / "parent.jsonl").write_text("\n".join(parent) + "\n")
+    (tmp_path / "change.jsonl").write_text("\n".join(change) + "\n")
+    out = tmp_path / "BENCH.json"
+    run_script(
+        "bench_ledger.py", "--parent", str(tmp_path / "parent.jsonl"),
+        "--change", str(tmp_path / "change.jsonl"), "--parent-rev", "abc", "--out", str(out),
+    )
+    ledger = json.loads(out.read_text())
+    assert ledger["revs"] == {"parent": "abc", "change": None}
+    torsion = ledger["workloads"]["torsion"]
+    before, after = torsion["parent"], torsion["change"]
+    assert (before["runs"], before["traced_runs"], after["runs"]) == (3, 1, 2)
+    assert before["metrics"]["wall_ref"]["median"] == 610.0
+    assert before["metrics"]["wall_ref"]["values"] == [600.0, 620.0, 610.0]
+    assert after["metrics"]["wall_ref"]["median"] == 245.0
+    assert after["metrics"]["wall_ref"]["unit"] == "ref"
+    assert before["pass_seconds"][0] == [6.0, 6.0]
+    assert before["dense_snf_shapes"] == [[7, 7], [393, 357]]
+    assert after["dense_snf_shapes"] == []
+    assert before["layers"]["snf.smith_normal_form.calls"] == 23
+    assert (before["attempted"], before["failed"]) == (12, 0)
+    assert before["src_sha256"] == ["p"] and after["src_sha256"] == ["c"]
+    assert abs(torsion["relative_change"]["wall_ref"] - (245 / 610 - 1)) < 1e-12
+    assert torsion["relative_change"]["setup_s"] == 0.0
