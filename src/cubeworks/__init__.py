@@ -9,7 +9,6 @@ from .chains import (
     homology,
     mapping_cone,
     simplicial_chains,
-    tensor_complexes,
 )
 from .cubes import CubeMap, compose, enumerate_hom, face, identity, projection, tensor_map
 from .cubical import (

@@ -1,4 +1,10 @@
-"""Free integer chain complexes and Smith-normal-form homology."""
+"""Free integer chain complexes, chain maps and Smith-normal-form homology.
+
+Every matrix, a boundary or a chain map, is a list of columns aligned with
+its source basis; a column maps the position of a target basis element to
+its non-zero coefficient.  Basis labels live only in the `basis` lists, and
+`sparse_entries` hands one matrix to the elimination as it stands.
+"""
 
 from __future__ import annotations
 
@@ -11,15 +17,17 @@ from .snf import invariant_factors_sparse
 class ChainComplex:
     """Non-negatively graded free integer chain complex with named bases.
 
-    `basis[d]` lists the degree-d basis ids; `boundary[d]` maps a degree-d
-    basis id to {degree-(d-1) basis id: coefficient}.
+    `basis[d]` lists the degree-d basis labels and `boundary[d]` holds one
+    column per label, over the positions of `basis[d - 1]`.  Degree 0, and
+    a degree given no boundary, gets empty columns.
     """
 
     def __init__(self, basis: dict, boundary: dict, name: str = ""):
         self.basis = {d: list(b) for d, b in basis.items() if b}
-        self.boundary = boundary
+        self.boundary = {
+            d: boundary.get(d) or [{} for _ in b] for d, b in self.basis.items()
+        }
         self.name = name
-        self._index = None
 
     @property
     def top_degree(self) -> int:
@@ -28,47 +36,11 @@ class ChainComplex:
     def rank(self, d: int) -> int:
         return len(self.basis.get(d, ()))
 
-    def index(self, d: int) -> dict:
-        if self._index is None:
-            self._index = {}
-        if d not in self._index:
-            self._index[d] = {b: i for i, b in enumerate(self.basis.get(d, ()))}
-        return self._index[d]
-
-    def matrix_entries(self, d: int) -> dict:
-        """The degree-d boundary matrix as {(row, col): value} over basis indices."""
-        rows = self.index(d - 1)
-        cols = self.index(d)
-        entries = {}
-        for b in self.basis.get(d, ()):
-            for target, v in self.boundary.get(d, {}).get(b, {}).items():
-                if v:
-                    entries[(rows[target], cols[b])] = v
-        return entries
-
-    def differential_of(self, d: int, chain: dict) -> dict:
-        """Apply the boundary to a chain {basis id: coeff} in degree d."""
-        out = {}
-        bnd = self.boundary.get(d, {})
-        for b, c in chain.items():
-            for target, v in bnd.get(b, {}).items():
-                out[target] = out.get(target, 0) + c * v
-        return {k: v for k, v in out.items() if v}
-
     def validate(self):
-        for d in sorted(self.basis):
-            idx = set(self.basis.get(d - 1, ()))
-            for b in self.basis[d]:
-                for target, v in self.boundary.get(d, {}).get(b, {}).items():
-                    if target not in idx:
-                        raise ValidationError(
-                            f"boundary of {b} hits unknown basis element {target}"
-                        )
-            if d >= 1:
-                for b in self.basis[d]:
-                    dd = self.differential_of(
-                        d - 1, self.boundary.get(d, {}).get(b, {})
-                    )
+        for d, columns in self.boundary.items():
+            _check_columns(columns, self.basis[d], self.rank(d - 1), "boundary")
+            if d >= 2:
+                for b, dd in zip(self.basis[d], _product(self.boundary.get(d - 1), columns)):
                     if dd:
                         raise ValidationError(f"d∘d != 0 at {b} in degree {d}")
         return True
@@ -76,6 +48,33 @@ class ChainComplex:
     def __repr__(self):
         ranks = ", ".join(f"{d}:{self.rank(d)}" for d in sorted(self.basis))
         return f"ChainComplex({self.name or 'anon'}; ranks {{{ranks}}})"
+
+
+def _check_columns(columns, labels, rows: int, what: str):
+    """One column per label, each with positions among `rows`."""
+    if len(columns) != len(labels):
+        raise ValidationError(f"{what} has {len(columns)} columns for {len(labels)} labels")
+    for b, column in zip(labels, columns):
+        for i in column:
+            if i not in range(rows):
+                raise ValidationError(f"{what} of {b} hits position {i!r} outside 0..{rows - 1}")
+
+
+def _product(A, B) -> list:
+    """The columns of A∘B, for B's columns indexing A's columns."""
+    out = []
+    for column in B:
+        acc = {}
+        for m, v in column.items():
+            for i, w in A[m].items():
+                acc[i] = acc.get(i, 0) + v * w
+        out.append({i: v for i, v in acc.items() if v})
+    return out
+
+
+def sparse_entries(columns) -> dict:
+    """One matrix as {(row, col): value}, the input of the elimination."""
+    return {(i, j): v for j, column in enumerate(columns) for i, v in column.items() if v}
 
 
 @dataclass(frozen=True)
@@ -114,16 +113,11 @@ class HomologyReport:
 
 def homology(C: ChainComplex) -> HomologyReport:
     top = C.top_degree
-    if top < 0:
-        return HomologyReport(())
-    factors = {}
-    for d in range(top + 2):
-        if C.rank(d) and C.rank(d - 1):
-            factors[d] = invariant_factors_sparse(
-                C.matrix_entries(d), C.rank(d - 1), C.rank(d)
-            )
-        else:
-            factors[d] = []
+    factors = {
+        d: invariant_factors_sparse(sparse_entries(C.boundary[d]))
+        for d in range(1, top + 1)
+        if C.rank(d) and C.rank(d - 1)
+    }
     entries = []
     for d in range(top + 1):
         rank_d = len(factors.get(d, ()))
@@ -134,96 +128,48 @@ def homology(C: ChainComplex) -> HomologyReport:
     return HomologyReport(tuple(entries))
 
 
-def tensor_complexes(A: ChainComplex, B: ChainComplex, name: str = "") -> ChainComplex:
-    """Tensor product with the Koszul sign: d(a@b) = da@b + (-1)^|a| a@db."""
-    basis = {}
-    boundary = {}
-    for p, abasis in A.basis.items():
-        sign = -1 if p % 2 else 1
-        for q, bbasis in B.basis.items():
-            d = p + q
-            basis.setdefault(d, [])
-            bnd = boundary.setdefault(d, {})
-            for a in abasis:
-                da = A.boundary.get(p, {}).get(a, {})
-                for b in bbasis:
-                    basis[d].append((a, b))
-                    out = {}
-                    for ta, v in da.items():
-                        out[(ta, b)] = out.get((ta, b), 0) + v
-                    for tb, v in B.boundary.get(q, {}).get(b, {}).items():
-                        out[(a, tb)] = out.get((a, tb), 0) + sign * v
-                    bnd[(a, b)] = {k: v for k, v in out.items() if v}
-    return ChainComplex(basis, boundary, name=name)
-
-
 class ChainMap:
-    """A degree-0 map of complexes given on basis elements."""
+    """A degree-0 map of complexes in the boundary's format: `matrices[d]`
+    holds one column per degree-d source basis element, over the positions
+    of the degree-d target basis.  A degree given no matrix maps to zero."""
 
-    def __init__(self, source: ChainComplex, target: ChainComplex, images: dict):
+    def __init__(self, source: ChainComplex, target: ChainComplex, matrices: dict):
         self.source = source
         self.target = target
-        self.images = images  # degree -> {source basis id: {target basis id: coeff}}
-
-    def image_of(self, d: int, chain: dict) -> dict:
-        out = {}
-        img = self.images.get(d, {})
-        for b, c in chain.items():
-            for t, v in img.get(b, {}).items():
-                out[t] = out.get(t, 0) + c * v
-        return {k: v for k, v in out.items() if v}
-
-    def matrix_entries(self, d: int) -> dict:
-        rows = self.target.index(d)
-        cols = self.source.index(d)
-        entries = {}
-        for b in self.source.basis.get(d, ()):
-            for t, v in self.images.get(d, {}).get(b, {}).items():
-                if v:
-                    entries[(rows[t], cols[b])] = v
-        return entries
+        self.matrices = {
+            d: matrices.get(d) or [{} for _ in b] for d, b in source.basis.items()
+        }
 
     def validate(self):
-        for d in self.source.basis:
-            for b in self.source.basis[d]:
-                left = self.image_of(d - 1, self.source.boundary.get(d, {}).get(b, {}))
-                right = self.target.differential_of(
-                    d, self.images.get(d, {}).get(b, {})
-                )
-                if left != right:
+        S, T = self.source, self.target
+        for d, columns in self.matrices.items():
+            _check_columns(columns, S.basis[d], T.rank(d), "chain map")
+            left = _product(self.matrices.get(d - 1), S.boundary[d])
+            right = _product(T.boundary.get(d), columns)
+            for b, l, r in zip(S.basis[d], left, right):
+                if l != r:
                     raise ValidationError(f"chain map fails to commute at {b}")
         return True
 
 
 def mapping_cone(f: ChainMap, name: str = "") -> ChainComplex:
-    """cone(f)_d = A_{d-1} + B_d with d(a, b) = (-d_A a, d_B b - f a)."""
+    """cone(f)_d = A_{d-1} + B_d with d(a, b) = (-d_A a, d_B b - f a); in each
+    degree the A part comes first, so B's rows are shifted by A's rank."""
     A, B = f.source, f.target
-    basis = {}
+    degrees = sorted({d + 1 for d in A.basis} | set(B.basis))
+    basis = {
+        d: [("A", a) for a in A.basis.get(d - 1, ())] + [("B", b) for b in B.basis.get(d, ())]
+        for d in degrees
+    }
     boundary = {}
-    degrees = set()
-    for d in A.basis:
-        degrees.add(d + 1)
-    degrees.update(B.basis)
-    for d in sorted(degrees):
-        items = [("A", a) for a in A.basis.get(d - 1, ())] + [
-            ("B", b) for b in B.basis.get(d, ())
+    for d in degrees:
+        shift = A.rank(d - 2)
+        columns = [
+            {**{i: -v for i, v in da.items()}, **{shift + i: -v for i, v in fa.items()}}
+            for da, fa in zip(A.boundary.get(d - 1, ()), f.matrices.get(d - 1, ()))
         ]
-        if items:
-            basis[d] = items
-    for d in basis:
-        bnd = {}
-        for tag, x in basis[d]:
-            out = {}
-            if tag == "A":
-                for t, v in A.boundary.get(d - 1, {}).get(x, {}).items():
-                    out[("A", t)] = out.get(("A", t), 0) - v
-                for t, v in f.images.get(d - 1, {}).get(x, {}).items():
-                    out[("B", t)] = out.get(("B", t), 0) - v
-            else:
-                for t, v in B.boundary.get(d, {}).get(x, {}).items():
-                    out[("B", t)] = out.get(("B", t), 0) + v
-            bnd[(tag, x)] = {k: v for k, v in out.items() if v}
-        boundary[d] = bnd
+        columns += [{shift + i: v for i, v in db.items()} for db in B.boundary.get(d, ())]
+        boundary[d] = columns
     return ChainComplex(basis, boundary, name=name or "cone")
 
 
@@ -249,16 +195,20 @@ def _cell_chains(X, sign) -> ChainComplex:
     for d, cells in basis.items():
         if d == 0:
             continue
+        row = {c: i for i, c in enumerate(basis.get(d - 1, ()))}
         signed = [(i, sign(*i)) for i in X.face_indices(d)]
-        bnd = {}
+        columns = []
         for c in cells:
             out = {}
             for i, s in signed:
                 ref = faces[(c, *i)]
                 if not ref.degens:
-                    out[ref.base] = out.get(ref.base, 0) + s
-            bnd[c] = {k: v for k, v in out.items() if v}
-        boundary[d] = bnd
+                    r = row[ref.base]
+                    out[r] = out.get(r, 0) + s
+            # keep the accumulating dict unless a coefficient cancelled: one
+            # dict per cell instead of two leaves the heap less fragmented
+            columns.append(out if all(out.values()) else {k: v for k, v in out.items() if v})
+        boundary[d] = columns
     return ChainComplex(basis, boundary, name=f"C({X.name})")
 
 

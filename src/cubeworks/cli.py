@@ -27,6 +27,7 @@ from .cubical import (
     tensor,
 )
 from .enriched import (
+    EnrichedPresentation,
     build_E,
     build_H,
     build_P,
@@ -97,20 +98,21 @@ def _resolve_simplicial(ws: Workspace, spec: str):
     return obj, None
 
 
-def _resolve_presentation(ws: Workspace, spec: str):
-    builders = {
-        "point": lambda: special_category("point"),
-        "interval": lambda: special_category("interval"),
-        "tilde": lambda: special_category("interval_tilde"),
-        "P": build_P,
-        "H": build_H,
-        "E": build_E,
-    }
-    if spec in builders:
-        return builders[spec]()
-    obj = ws.load(spec)
-    from .enriched import EnrichedPresentation
+_PRESENTATIONS = {
+    "point": lambda: special_category("point"),
+    "interval": lambda: special_category("interval"),
+    "tilde": lambda: special_category("interval_tilde"),
+    "P": build_P,
+    "H": build_H,
+    "E": build_E,
+}
 
+
+def _resolve_presentation(ws: Workspace, spec: str):
+    """A stored presentation, or failing one a built-in of that name."""
+    if spec in _PRESENTATIONS and spec not in ws.manifest["entries"]:
+        return _PRESENTATIONS[spec]()
+    obj = ws.load(spec)
     if not isinstance(obj, EnrichedPresentation):
         raise ValidationError(f"{spec!r} is not a presentation")
     return obj
@@ -200,7 +202,7 @@ def cmd_enriched(args, ws):
         if args.what == "interval" and getattr(args, "label", None):
             pres = special_category("interval", _resolve_cubical(ws, args.label))
         else:
-            pres = _resolve_presentation(ws, args.what)
+            pres = _PRESENTATIONS[args.what]()
         _maybe_store(ws, args.name, pres)
         _emit(to_json(pres))
         return 0
@@ -320,7 +322,7 @@ def build_parser():
     e = sub.add_parser("enriched", help="enriched-category constructions")
     e_sub = e.add_subparsers(dest="enriched_cmd", required=True)
     eb = e_sub.add_parser("build")
-    eb.add_argument("what", choices=["point", "interval", "tilde", "P", "H", "E"])
+    eb.add_argument("what", choices=list(_PRESENTATIONS))
     eb.add_argument("--label", help="edge label for interval (cube:N or a stored name)")
     eb.add_argument("--name")
     ms = e_sub.add_parser("map-space")

@@ -183,21 +183,23 @@ def coproduct(X: CubicalSet, Y: CubicalSet) -> tuple:
     return Z, inl, inr
 
 
-class _UnionFind:
+class UnionFind:
+    """Disjoint classes keeping the least member as the root."""
+
     def __init__(self):
         self.parent = {}
 
     def find(self, x):
-        p = self.parent.setdefault(x, x)
-        if p != x:
-            p = self.find(p)
-            self.parent[x] = p
-        return p
+        parent = self.parent
+        p = parent.setdefault(x, x)
+        while p != x:
+            parent[x] = x = parent[p]  # path halving
+            p = parent[x]
+        return x
 
     def union(self, x, y):
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
-            # keep the lexicographically smaller root for determinism
             if ry < rx:
                 rx, ry = ry, rx
             self.parent[ry] = rx
@@ -225,7 +227,7 @@ def pushout(f: CubicalMap, g: CubicalMap) -> tuple:
     A, X, Y = f.source, f.target, g.target
     N = max(X.dim_bound, Y.dim_bound, A.dim_bound, 0)
 
-    uf = _UnionFind()
+    uf = UnionFind()
     idents = {}  # dim -> list of (token, token)
     for a, da in A.cells.items():
         fa, ga = f.assignment[a], g.assignment[a]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cubical import CellRef, CubicalSet, nd
+from .cubical import CellRef, CubicalSet, UnionFind, nd
 from .errors import GuardError, ValidationError
 
 
@@ -602,38 +602,13 @@ def mapping_space(pres, x, y, bound: int, with_stability: bool = True) -> Mappin
 # -- homotopy category -----------------------------------------------------------
 
 
-class _Classes:
-    """0-cells of a truncation modulo the relation generated by 1-cells."""
-
-    def __init__(self, space: CubicalSet):
-        parent = {}
-
-        def find(a):
-            while parent.get(a, a) != a:
-                parent[a] = parent.get(parent[a], parent[a])
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-
-        for c in space.by_dim(0):
-            parent.setdefault(c, c)
-        for c in space.by_dim(1):
-            a = space.faces[(c, 1, 0)].base
-            b = space.faces[(c, 1, 1)].base
-            union(a, b)
-        self.rep = {c: find(c) for c in space.by_dim(0)}
-
-    def classes(self):
-        table = {}
-        for c, r in self.rep.items():
-            table.setdefault(r, set()).add(c)
-        return table
+def _classes(space: CubicalSet) -> dict:
+    """Each 0-cell of a truncation with the representative of its class
+    modulo the relation generated by 1-cells."""
+    uf = UnionFind()
+    for c in space.by_dim(1):
+        uf.union(space.faces[(c, 1, 0)].base, space.faces[(c, 1, 1)].base)
+    return {c: uf.find(c) for c in space.by_dim(0)}
 
 
 @dataclass
@@ -685,32 +660,30 @@ def homotopy_category(pres, bound: int) -> HomotopyCategory:
             levels = _WordFiltration(pres, x, y, bound + 1)
             small, words = levels.level(bound)
             large, _ = levels.level(bound + 1)
-            cs, cl = _Classes(small), _Classes(large)
-            small_classes = cs.classes()
-            merged = {}
-            for rep_small in small_classes:
-                merged.setdefault(cl.rep[rep_small], []).append(rep_small)
-            if any(len(v) > 1 for v in merged.values()):
+            cs, cl = _classes(small), _classes(large)
+            small_reps = set(cs.values())
+            if len({cl[r] for r in small_reps}) < len(small_reps):
                 raise GuardError(
                     f"homotopy classes of Map({x},{y}) merge between bounds "
                     f"{bound} and {bound + 1}; increase the bound"
                 )
-            for big_rep, cells in cl.classes().items():
-                if not any(c in cs.rep for c in cells):
-                    raise GuardError(
-                        f"new homotopy class of Map({x},{y}) appears at bound "
-                        f"{bound + 1}; increase the bound"
-                    )
+            if {cl[c] for c in cs} != set(cl.values()):
+                raise GuardError(
+                    f"new homotopy class of Map({x},{y}) appears at bound "
+                    f"{bound + 1}; increase the bound"
+                )
             spaces[(x, y)] = (words, cs)
 
     homs = {}
     class_of = {}
     rep_words = {}
     for (x, y), (words, cs) in spaces.items():
-        table = cs.classes()
+        table = {}
+        for c, r in cs.items():
+            table.setdefault(r, set()).add(c)
         reps = sorted(table)
         homs[(x, y)] = reps
-        class_of[(x, y)] = dict(cs.rep)
+        class_of[(x, y)] = cs
         for rep in reps:
             best = min(table[rep], key=lambda c: (len(words[c]), c))
             rep_words[(x, y, rep)] = words[best]

@@ -87,10 +87,26 @@ def _letter_to_json(letter) -> dict:
     return {"kind": "att", "index": letter[1], "cell": letter[2]}
 
 
+def _fields(data, what: str, **types) -> list:
+    """The named fields of a wire object, each required and of its type."""
+    if type(data) is not dict or not all(type(data.get(k)) is t for k, t in types.items()):
+        raise ValidationError(f"malformed {what} {repr(data):.80}")
+    return [data[k] for k in types]
+
+
 def _letter_from_json(data) -> tuple:
-    if data["kind"] == "edge":
-        return ("e", data["source"], data["target"], data["cell"])
-    return ("a", data["index"], data["cell"])
+    kind = data.get("kind") if type(data) is dict else None
+    if kind == "edge":
+        return ("e", *_fields(data, "letter", source=str, target=str, cell=str))
+    if kind == "att":
+        return ("a", *_fields(data, "letter", index=int, cell=str))
+    raise ValidationError(f"malformed letter {repr(data):.80}")
+
+
+def _letters(data, what: str) -> list:
+    if type(data) is not list:
+        raise ValidationError(f"malformed {what} {repr(data):.80}")
+    return [_letter_from_json(l) for l in data]
 
 
 def presentation_to_json(P: EnrichedPresentation) -> dict:
@@ -125,29 +141,40 @@ def presentation_to_json(P: EnrichedPresentation) -> dict:
 
 
 def presentation_from_json(data: dict) -> EnrichedPresentation:
+    """Parse a presentation, checking the shape of every field; the cubical
+    spaces get the shape check of `presented_from_json`."""
     if data.get("schema") != SCHEMA or data.get("kind") != "presentation":
         raise ValidationError("not a cubeworks/1 presentation")
-    P = EnrichedPresentation(data["objects"], None, data.get("name", ""))
-    for e in data["edges"]:
-        P.edges[(e["source"], e["target"])] = presented_from_json(e["space"], CubicalSet)
-    for a in data["attachments"]:
+    objects, edges, attachments = _fields(
+        data, "presentation", objects=list, edges=list, attachments=list
+    )
+    name = data.get("name", "")
+    if not all(type(x) is str for x in (*objects, name)):
+        raise ValidationError("presentation objects and name must be strings")
+    P = EnrichedPresentation(objects, None, name)
+    for e in edges:
+        source, target, space = _fields(e, "edge", source=str, target=str, space=dict)
+        P.edges[(source, target)] = presented_from_json(space, CubicalSet)
+    for a in attachments:
+        space, a_cells, source, target, words = _fields(
+            a, "attachment", space=dict, a_cells=list, source=str, target=str, boundary=dict
+        )
+        if not all(type(c) is str for c in a_cells):
+            raise ValidationError(f"malformed attachment cells {repr(a_cells):.80}")
         P.attachments.append(
             Attachment(
-                presented_from_json(a["space"], CubicalSet),
-                frozenset(a["a_cells"]),
-                a["source"],
-                a["target"],
-                {
-                    c: tuple(_letter_from_json(l) for l in w)
-                    for c, w in a["boundary"].items()
-                },
+                presented_from_json(space, CubicalSet),
+                frozenset(a_cells),
+                source,
+                target,
+                {c: tuple(_letters(w, "word")) for c, w in words.items()},
             )
         )
-    P.cancel_pairs = {
-        (_letter_from_json(a), _letter_from_json(b))
-        for a, b in data.get("cancel_pairs", [])
-    }
-    P.zero_weight = {_letter_from_json(l) for l in data.get("zero_weight", [])}
+    pairs = data.get("cancel_pairs", [])
+    if type(pairs) is not list or not all(type(p) is list and len(p) == 2 for p in pairs):
+        raise ValidationError(f"cancel_pairs must be a list of letter pairs, not {repr(pairs):.80}")
+    P.cancel_pairs = {(_letter_from_json(a), _letter_from_json(b)) for a, b in pairs}
+    P.zero_weight = set(_letters(data.get("zero_weight", []), "zero_weight"))
     return P
 
 

@@ -22,6 +22,7 @@ from .chains import (
     is_acyclic,
     mapping_cone,
     point_complex,
+    sparse_entries,
 )
 from .cubical import (
     CubicalMap,
@@ -47,9 +48,6 @@ class CylinderDatum:
     end1: str
     collapse_coeffs: dict  # degree-0 basis id -> integer image in the unit
 
-    def ends(self):
-        return self.end0, self.end1
-
     def validate(self, require: bool = True):
         """Check the cylinder-object axioms; returns a detail dict.
 
@@ -68,14 +66,11 @@ class CylinderDatum:
         details["boundary_squares_to_zero"] = True  # degree <= 1, automatic
 
         # collapse must be a chain map to the unit complex
-        collapse_is_chain_map = True
-        for e in C.basis.get(1, ()):
-            total = sum(
-                v * self.collapse_coeffs.get(t, 0)
-                for t, v in C.boundary.get(1, {}).get(e, {}).items()
-            )
-            if total != 0:
-                collapse_is_chain_map = False
+        coeffs = [self.collapse_coeffs.get(b, 0) for b in C.basis[0]]
+        collapse_is_chain_map = all(
+            sum(v * coeffs[i] for i, v in column.items()) == 0
+            for column in C.boundary.get(1, ())
+        )
         details["collapse_chain_map"] = collapse_is_chain_map
         ok &= collapse_is_chain_map
 
@@ -91,10 +86,9 @@ class CylinderDatum:
         ok &= details["ends_injective"]
 
         unit = point_complex("g")
-        incl0 = ChainMap(unit, C, {0: {"g": {self.end0: 1}}})
-        incl1 = ChainMap(unit, C, {0: {"g": {self.end1: 1}}})
         cones_acyclic = True
-        for incl in (incl0, incl1):
+        for end in (self.end0, self.end1):
+            incl = ChainMap(unit, C, {0: [{C.basis[0].index(end): 1}]})
             try:
                 incl.validate()
             except ValidationError:
@@ -106,9 +100,7 @@ class CylinderDatum:
         ok &= cones_acyclic
 
         if collapse_is_chain_map:
-            collapse = ChainMap(
-                C, unit, {0: {b: {"g": self.collapse_coeffs.get(b, 0)} for b in C.basis[0]}}
-            )
+            collapse = ChainMap(C, unit, {0: [{0: c} if c else {} for c in coeffs]})
             details["collapse_weak_equivalence"] = is_acyclic(mapping_cone(collapse))
         else:
             details["collapse_weak_equivalence"] = False
@@ -123,7 +115,7 @@ class CylinderDatum:
 def standard_cylinder() -> CylinderDatum:
     C = ChainComplex(
         {0: ["[0]", "[1]"], 1: ["e"]},
-        {1: {"e": {"[1]": 1, "[0]": -1}}},
+        {1: [{1: 1, 0: -1}]},
         name="interval-complex",
     )
     return CylinderDatum(C, "[0]", "[1]", {"[0]": 1, "[1]": 1})
@@ -134,7 +126,7 @@ def broken_cylinder() -> CylinderDatum:
     cylinder (the fold factorization cannot exist)."""
     C = ChainComplex(
         {0: ["[0]", "[1]"], 1: ["e"]},
-        {1: {"e": {"[1]": 1, "[0]": 1}}},
+        {1: [{1: 1, 0: 1}]},
         name="broken-interval",
     )
     return CylinderDatum(C, "[0]", "[1]", {"[0]": 1, "[1]": 1})
@@ -151,44 +143,38 @@ def chain_realize(X: CubicalSet, cyl: CylinderDatum) -> ChainComplex:
     """
     from itertools import product as iproduct
 
-    gens1 = list(cyl.complex.basis.get(1, ()))
-    d_of = {e: cyl.complex.boundary.get(1, {}).get(e, {}) for e in gens1}
-    e0, e1 = cyl.end0, cyl.end1
+    C = cyl.complex
+    gens1 = C.basis.get(1, [])
+    i0, i1 = C.basis[0].index(cyl.end0), C.basis[0].index(cyl.end1)
+    # each generator's coefficients on the ends, as (eps, coefficient)
+    d_of = {
+        e: ((1, column.get(i1, 0)), (0, column.get(i0, 0)))
+        for e, column in zip(gens1, C.boundary.get(1, ()))
+    }
 
-    basis = {}
+    basis = {
+        d: [(c, w) for c in X.by_dim(d) for w in iproduct(gens1, repeat=d)]
+        for d in range(X.dim_bound + 1)
+    }
     boundary = {}
-    for d in range(X.dim_bound + 1):
-        cells = X.by_dim(d)
-        if not cells:
-            continue
-        words = list(iproduct(gens1, repeat=d))
-        if not words:
-            if d > 0:
-                continue
-            words = [()]
-        basis[d] = [(c, w) for c in cells for w in words]
-    for d in basis:
-        if d == 0:
-            continue
-        bnd = {}
+    for d in range(1, X.dim_bound + 1):
+        row = {b: i for i, b in enumerate(basis[d - 1])}
+        columns = []
         for (c, w) in basis[d]:
             out = {}
             for k in range(1, d + 1):
                 sign = -1 if (k - 1) % 2 else 1
-                letter = w[k - 1]
                 rest = w[: k - 1] + w[k:]
-                coeff1 = d_of[letter].get(e1, 0)
-                coeff0 = d_of[letter].get(e0, 0)
-                for eps, cf in ((1, coeff1), (0, coeff0)):
+                for eps, cf in d_of[w[k - 1]]:
                     if not cf:
                         continue
                     ref = X.faces[(c, k, eps)]
                     if ref.degens:
                         continue  # degenerate directions die under the collapse
-                    key = (ref.base, rest)
-                    out[key] = out.get(key, 0) + sign * cf
-            bnd[(c, w)] = {k: v for k, v in out.items() if v}
-        boundary[d] = bnd
+                    r = row[(ref.base, rest)]
+                    out[r] = out.get(r, 0) + sign * cf
+            columns.append({k: v for k, v in out.items() if v})
+        boundary[d] = columns
     return ChainComplex(basis, boundary, name=f"F({X.name})")
 
 
@@ -199,17 +185,15 @@ def chain_realize_map(f: CubicalMap, cyl: CylinderDatum,
     degenerate."""
     FS = source if source is not None else chain_realize(f.source, cyl)
     FT = target if target is not None else chain_realize(f.target, cyl)
-    images = {}
+    matrices = {}
     for d, items in FS.basis.items():
-        img_d = {}
+        row = {b: i for i, b in enumerate(FT.basis.get(d, ()))}
+        columns = []
         for (c, w) in items:
             ref = f.assignment[c]
-            if ref.degens:
-                img_d[(c, w)] = {}
-            else:
-                img_d[(c, w)] = {(ref.base, w): 1}
-        images[d] = img_d
-    return ChainMap(FS, FT, images)
+            columns.append({} if ref.degens else {row[(ref.base, w)]: 1})
+        matrices[d] = columns
+    return ChainMap(FS, FT, matrices)
 
 
 def cofibration_check(f: ChainMap) -> dict:
@@ -218,10 +202,7 @@ def cofibration_check(f: ChainMap) -> dict:
     injective = True
     cokernel_free = True
     for d in degrees:
-        entries = f.matrix_entries(d)
-        factors = invariant_factors_sparse(
-            entries, f.target.rank(d), f.source.rank(d)
-        )
+        factors = invariant_factors_sparse(sparse_entries(f.matrices.get(d, ())))
         if len(factors) != f.source.rank(d):
             injective = False
         if any(v != 1 for v in factors):

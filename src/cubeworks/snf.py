@@ -133,7 +133,7 @@ def smith_normal_form(M) -> SNFResult:
 # -- sparse invariant factors --------------------------------------------------
 
 
-def invariant_factors_sparse(entries, nrows: int, ncols: int):
+def invariant_factors_sparse(entries):
     """Invariant factors of a sparse integer matrix given as {(i, j): v}.
 
     Pivots are eliminated on the sparse structure, shortest row first

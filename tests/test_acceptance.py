@@ -4,6 +4,8 @@ Run with -s to see one line per criterion; `cubeworks verify all` prints the
 same table.
 """
 
+import contextlib
+import io
 import json
 from unittest import mock
 
@@ -37,22 +39,31 @@ def test_criterion_3_needs_both_routes(route):
     assert all(row["isomorphic"] is (route == "search") for row in detail["associativity"])
 
 
-def test_verify_all_cli_exits_zero(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    # one serial acceptance run through the CLI, shared by the two tests below
     from cubeworks.cli import main
+    from cubeworks.io_json import Workspace
 
-    code = main(["--workspace", str(tmp_path / "ws"), "verify", "all"])
-    out = capsys.readouterr().out
+    ws = str(tmp_path_factory.mktemp("acceptance") / "ws")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["--workspace", ws, "verify", "all"])
+    return code, out.getvalue(), Workspace(ws).load("acceptance_report")["results"]
+
+
+def test_verify_all_cli_exits_zero(cli_run):
+    code, out, _ = cli_run
     assert "ALL CRITERIA PASS" in out
     assert code == 0
 
 
-def test_verify_all_report_deterministic(tmp_path):
-    # a serial run and a process-pool run produce identical reports modulo
-    # the timing field
-    from cubeworks.verify import run_all
-
-    r1, ok1 = run_all()
-    r2, ok2 = run_all(jobs=2)
-    strip = lambda rs: [{k: v for k, v in r.items() if k != "seconds"} for r in rs]
-    assert strip(r1) == strip(r2)
-    assert ok1 and ok2
+def test_verify_all_report_deterministic(cli_run):
+    # the CLI's stored serial report equals a process-pool run modulo the
+    # timing field
+    _, _, stored = cli_run
+    pooled, ok = verify.run_all(jobs=2)
+    assert ok
+    strip = [{k: v for k, v in r.items() if k != "seconds"} for r in pooled]
+    # the detail rows hold tuples, which the stored JSON holds as lists
+    assert stored == json.loads(json.dumps(strip))

@@ -4,7 +4,7 @@ import pytest
 
 from cubeworks.cli import main
 from cubeworks.cubical import CubicalSet, boundary, open_box, standard_cube, tensor
-from cubeworks.enriched import build_E, build_H, special_category
+from cubeworks.enriched import build_E, build_H, build_P, special_category
 from cubeworks.errors import ValidationError
 from cubeworks.io_json import (
     Workspace,
@@ -332,6 +332,83 @@ def test_cli_names_that_extend_a_keyword_read_back(capsys, tmp_path):
     assert code == 0
     code, inline = run(capsys, tmp_path, "homology", "box:2:1:0")
     assert code == 0 and stored == inline
+
+
+def test_cli_stored_presentation_shadows_builtin_name(capsys, tmp_path):
+    code, builtin_P = run(capsys, tmp_path, "enriched", "map-space", "P", "c", "c", "--bound", "2")
+    assert code == 0 and json.loads(builtin_P)["cells"] == {"0": 2}
+    code, _ = run(capsys, tmp_path, "enriched", "build", "E", "--name", "E")
+    assert code == 0
+    code, _ = run(capsys, tmp_path, "enriched", "localize", "E", "u", "--name", "P")
+    assert code == 0
+    code, out = run(capsys, tmp_path, "enriched", "map-space", "P", "c", "c", "--bound", "2")
+    assert code == 0 and json.loads(out)["cells"] == {"0": 7, "1": 10, "2": 4}
+    # build always builds the built-in, whatever the workspace holds
+    code, out = run(capsys, tmp_path, "enriched", "build", "P")
+    assert code == 0 and json.loads(out) == to_json(build_P())
+
+
+_LETTER = {"kind": "edge", "source": "c", "target": "c'", "cell": "u"}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda data: data.pop("edges"),
+        _set(["objects"], "cc'"),
+        _set(["objects"], {"c": 0}),
+        _set(["objects"], [["c"]]),
+        _set(["edges"], {}),
+        _set(["edges", 0], "c->c'"),
+        lambda data: data["edges"][0].pop("source"),
+        _set(["edges", 0, "space"], []),
+        lambda data: data.pop("attachments"),
+        _set(["attachments", 0, "a_cells"], [["h0"]]),
+        _set(["attachments", 0, "boundary", "h0"], _LETTER),
+        _set(["cancel_pairs"], [[_LETTER]]),
+        _set(["cancel_pairs"], [_LETTER]),
+        _set(["cancel_pairs"], {}),
+        _set(["zero_weight"], [{"kind": "loop", "cell": "u"}]),
+        _set(["zero_weight"], [{"kind": "edge", "cell": "u"}]),
+        _set(["zero_weight"], [{"kind": "att", "index": "0", "cell": "u"}]),
+        _set(["zero_weight"], ["u"]),
+        _set(["zero_weight"], _LETTER),
+        _set(["name"], 3),
+    ],
+    ids=[
+        "no-edges",
+        "objects-string",
+        "objects-object",
+        "objects-nested",
+        "edges-object",
+        "edge-string",
+        "edge-without-source",
+        "edge-space-list",
+        "no-attachments",
+        "a-cells-nested",
+        "word-not-list",
+        "one-letter-cancel-pair",
+        "cancel-pair-not-list",
+        "cancel-pairs-object",
+        "letter-unknown-kind",
+        "edge-letter-missing-fields",
+        "att-letter-string-index",
+        "letter-string",
+        "zero-weight-object",
+        "int-name",
+    ],
+)
+def test_cli_malformed_presentation_exits_2(capsys, tmp_path, edit):
+    code, _ = run(capsys, tmp_path, "enriched", "build", "E", "--name", "saved")
+    assert code == 0
+    path = tmp_path / "ws" / "saved.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    code = main(["--workspace", str(tmp_path / "ws"), "enriched", "map-space", "saved", "c", "c", "--bound", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_wire_format_of_both_kinds():

@@ -8,6 +8,7 @@ from cubeworks.cubical import (
     CellRef,
     CubicalMap,
     CubicalSet,
+    UnionFind,
     _pair_id,
     boundary,
     coproduct,
@@ -170,6 +171,28 @@ def test_pushout_collapsing_an_edge_repoints_degenerately():
     Q.validate()
     assert Q.cell_counts() == {0: 3, 1: 3, 2: 1}
     assert leg_sq.assignment["0*"].degens != ()
+
+
+def test_union_find_long_chain_and_least_roots():
+    # each union hangs the previous root under a new least one, so the chain
+    # from n down to 0 is n links long before the first find walks it
+    n = 20_000
+    uf = UnionFind()
+    for i in range(n - 1, -1, -1):
+        uf.union(i, i + 1)
+    assert uf.find(n) == 0
+    assert all(uf.find(i) == 0 for i in range(n + 1))
+    rng = random.Random(11)
+    pairs = [(rng.randrange(60), rng.randrange(60)) for _ in range(40)]
+    uf = UnionFind()
+    for a, b in pairs:
+        uf.union(a, b)
+    classes = {x: {x} for x in range(60)}
+    for a, b in pairs:  # the classes by brute force
+        merged = classes[a] | classes[b]
+        for x in merged:
+            classes[x] = merged
+    assert all(uf.find(x) == min(classes[x]) for x in range(60))
 
 
 def test_tensor_of_cubes_is_cube():

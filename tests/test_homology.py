@@ -16,7 +16,7 @@ from cubeworks.chains import (
     mapping_cone,
     point_complex,
     simplicial_chains,
-    tensor_complexes,
+    sparse_entries,
 )
 from cubeworks.cubical import (
     CellRef,
@@ -32,6 +32,7 @@ from cubeworks.cubical import (
 )
 from cubeworks.enriched import mapping_space
 from cubeworks.errors import GuardError, ValidationError
+from cubeworks.james import james
 from cubeworks.james_compare import james_translation, localized_E
 from cubeworks.presented import disjoint_union, find_isomorphism
 from cubeworks.simplicial import (
@@ -170,7 +171,7 @@ def test_sparse_invariant_factors_match_dense():
             n = rng.randint(1, 9)
             M = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
             entries = {(i, j): M[i][j] for i in range(m) for j in range(n) if M[i][j]}
-            assert invariant_factors_sparse(entries, m, n) == smith_normal_form(M).diag
+            assert invariant_factors_sparse(entries) == smith_normal_form(M).diag
 
 
 @st.composite
@@ -217,7 +218,7 @@ def test_sparse_invariant_factors_property(matrix):
         return smith_normal_form(R)
 
     with mock.patch.object(snf, "smith_normal_form", dense):
-        factors = invariant_factors_sparse(entries, m, n)
+        factors = invariant_factors_sparse(entries)
     assert factors == smith_normal_form(M).diag
     assert entries == given_entries
     # every unit entry, including one made by fill, is pivoted on sparsely
@@ -255,7 +256,7 @@ def test_sparse_divisible_pivots(entries, m, n, factors, remainders):
         return smith_normal_form(R)
 
     with mock.patch.object(snf, "smith_normal_form", dense):
-        assert invariant_factors_sparse(entries, m, n) == factors
+        assert invariant_factors_sparse(entries) == factors
     M = [[entries.get((i, j), 0) for j in range(n)] for i in range(m)]
     assert smith_normal_form(M).diag == factors
     assert found == remainders
@@ -263,7 +264,7 @@ def test_sparse_divisible_pivots(entries, m, n, factors, remainders):
 
 def test_torsion_detected():
     # boundary matrix multiplying by 2: Z -2-> Z, homology Z/2 in degree 0
-    C = ChainComplex({0: ["a"], 1: ["b"]}, {1: {"b": {"a": 2}}})
+    C = ChainComplex({0: ["a"], 1: ["b"]}, {1: [{0: 2}]})
     rep = homology(C)
     assert rep.betti(0) == 0
     assert rep.torsion(0) == (2,)
@@ -776,6 +777,120 @@ def test_kunneth_sphere_times_loop():
 # -- chain-complex utilities ----------------------------------------------------
 
 
+def tensor_complexes(A: ChainComplex, B: ChainComplex, name: str = "") -> ChainComplex:
+    """Tensor product with the Koszul sign: d(a@b) = da@b + (-1)^|a| a@db.
+    Degree d lists the blocks A_p x B_q with p + q = d, each pair (a, b)
+    ordered by a, then b."""
+    basis = {}
+    start = {}  # (p, q) -> position of the block A_p x B_q in degree p + q
+    for p, abasis in A.basis.items():
+        for q, bbasis in B.basis.items():
+            items = basis.setdefault(p + q, [])
+            start[(p, q)] = len(items)
+            items.extend((a, b) for a in abasis for b in bbasis)
+    boundary = {}
+    for (p, q) in start:
+        sign = -1 if p % 2 else 1
+        columns = boundary.setdefault(p + q, [])
+        for a, da in enumerate(A.boundary[p]):
+            for b, db in enumerate(B.boundary[q]):
+                column = {start[(p - 1, q)] + ta * B.rank(q) + b: v for ta, v in da.items()}
+                column.update(
+                    {start[(p, q - 1)] + a * B.rank(q - 1) + tb: sign * v for tb, v in db.items()}
+                )
+                columns.append(column)
+    return ChainComplex(basis, boundary, name=name)
+
+
+def by_label(columns, sources, targets) -> dict:
+    """Columns rendered back to labels: {source label: {target label: coefficient}}."""
+    return {s: {targets[i]: v for i, v in column.items()} for s, column in zip(sources, columns)}
+
+
+def reference_entries(X, sign) -> dict:
+    """The elimination input built the way earlier releases built it: chains
+    keyed by cell id, re-keyed to basis positions per degree."""
+    basis = {d: list(X.by_dim(d)) for d in range(X.dim_bound + 1) if X.by_dim(d)}
+    index = {d: {c: i for i, c in enumerate(cells)} for d, cells in basis.items()}
+    out = {}
+    for d, cells in basis.items():
+        if d == 0 or d - 1 not in basis:
+            continue
+        signed = [(i, sign(*i)) for i in X.face_indices(d)]
+        entries = {}
+        for c in cells:
+            chain = {}
+            for i, s in signed:
+                ref = X.faces[(c, *i)]
+                if not ref.degens:
+                    chain[ref.base] = chain.get(ref.base, 0) + s
+            for target, v in chain.items():
+                if v:
+                    entries[(index[d - 1][target], index[d][c])] = v
+        out[d] = entries
+    return out
+
+
+def _rp2_power(k):
+    X = projective_plane()
+    for _ in range(k - 1):
+        X = tensor(X, projective_plane())
+    return X
+
+
+_CUBICAL_SIGN = lambda k, eps: (-1) ** k * (1 if eps else -1)
+_SIMPLICIAL_SIGN = lambda j: (-1) ** j
+
+_ELIMINATION_FIXTURES = {
+    **{f"cube{n}": (lambda n=n: standard_cube(n)) for n in range(5)},
+    **{f"boundary{n}": (lambda n=n: boundary(n)[0]) for n in range(2, 6)},
+    **{f"rp2^{k}": (lambda k=k: _rp2_power(k)) for k in range(1, 4)},
+    "triangulated-rp2^2": lambda: triangulate(_rp2_power(2)),
+    "james-wedge-3": lambda: james(wedge_of_intervals(2), "w", 3),
+    "james-circle-5": lambda: james(circle(), "v", 5),
+}
+
+
+@pytest.mark.parametrize("fixture", list(_ELIMINATION_FIXTURES))
+def test_elimination_input_matches_reference(fixture):
+    X = _ELIMINATION_FIXTURES[fixture]()
+    simplicial = isinstance(X, SimplicialSet)
+    C = (simplicial_chains if simplicial else cubical_chains)(X)
+    reference = reference_entries(X, _SIMPLICIAL_SIGN if simplicial else _CUBICAL_SIGN)
+    assert sorted(C.basis) == list(range(X.dim_bound + 1))
+    assert C.boundary[0] == [{}] * C.rank(0)
+    for d in range(1, X.dim_bound + 1):
+        # item for item and in order, so the elimination pivots as before
+        assert list(sparse_entries(C.boundary[d]).items()) == list(reference[d].items())
+
+
+def test_validate_refuses_position_out_of_range():
+    for column in ({0: 1, 2: -1}, {-1: 1}, {"a": 1}):
+        C = ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [column]})
+        with pytest.raises(ValidationError, match="outside"):
+            C.validate()
+    C = ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [{1: 1, 0: -1}, {}]})
+    with pytest.raises(ValidationError, match="columns"):
+        C.validate()
+
+
+def test_validate_refuses_nonzero_dd():
+    basis = {0: ["a", "b"], 1: ["e"], 2: ["s"]}
+    ChainComplex(basis, {1: [{1: 1, 0: -1}], 2: [{}]}).validate()
+    with pytest.raises(ValidationError, match="d∘d != 0 at s"):
+        ChainComplex(basis, {1: [{1: 1, 0: -1}], 2: [{0: 1}]}).validate()
+
+
+def test_chain_map_validate_refuses_non_commuting_map():
+    interval = ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [{1: 1, 0: -1}]})
+    unit = point_complex("g")
+    ChainMap(interval, unit, {0: [{0: 1}, {0: 1}]}).validate()
+    with pytest.raises(ValidationError, match="fails to commute at e"):
+        ChainMap(interval, unit, {0: [{0: 1}, {}]}).validate()
+    with pytest.raises(ValidationError, match="outside"):
+        ChainMap(unit, interval, {0: [{2: 1}]}).validate()
+
+
 def test_tensor_complex_matches_tensor_of_sets():
     X = boundary(2)[0]
     Y = standard_cube(1)
@@ -787,7 +902,7 @@ def test_tensor_complex_matches_tensor_of_sets():
 
 def test_mapping_cone_of_identity_is_acyclic():
     C = cubical_chains(boundary(2)[0])
-    ident = ChainMap(C, C, {d: {b: {b: 1} for b in C.basis[d]} for d in C.basis})
+    ident = ChainMap(C, C, {d: [{i: 1} for i in range(C.rank(d))] for d in C.basis})
     ident.validate()
     cone = mapping_cone(ident)
     cone.validate()
@@ -798,7 +913,7 @@ def test_mapping_cone_detects_non_equivalence():
     C = cubical_chains(standard_cube(0))
     D = cubical_chains(boundary(2)[0])
     # include the point onto one vertex of the circle: H1 differs
-    f = ChainMap(C, D, {0: {"pt": {"00": 1}}})
+    f = ChainMap(C, D, {0: [{D.basis[0].index("00"): 1}]})
     f.validate()
     cone = mapping_cone(f)
     rep = homology(cone)

@@ -8,7 +8,6 @@ from cubeworks.chains import (
     is_acyclic,
     mapping_cone,
     point_complex,
-    tensor_complexes,
 )
 from cubeworks.cubical import (
     boundary,
@@ -24,6 +23,7 @@ from cubeworks.cubical import (
     tensor,
 )
 from cubeworks.errors import ValidationError
+from test_homology import by_label, tensor_complexes
 from cubeworks.realize import (
     CylinderDatum,
     broken_cylinder,
@@ -58,7 +58,7 @@ def test_collapse_retracts_inclusions():
 def test_mapping_cone_of_end_inclusion_vanishes():
     cyl = standard_cylinder()
     unit = point_complex("g")
-    incl = ChainMap(unit, cyl.complex, {0: {"g": {cyl.end0: 1}}})
+    incl = ChainMap(unit, cyl.complex, {0: [{cyl.complex.basis[0].index(cyl.end0): 1}]})
     incl.validate()
     assert is_acyclic(mapping_cone(incl))
 
@@ -77,7 +77,7 @@ def test_chain_realize_interval_is_interval_complex():
     F.validate()
     assert F.rank(0) == 2 and F.rank(1) == 1
     (edge,) = F.basis[1]
-    bnd = F.boundary[1][edge]
+    bnd = by_label(F.boundary[1], F.basis[1], F.basis[0])[edge]
     assert bnd == {("1", ()): 1, ("0", ()): -1}
 
 
@@ -116,12 +116,11 @@ def test_chain_realize_tensor_compatibility():
                 for ((x, wx), (y, wy)) in items:
                     pairing[((x, wx), (y, wy))] = (f"{x}|{y}", wx + wy)
             for d, items in TF.basis.items():
+                TB = by_label(TF.boundary[d], items, TF.basis.get(d - 1, []))
+                FB = by_label(FT.boundary[d], FT.basis[d], FT.basis.get(d - 1, []))
                 for b in items:
-                    lhs = {
-                        pairing[t]: v
-                        for t, v in TF.boundary.get(d, {}).get(b, {}).items()
-                    }
-                    rhs = FT.boundary.get(d, {}).get(pairing[b], {})
+                    lhs = {pairing[t]: v for t, v in TB[b].items()}
+                    rhs = FB[pairing[b]]
                     assert lhs == rhs, (b, lhs, rhs)
 
 
@@ -184,8 +183,9 @@ def subcomplex_union_pushout_product(f: ChainMap, g: ChainMap):
     """
     def image_pairs(h: ChainMap):
         pairs = {}
-        for d, items in h.images.items():
-            for b, img in items.items():
+        for d, columns in h.matrices.items():
+            images = by_label(columns, h.source.basis[d], h.target.basis.get(d, []))
+            for b, img in images.items():
                 if len(img) > 1 or any(v != 1 for v in img.values()):
                     raise ValidationError("pushout-product helper needs basis-aligned maps")
                 if img:
@@ -207,22 +207,20 @@ def subcomplex_union_pushout_product(f: ChainMap, g: ChainMap):
                 for b in bitems:
                     keep.add((b, ga[c]))
     basis = {}
-    boundary = {}
     for d, items in BB.basis.items():
         sub = [b for b in items if b in keep]
         if sub:
             basis[d] = sub
+    row = {d: {b: i for i, b in enumerate(items)} for d, items in basis.items()}
+    boundary = {}
     for d in basis:
-        bnd = {}
-        for b in basis[d]:
-            img = BB.boundary.get(d, {}).get(b, {})
-            for t in img:
-                if t not in keep:
-                    raise ValidationError("union of subcomplexes not closed under d")
-            bnd[b] = dict(img)
-        boundary[d] = bnd
+        images = by_label(BB.boundary[d], BB.basis[d], BB.basis.get(d - 1, []))
+        if any(t not in keep for b in basis[d] for t in images[b]):
+            raise ValidationError("union of subcomplexes not closed under d")
+        boundary[d] = [{row[d - 1][t]: v for t, v in images[b].items()} for b in basis[d]]
     S = ChainComplex(basis, boundary, name="pp-source")
-    incl = ChainMap(S, BB, {d: {b: {b: 1} for b in basis[d]} for d in basis})
+    into = {d: {b: i for i, b in enumerate(items)} for d, items in BB.basis.items()}
+    incl = ChainMap(S, BB, {d: [{into[d][b]: 1} for b in basis[d]] for d in basis})
     return S, incl
 
 
@@ -267,16 +265,20 @@ def test_pushout_product_transport():
             for items in left.source.basis.values()
             for b in items
         }
+        images = {
+            d: by_label(columns, realized.source.basis[d], realized.target.basis[d])
+            for d, columns in realized.matrices.items()
+        }
         rhs = {
-            next(iter(realized.images[d][b]))
+            next(iter(images[d][b]))
             for d, items in realized.source.basis.items()
             for b in items
-            if realized.images[d][b]
+            if images[d][b]
         }
         assert lhs == rhs
         # no basis element of the realized source dies (the map is injective)
         assert all(
-            realized.images[d][b]
+            images[d][b]
             for d, items in realized.source.basis.items()
             for b in items
         )
