@@ -33,7 +33,6 @@ from .enriched import (
     build_H,
     build_P,
     extend_inverse,
-    free_on_graph,
     homotopy_category,
     localize,
     mapping_space,

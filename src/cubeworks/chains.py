@@ -152,7 +152,7 @@ class ChainMap:
         return True
 
 
-def mapping_cone(f: ChainMap, name: str = "") -> ChainComplex:
+def mapping_cone(f: ChainMap) -> ChainComplex:
     """cone(f)_d = A_{d-1} + B_d with d(a, b) = (-d_A a, d_B b - f a); in each
     degree the A part comes first, so B's rows are shifted by A's rank."""
     A, B = f.source, f.target
@@ -170,7 +170,7 @@ def mapping_cone(f: ChainMap, name: str = "") -> ChainComplex:
         ]
         columns += [{shift + i: v for i, v in db.items()} for db in B.boundary.get(d, ())]
         boundary[d] = columns
-    return ChainComplex(basis, boundary, name=name or "cone")
+    return ChainComplex(basis, boundary, name="cone")
 
 
 def is_acyclic(C: ChainComplex) -> bool:
@@ -178,8 +178,8 @@ def is_acyclic(C: ChainComplex) -> bool:
     return all(b == 0 and not t for _, b, t in rep.entries)
 
 
-def point_complex(generator: str = "g") -> ChainComplex:
-    return ChainComplex({0: [generator]}, {}, name="Z[0]")
+def point_complex() -> ChainComplex:
+    return ChainComplex({0: ["g"]}, {}, name="Z[0]")
 
 
 # -- chains of cubical and simplicial sets -------------------------------------

@@ -38,7 +38,7 @@ from .enriched import (
     special_category,
 )
 from .errors import GuardError, ValidationError
-from .io_json import Workspace, dumps, report_to_json, to_json
+from .io_json import Workspace, report_to_json, to_json
 from .james import james
 from .realize import broken_cylinder, check_quillen, standard_cylinder
 from .simplicial import SimplicialSet, circle, standard_simplex, wedge_of_intervals

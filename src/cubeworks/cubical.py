@@ -23,6 +23,7 @@ from .presented import (
     CellRef,
     PresentedMap,
     PresentedSet,
+    degenerate,
     disjoint_union,
     find_isomorphism,
     is_isomorphism,
@@ -45,17 +46,6 @@ class CubicalSet(PresentedSet):
         return tuple((k, eps) for k in range(1, d + 1) for eps in (0, 1))
 
     # -- presheaf action ---------------------------------------------------
-
-    def degenerate(self, ref: CellRef, extra) -> CellRef:
-        """Apply a further degeneracy word (dropped directions in the larger
-        ambient dimension) to an element."""
-        if not extra:
-            return ref
-        n = self.dim_of(ref) + len(extra)
-        p_extra = projection_dropping(n, extra)
-        p_old = projection_dropping(n - len(extra), ref.degens)
-        total = compose(p_old, p_extra)
-        return CellRef(total.dropped_vars, ref.base)
 
     def act(self, ref: CellRef, f: CubeMap) -> CellRef:
         """The presheaf action of f on an element of dimension f.target_dim."""
@@ -205,14 +195,6 @@ class UnionFind:
             self.parent[ry] = rx
 
 
-def _compose_drops(outer_dim: int, inner_degens, resolved: CellRef) -> CellRef:
-    """sigma_{inner} applied to an already-resolved element, in ambient outer_dim."""
-    p1 = projection_dropping(outer_dim, inner_degens)
-    p2 = projection_dropping(outer_dim - len(inner_degens), resolved.degens)
-    total = compose(p2, p1)
-    return CellRef(total.dropped_vars, resolved.base)
-
-
 def pushout(f: CubicalMap, g: CubicalMap) -> tuple:
     """Pushout of X <-f- A -g-> Y, computed dimensionwise bottom-up.
 
@@ -242,8 +224,7 @@ def pushout(f: CubicalMap, g: CubicalMap) -> tuple:
     resolve = {"X": {}, "Y": {}}  # side -> cell id -> CellRef over result
 
     def resolved_ref(side, ref: CellRef, ambient: int) -> CellRef:
-        r = resolve[side][ref.base]
-        return _compose_drops(ambient, ref.degens, r)
+        return degenerate(resolve[side][ref.base], ref.degens, ambient, 1)
 
     for n in range(N + 1):
         for left, right in idents.get(n, []):
@@ -334,12 +315,11 @@ def tensor(X: CubicalSet, Y: CubicalSet) -> CubicalSet:
     return CubicalSet(cells, faces, name=f"{X.name}(x){Y.name}")
 
 
-def tensor_elements(X: CubicalSet, xref: CellRef, Y: CubicalSet, yref: CellRef) -> CellRef:
-    """The element xref (x) yref of the tensor, in normal form."""
-    px = projection_dropping(X.dim_of(xref), xref.degens)
-    py = projection_dropping(Y.dim_of(yref), yref.degens)
-    total = cubes.tensor_map(px, py)
-    return CellRef(total.dropped_vars, _pair_id(xref.base, yref.base))
+def tensor_elements(X: CubicalSet, xref: CellRef, yref: CellRef) -> CellRef:
+    """The element xref (x) yref of the tensor, in normal form: the
+    degeneracy directions of yref move past the dimension of xref."""
+    shifted = tuple(X.dim_of(xref) + i for i in yref.degens)
+    return CellRef(xref.degens + shifted, _pair_id(xref.base, yref.base))
 
 
 def tensor_maps(f: CubicalMap, g: CubicalMap, source=None, target=None) -> CubicalMap:
@@ -349,7 +329,7 @@ def tensor_maps(f: CubicalMap, g: CubicalMap, source=None, target=None) -> Cubic
     for x in f.source.cells:
         for y in g.source.cells:
             assignment[_pair_id(x, y)] = tensor_elements(
-                f.target, f.assignment[x], g.target, g.assignment[y]
+                f.target, f.assignment[x], g.assignment[y]
             )
     return CubicalMap(TX, TY, assignment)
 

@@ -18,11 +18,17 @@ turned into a cubical set.
 
 Letters are plain tuples: ("e", src, tgt, cell) for an edge generator and
 ("a", attachment index, cell) for an attached cell.
+
+A presentation is a frozen value.  Its constructor checks every invariant
+and computes the letter table once; `attach`, `localize` and
+`glue_presentations` each build their result in one constructor call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .cubical import CellRef, CubicalSet, UnionFind, nd
 from .errors import GuardError, ValidationError
@@ -55,85 +61,156 @@ def _cancel_onto(stack: list, letters, cancel_pairs) -> tuple:
     return tuple(stack)
 
 
-@dataclass
+class Letter(NamedTuple):
+    """The facts of one letter.  ``faces`` lists its (k, eps)-faces in
+    (k, eps) order, each as (local degeneracy word, replacement word)."""
+
+    source: str
+    target: str
+    dim: int
+    weight: int
+    faces: tuple
+
+
+def _word_faces(letters, word, cancel_pairs):
+    """The (k, eps)-faces of a word cell in (k, eps) order, each as
+    (degeneracy word, face word): the face of one letter replaces that
+    letter and the result is path-normalized."""
+    off = 0
+    for i, letter in enumerate(word):
+        _, _, dim, _, faces = letters[letter]
+        rest = word[i + 1 :]
+        for local, repl in faces:
+            yield (
+                tuple(s + off for s in local) if off and local else local,
+                _cancel_onto(list(word[:i]), repl + rest, cancel_pairs),
+            )
+        off += dim
+
+
+@dataclass(frozen=True, eq=False)
 class Attachment:
     space: CubicalSet      # B
     a_cells: frozenset     # the subobject A, as cell ids of B
     source: str
     target: str
-    boundary_map: dict     # A-cell id -> word (tuple of letters)
+    boundary_map: Mapping  # A-cell id -> word (tuple of letters)
+
+    def __post_init__(self):
+        words = {c: tuple(w) for c, w in self.boundary_map.items()}
+        object.__setattr__(self, "a_cells", frozenset(self.a_cells))
+        object.__setattr__(self, "boundary_map", MappingProxyType(words))
 
 
+@dataclass(frozen=True, eq=False)
 class EnrichedPresentation:
-    def __init__(self, objects, edges=None, name: str = ""):
-        self.objects = list(objects)
-        self.edges = {}           # (src, tgt) -> CubicalSet
-        if edges:
-            for pair, space in edges.items():
-                self.edges[pair] = space
-        self.attachments = []     # list of Attachment
-        self.cancel_pairs = set() # adjacent letter pairs that delete
-        self.zero_weight = set()  # edge letters of word weight zero
-        self.name = name
+    """Objects, a cubical set of generating edges per ordered object pair,
+    cell attachments in order, the adjacent letter pairs that delete, and
+    the edge letters of word weight zero.  ``letters`` maps every letter to
+    its `Letter` facts, in sorted letter order."""
 
-    # -- letters ---------------------------------------------------------------
+    objects: tuple
+    edges: Mapping = field(default_factory=dict)  # (src, tgt) -> CubicalSet
+    name: str = ""
+    attachments: tuple = ()
+    cancel_pairs: frozenset = frozenset()
+    zero_weight: frozenset = frozenset()
+    letters: Mapping = field(init=False, repr=False)
 
-    def copy(self, name=None):
-        out = EnrichedPresentation(self.objects, None, name or self.name)
-        out.edges = dict(self.edges)
-        out.attachments = list(self.attachments)
-        out.cancel_pairs = set(self.cancel_pairs)
-        out.zero_weight = set(self.zero_weight)
-        return out
-
-    def edge_letters(self, src=None):
-        out = []
-        for (s, t), space in sorted(self.edges.items()):
-            if src is not None and s != src:
-                continue
-            for c in sorted(space.cells):
-                out.append(("e", s, t, c))
-        return out
-
-    def att_letters(self, src=None):
-        out = []
+    def __post_init__(self):
+        frozen = {
+            "objects": tuple(self.objects),
+            "edges": MappingProxyType(dict(self.edges)),
+            "attachments": tuple(self.attachments),
+            "cancel_pairs": frozenset(self.cancel_pairs),
+            "zero_weight": frozenset(self.zero_weight),
+        }
+        for key, value in frozen.items():
+            object.__setattr__(self, key, value)
+        letters = self._edge_letters()
         for i, att in enumerate(self.attachments):
-            if src is not None and att.source != src:
-                continue
-            for c in sorted(att.space.cells):
-                if c not in att.a_cells:
-                    out.append(("a", i, c))
-        return out
+            letters.update(self._attachment_letters(i, att, letters))
+        object.__setattr__(self, "letters", MappingProxyType(dict(sorted(letters.items()))))
 
-    def letters_from(self, src):
-        return sorted(self.edge_letters(src) + self.att_letters(src))
+    def _edge_letters(self) -> dict:
+        """The edge letters, after checking the endpoints of every edge set and
+        that cancel pairs and zero-weight letters are edge letters."""
+        letters = {}
+        for (s, t), space in self.edges.items():
+            if s not in self.objects or t not in self.objects:
+                raise ValidationError(
+                    f"edge set {(s, t)} has an endpoint that is not an object"
+                )
+            for c, d in space.cells.items():
+                letter = ("e", s, t, c)
+                faces = tuple((r.degens, (("e", s, t, r.base),)) for r in space.faces_of(c))
+                letters[letter] = Letter(s, t, d, int(letter not in self.zero_weight), faces)
+        unknown = self.zero_weight.union(*self.cancel_pairs) - letters.keys()
+        if unknown:
+            letter = min(unknown, key=repr)
+            raise ValidationError(
+                f"cancel pair or zero-weight letter {letter} is not an edge letter"
+            )
+        return letters
 
-    def letter_src(self, letter):
-        return letter[1] if letter[0] == "e" else self.attachments[letter[1]].source
-
-    def letter_tgt(self, letter):
-        return letter[2] if letter[0] == "e" else self.attachments[letter[1]].target
-
-    def letter_dim(self, letter):
-        if letter[0] == "e":
-            return self.edges[(letter[1], letter[2])].cells[letter[3]]
-        att = self.attachments[letter[1]]
-        return att.space.cells[letter[2]]
-
-    def letter_weight(self, letter):
-        if letter[0] == "e":
-            return 0 if letter in self.zero_weight else 1
-        att = self.attachments[letter[1]]
-        w = 1
-        for a in att.a_cells:
-            w = max(w, self.word_weight(att.boundary_map[a]))
-        return w
-
-    def word_weight(self, word):
-        return sum(self.letter_weight(l) for l in word)
-
-    def word_dim(self, word):
-        return sum(self.letter_dim(l) for l in word)
+    def _attachment_letters(self, i: int, att: Attachment, known: dict) -> dict:
+        """The letters of attachment i, after checking its endpoints, that A is
+        a face-closed subobject of B, and that the boundary words use known
+        letters, compose, have the dimension of their cells and respect
+        faces.  Its letters weigh as much as its heaviest boundary word."""
+        space, a_cells, words = att.space, att.a_cells, att.boundary_map
+        if att.source not in self.objects or att.target not in self.objects:
+            raise ValidationError(f"attachment {i} has an endpoint that is not an object")
+        if not a_cells <= space.cells.keys():
+            raise ValidationError(f"A-cell {min(a_cells - space.cells.keys())} not in B")
+        for (c, *_), ref in space.faces.items():
+            if c in a_cells and ref.base not in a_cells:
+                raise ValidationError("A is not closed under faces")
+        if a_cells != words.keys():
+            c = min(a_cells ^ words.keys())
+            raise ValidationError(
+                f"attachment {i} needs a boundary word on each A-cell only, not at {c}"
+            )
+        weight = 1
+        for a in sorted(a_cells):
+            word = words[a]
+            at, dim = att.source, 0
+            for letter in word:
+                info = known.get(letter)
+                if info is None:
+                    raise ValidationError(f"boundary word of {a} uses unknown letter {letter}")
+                if info.source != at:
+                    raise ValidationError(
+                        f"boundary word of {a} is not composable at {letter}"
+                    )
+                at, dim = info.target, dim + info.dim
+            if at != att.target or dim != space.cells[a]:
+                raise ValidationError(
+                    f"boundary word of {a} has the wrong target or dimension"
+                )
+            weight = max(weight, sum(known[l].weight for l in word))
+            got = _word_faces(known, word, self.cancel_pairs)
+            for n, (face, ref) in enumerate(zip(got, space.faces_of(a))):
+                expected = (ref.degens, self.normalize_word(words[ref.base]))
+                if face != expected:
+                    raise ValidationError(
+                        f"boundary word of {a} breaks face ({n // 2 + 1},{n % 2}): "
+                        f"{face} != {expected}"
+                    )
+        return {
+            ("a", i, c): Letter(
+                att.source,
+                att.target,
+                d,
+                weight,
+                tuple(
+                    (r.degens, words[r.base] if r.base in a_cells else (("a", i, r.base),))
+                    for r in space.faces_of(c)
+                ),
+            )
+            for c, d in space.cells.items()
+            if c not in a_cells
+        }
 
     def normalize_word(self, letters):
         """Delete adjacent cancel pairs, leftmost first, until none is left."""
@@ -142,51 +219,6 @@ class EnrichedPresentation:
     def compose_words(self, u, v):
         """u then v (diagrammatic order), normalized."""
         return self.normalize_word(u + v)
-
-    # -- word faces --------------------------------------------------------------
-
-    def face_of_word(self, word, k: int, eps: int):
-        """The (k, eps)-face of a word cell, as (degeneracy word, word)."""
-        off = 0
-        for idx, letter in enumerate(word):
-            dl = self.letter_dim(letter)
-            if off + dl >= k:
-                break
-            off += dl
-        else:
-            raise ValidationError(f"face index {k} out of range for word")
-        local, repl = _letter_face(self, letter, k - off, eps)
-        new_word = self.normalize_word(word[:idx] + repl + word[idx + 1 :])
-        return tuple(s + off for s in local), new_word
-
-    # -- construction ------------------------------------------------------------
-
-    def add_edges(self, pair, space: CubicalSet):
-        if pair[0] not in self.objects or pair[1] not in self.objects:
-            raise ValidationError(f"unknown endpoints {pair}")
-        if pair in self.edges:
-            raise ValidationError(f"edge set for {pair} already present")
-        self.edges[pair] = space
-
-    def check_word(self, word, src, tgt, dim=None):
-        at = src
-        for letter in word:
-            if self.letter_src(letter) != at:
-                raise ValidationError(f"word not composable at {letter}")
-            at = self.letter_tgt(letter)
-        if at != tgt:
-            raise ValidationError("word does not reach its target")
-        if dim is not None and self.word_dim(word) != dim:
-            raise ValidationError("word has wrong dimension")
-
-
-def free_on_graph(objects, edges, name: str = "") -> EnrichedPresentation:
-    """The free enriched category on labeled generating edges: mapping spaces
-    are coproducts over directed paths of tensors of the edge labels."""
-    pres = EnrichedPresentation(objects, None, name)
-    for pair, space in edges.items():
-        pres.add_edges(pair, space)
-    return pres
 
 
 def vertex_edge_set(*names) -> CubicalSet:
@@ -204,34 +236,8 @@ def attach(
 ) -> EnrichedPresentation:
     """Append a cell attachment.  The A-part must be a genuine subobject of B
     (face-closed), and the boundary words must respect faces."""
-    out = pres.copy(name=name or pres.name)
-    a_cells = frozenset(a_cells)
-    for c in a_cells:
-        if c not in space.cells:
-            raise ValidationError(f"A-cell {c} not in B")
-    for (c, k, eps), ref in space.faces.items():
-        if c in a_cells and ref.base not in a_cells:
-            raise ValidationError("A is not closed under faces")
-    att = Attachment(space, a_cells, source, target, dict(boundary_map))
-    out.attachments.append(att)
-    # validate the boundary words against the new presentation
-    for a in a_cells:
-        word = boundary_map.get(a)
-        if word is None:
-            raise ValidationError(f"no boundary word for {a}")
-        out.check_word(word, source, target, dim=space.cells[a])
-        d = space.cells[a]
-        for k in range(1, d + 1):
-            for eps in (0, 1):
-                ref = space.faces[(a, k, eps)]
-                expected = (ref.degens, out.normalize_word(boundary_map[ref.base]))
-                got = out.face_of_word(word, k, eps)
-                if got != expected:
-                    raise ValidationError(
-                        f"boundary word of {a} breaks face ({k},{eps}): "
-                        f"{got} != {expected}"
-                    )
-    return out
+    att = Attachment(space, a_cells, source, target, boundary_map)
+    return replace(pres, attachments=(*pres.attachments, att), name=name or pres.name)
 
 
 def interval_attachment_space() -> CubicalSet:
@@ -245,32 +251,31 @@ def special_category(kind: str, label: CubicalSet = None) -> EnrichedPresentatio
     """The four special enriched categories: the empty one, the point, the
     directed interval on a label, and the chaotic interval."""
     if kind == "empty":
-        return EnrichedPresentation([], None, "empty")
+        return EnrichedPresentation((), name="empty")
     if kind == "point":
-        return EnrichedPresentation(["0"], None, "point")
+        return EnrichedPresentation(("0",), name="point")
     if kind == "interval":
         if label is None:
             label = vertex_edge_set("f")
-        return free_on_graph(["0", "1"], {("0", "1"): label}, name="interval")
+        return EnrichedPresentation(("0", "1"), {("0", "1"): label}, "interval")
     if kind == "interval_tilde":
-        pres = free_on_graph(
-            ["0", "1"],
-            {("0", "1"): vertex_edge_set("t01"), ("1", "0"): vertex_edge_set("t10")},
-            name="interval~",
-        )
         f = ("e", "0", "1", "t01")
         g = ("e", "1", "0", "t10")
-        pres.cancel_pairs |= {(f, g), (g, f)}
-        pres.zero_weight |= {f, g}
-        return pres
+        return EnrichedPresentation(
+            ("0", "1"),
+            {("0", "1"): vertex_edge_set("t01"), ("1", "0"): vertex_edge_set("t10")},
+            "interval~",
+            cancel_pairs={(f, g), (g, f)},
+            zero_weight={f, g},
+        )
     raise ValidationError(f"unknown special category {kind!r}")
 
 
 def build_P() -> EnrichedPresentation:
-    return free_on_graph(
-        ["c", "c'"],
+    return EnrichedPresentation(
+        ("c", "c'"),
         {("c", "c'"): vertex_edge_set("u"), ("c'", "c"): vertex_edge_set("v")},
-        name="P",
+        "P",
     )
 
 
@@ -290,10 +295,27 @@ def build_H() -> EnrichedPresentation:
     )
 
 
-def glue_presentations(C1, edge1, C2, edge2, prefix: str = "2:") -> EnrichedPresentation:
+_PREFIX = "2:"  # marks the cells and objects that the second factor of a gluing adds
+
+
+def _prefixed(space: CubicalSet, skip=()) -> tuple:
+    """The cells and faces of a cubical set with every cell id prefixed,
+    leaving out the cells in skip."""
+    cells = {_PREFIX + c: d for c, d in space.cells.items() if c not in skip}
+    faces = {}
+    for (c, k, eps), ref in space.faces.items():
+        if c in skip:
+            continue
+        if ref.base in skip:
+            raise ValidationError("cannot glue along a non-vertex edge")
+        faces[(_PREFIX + c, k, eps)] = CellRef(ref.degens, _PREFIX + ref.base)
+    return cells, faces
+
+
+def glue_presentations(C1, edge1, C2, edge2, name: str = "") -> EnrichedPresentation:
     """Pushout of C1 and C2 over the walking arrow: identify the classified
     edges (and their endpoints) of the two presentations."""
-    s1, t1, c1 = edge1[1], edge1[2], edge1[3]
+    s1, t1 = edge1[1], edge1[2]
     s2, t2, c2 = edge2[1], edge2[2], edge2[3]
 
     def obj_map(o):
@@ -301,68 +323,48 @@ def glue_presentations(C1, edge1, C2, edge2, prefix: str = "2:") -> EnrichedPres
             return s1
         if o == t2:
             return t1
-        return prefix + o
-
-    objects = list(C1.objects) + [
-        obj_map(o) for o in C2.objects if obj_map(o) not in C1.objects
-    ]
-    out = EnrichedPresentation(objects, None, name=f"{C1.name}+{C2.name}")
+        return _PREFIX + o
 
     def letter_map2(letter):
         if letter[0] == "e":
             _, s, t, c = letter
             if (s, t, c) == (s2, t2, c2):
                 return edge1
-            return ("e", obj_map(s), obj_map(t), prefix + c)
-        return ("a", letter[1] + len(C1.attachments), prefix + letter[2])
+            return ("e", obj_map(s), obj_map(t), _PREFIX + c)
+        return ("a", letter[1] + len(C1.attachments), _PREFIX + letter[2])
 
+    objects = list(C1.objects) + [
+        obj_map(o) for o in C2.objects if obj_map(o) not in C1.objects
+    ]
     # edge sets: C1's plus C2's with the identified generator removed
-    merged = {}
-    for pair, space in C1.edges.items():
-        merged[pair] = ({c: space.cells[c] for c in space.cells}, dict(space.faces))
+    merged = {pair: (dict(space.cells), dict(space.faces)) for pair, space in C1.edges.items()}
     for (s, t), space in C2.edges.items():
-        pair = (obj_map(s), obj_map(t))
-        cells, faces = merged.setdefault(pair, ({}, {}))
-        for c, d in space.cells.items():
-            if (s, t, c) == (s2, t2, c2):
-                continue
-            cells[prefix + c] = d
-        for (c, k, eps), ref in space.faces.items():
-            if (s, t, c) == (s2, t2, c2):
-                continue
-            base = ref.base
-            if (s, t, base) == (s2, t2, c2):
-                raise ValidationError("cannot glue along a non-vertex edge")
-            faces[(prefix + c, k, eps)] = CellRef(ref.degens, prefix + base)
-    for pair, (cells, faces) in merged.items():
-        out.edges[pair] = CubicalSet(cells, faces)
-
-    out.attachments = list(C1.attachments)
+        cells, faces = merged.setdefault((obj_map(s), obj_map(t)), ({}, {}))
+        more_cells, more_faces = _prefixed(space, {c2} if (s, t) == (s2, t2) else ())
+        cells.update(more_cells)
+        faces.update(more_faces)
+    attachments = list(C1.attachments)
     for att in C2.attachments:
-        cells = {prefix + c: d for c, d in att.space.cells.items()}
-        faces = {
-            (prefix + c, k, eps): CellRef(ref.degens, prefix + ref.base)
-            for (c, k, eps), ref in att.space.faces.items()
-        }
-        out.attachments.append(
+        attachments.append(
             Attachment(
-                CubicalSet(cells, faces),
-                frozenset(prefix + c for c in att.a_cells),
+                CubicalSet(*_prefixed(att.space)),
+                {_PREFIX + c for c in att.a_cells},
                 obj_map(att.source),
                 obj_map(att.target),
                 {
-                    prefix + c: tuple(letter_map2(l) for l in word)
+                    _PREFIX + c: tuple(letter_map2(l) for l in word)
                     for c, word in att.boundary_map.items()
                 },
             )
         )
-    out.cancel_pairs = set(C1.cancel_pairs) | {
-        (letter_map2(a), letter_map2(b)) for a, b in C2.cancel_pairs
-    }
-    out.zero_weight = set(C1.zero_weight) | {
-        letter_map2(l) for l in C2.zero_weight
-    }
-    return out
+    return EnrichedPresentation(
+        objects,
+        {pair: CubicalSet(cells, faces) for pair, (cells, faces) in merged.items()},
+        name or f"{C1.name}+{C2.name}",
+        attachments,
+        C1.cancel_pairs | {(letter_map2(a), letter_map2(b)) for a, b in C2.cancel_pairs},
+        C1.zero_weight | {letter_map2(l) for l in C2.zero_weight},
+    )
 
 
 def build_E() -> EnrichedPresentation:
@@ -370,11 +372,9 @@ def build_E() -> EnrichedPresentation:
     classifying u in the first copy to the map classifying v in the second.
     The result has one morphism f with separate left- and right-inverse
     homotopies (kept distinct on purpose)."""
-    H1 = build_H()
-    H2 = build_H()
-    E = glue_presentations(H1, ("e", "c", "c'", "u"), H2, ("e", "c'", "c", "v"))
-    E.name = "E"
-    return E
+    return glue_presentations(
+        build_H(), ("e", "c", "c'", "u"), build_H(), ("e", "c'", "c", "v"), name="E"
+    )
 
 
 def localize(pres: EnrichedPresentation, edge, name: str = "") -> EnrichedPresentation:
@@ -390,21 +390,18 @@ def localize(pres: EnrichedPresentation, edge, name: str = "") -> EnrichedPresen
         raise ValidationError(f"edge {c} not found")
     if space.cells[c] != 0:
         raise ValidationError("only vertex-level edges can be localized")
-    out = pres.copy(name=name or f"{pres.name}<{c}^-1>")
     inv_cell = c + "_inv"
-    rev = out.edges.get((t, s))
-    if rev is None:
-        out.edges[(t, s)] = vertex_edge_set(inv_cell)
-    else:
-        cells = dict(rev.cells)
-        if inv_cell in cells:
-            raise ValidationError(f"cell {inv_cell} already present")
-        cells[inv_cell] = 0
-        out.edges[(t, s)] = CubicalSet(cells, dict(rev.faces))
+    rev = pres.edges.get((t, s), vertex_edge_set())
+    if inv_cell in rev.cells:
+        raise ValidationError(f"cell {inv_cell} already present")
     inv = ("e", t, s, inv_cell)
-    out.cancel_pairs |= {(edge, inv), (inv, edge)}
-    out.zero_weight |= {edge, inv}
-    return out
+    return replace(
+        pres,
+        edges={**pres.edges, (t, s): CubicalSet({**rev.cells, inv_cell: 0}, rev.faces)},
+        name=name or f"{pres.name}<{c}^-1>",
+        cancel_pairs=pres.cancel_pairs | {(edge, inv), (inv, edge)},
+        zero_weight=pres.zero_weight | {edge, inv},
+    )
 
 
 # -- mapping spaces --------------------------------------------------------------
@@ -428,29 +425,24 @@ class _WordFiltration:
     Words are enumerated a single time at ``top``, each with its weight and
     dimension, and their faces are computed and resolved to word indices.
     The truncation at any bound b <= top is the subcomplex of words of weight
-    at most b; ``level(b)`` renders it as a cubical set.  Letter tables live
-    in this object only, so nothing is cached on the presentation, and the
-    rendered levels hold no reference back to the build."""
+    at most b; ``level(b)`` renders it as a cubical set.  Letter facts come
+    from the presentation's letter table, and the rendered levels hold no
+    reference back to the build."""
 
     def __init__(self, pres, x, y, top: int):
         self.x, self.y = x, y
         cancel = pres.cancel_pairs
-        outgoing = {}   # object -> [(letter, target, weight, dim)]
+        outgoing = {}   # object -> [(letter, target, weight, dim)] in letter order
+        for letter, info in pres.letters.items():
+            outgoing.setdefault(info.source, []).append(
+                (letter, info.target, info.weight, info.dim)
+            )
         # least[n]: the least weight of a partial word of n letters (top + 1
         # while none is seen), so the word-length guard of every level
         # b <= top can be replayed
         least = [top + 1] * (4 * top + 8)
         max_letters = 4 * top + 6
         found = []
-
-        def letters_at(at):
-            out = outgoing.get(at)
-            if out is None:
-                out = outgoing[at] = [
-                    (l, pres.letter_tgt(l), pres.letter_weight(l), pres.letter_dim(l))
-                    for l in pres.letters_from(at)
-                ]
-            return out
 
         def rec(at, word, weight, dim):
             n = len(word)
@@ -462,7 +454,7 @@ class _WordFiltration:
                 )
             if at == y:
                 found.append((tuple(word), weight, dim))
-            for letter, tgt, w, dl in letters_at(at):
+            for letter, tgt, w, dl in outgoing.get(at, ()):
                 if weight + w > top:
                     continue
                 if word and (word[-1], letter) in cancel:
@@ -482,34 +474,20 @@ class _WordFiltration:
         self._ids = [None] * len(self.words)  # cell ids, rendered on first use
         index = {w: i for i, w in enumerate(self.words)}
 
-        letter_dims = {}
-        letter_faces = {}  # letter -> [(local degens, replacement word)] in (k, eps) order
-        for entries in outgoing.values():
-            for letter, _, _, dl in entries:
-                letter_dims[letter] = dl
-                letter_faces[letter] = [
-                    _letter_face(pres, letter, kk, eps)
-                    for kk in range(1, dl + 1)
-                    for eps in (0, 1)
-                ]
         # faces[i]: the (k, eps)-faces of word i in (k, eps) order, each as
         # (degeneracy word, index of the face word)
         self.faces = []
+        letters = pres.letters
         for w in self.words:
             out = []
-            off = 0
-            for i, letter in enumerate(w):
-                rest = w[i + 1 :]
-                for local, repl in letter_faces[letter]:
-                    fw = _cancel_onto(list(w[:i]), repl + rest, cancel)
-                    j = index.get(fw)
-                    if j is None:
-                        raise ValidationError(
-                            f"face left the truncation: {word_id(fw)} from "
-                            f"{word_id(w)}; word weights are not face-monotone"
-                        )
-                    out.append((tuple(s + off for s in local), j))
-                off += letter_dims[letter]
+            for degens, fw in _word_faces(letters, w, cancel):
+                j = index.get(fw)
+                if j is None:
+                    raise ValidationError(
+                        f"face left the truncation: {word_id(fw)} from "
+                        f"{word_id(w)}; word weights are not face-monotone"
+                    )
+                out.append((degens, j))
             self.faces.append(out)
 
     def _check_guard(self, b: int):
@@ -558,18 +536,6 @@ class _WordFiltration:
                 faces[(cid, n // 2 + 1, n % 2)] = CellRef(degens, ids[j])
         space = CubicalSet(cells, faces, name=f"Map({self.x},{self.y})@{b}")
         return space, index
-
-
-def _letter_face(pres, letter, kk: int, eps: int):
-    """The (kk, eps)-face of a single letter as (local degens, word)."""
-    if letter[0] == "e":
-        ref = pres.edges[(letter[1], letter[2])].faces[(letter[3], kk, eps)]
-        return ref.degens, (("e", letter[1], letter[2], ref.base),)
-    att = pres.attachments[letter[1]]
-    ref = att.space.faces[(letter[2], kk, eps)]
-    if ref.base in att.a_cells:
-        return ref.degens, att.boundary_map[ref.base]
-    return ref.degens, (("a", letter[1], ref.base),)
 
 
 def _require_bound(bound: int):

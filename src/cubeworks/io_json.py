@@ -47,10 +47,10 @@ def _index(x) -> bool:
 
 
 def presented_from_json(data: dict, cls):
-    """Parse a cubical or simplicial set.  The shape is checked (cells map
-    ids to non-negative integers; each face is an object with the expected
-    fields, integer indices and known cells); the face identities are not,
-    see `PresentedSet.validate`."""
+    """Parse a cubical or simplicial set.  The types are checked here (cells
+    map ids to non-negative integers; each face is an object with the
+    expected fields and integer indices), then `PresentedSet.check_shape`;
+    the face identities are not, see `PresentedSet.validate`."""
     what = cls.kind.replace("_", " ")
     if data.get("schema") != SCHEMA or data.get("kind") != cls.kind:
         raise ValidationError(f"not a cubeworks/1 {what}")
@@ -69,8 +69,6 @@ def presented_from_json(data: dict, cls):
         if not (
             type(cell) is str
             and type(ref) is str
-            and cell in cells
-            and ref in cells
             and type(degens) is list
             and all(map(_index, index))
             and (not degens or all(map(_index, degens)))
@@ -78,7 +76,9 @@ def presented_from_json(data: dict, cls):
             raise ValidationError(f"malformed {what} face {repr(f):.80}")
         index[0] += base
         faces[(cell, *index)] = CellRef(tuple([s + base for s in degens]) if degens else (), ref)
-    return cls(dict(cells), faces, name=name)
+    X = cls(cells, faces, name=name)
+    X.check_shape()
+    return X
 
 
 def _letter_to_json(letter) -> dict:
@@ -142,7 +142,8 @@ def presentation_to_json(P: EnrichedPresentation) -> dict:
 
 def presentation_from_json(data: dict) -> EnrichedPresentation:
     """Parse a presentation, checking the shape of every field; the cubical
-    spaces get the shape check of `presented_from_json`."""
+    spaces get the shape check of `presented_from_json`, and the constructor
+    checks the presentation itself."""
     if data.get("schema") != SCHEMA or data.get("kind") != "presentation":
         raise ValidationError("not a cubeworks/1 presentation")
     objects, edges, attachments = _fields(
@@ -151,31 +152,34 @@ def presentation_from_json(data: dict) -> EnrichedPresentation:
     name = data.get("name", "")
     if not all(type(x) is str for x in (*objects, name)):
         raise ValidationError("presentation objects and name must be strings")
-    P = EnrichedPresentation(objects, None, name)
+    spaces = {}
     for e in edges:
         source, target, space = _fields(e, "edge", source=str, target=str, space=dict)
-        P.edges[(source, target)] = presented_from_json(space, CubicalSet)
+        if (source, target) in spaces:
+            raise ValidationError(f"edge set for {(source, target)} given twice")
+        spaces[(source, target)] = presented_from_json(space, CubicalSet)
+    atts = []
     for a in attachments:
         space, a_cells, source, target, words = _fields(
             a, "attachment", space=dict, a_cells=list, source=str, target=str, boundary=dict
         )
         if not all(type(c) is str for c in a_cells):
             raise ValidationError(f"malformed attachment cells {repr(a_cells):.80}")
-        P.attachments.append(
-            Attachment(
-                presented_from_json(space, CubicalSet),
-                frozenset(a_cells),
-                source,
-                target,
-                {c: tuple(_letters(w, "word")) for c, w in words.items()},
-            )
+        words = {c: _letters(w, "word") for c, w in words.items()}
+        atts.append(
+            Attachment(presented_from_json(space, CubicalSet), a_cells, source, target, words)
         )
     pairs = data.get("cancel_pairs", [])
     if type(pairs) is not list or not all(type(p) is list and len(p) == 2 for p in pairs):
         raise ValidationError(f"cancel_pairs must be a list of letter pairs, not {repr(pairs):.80}")
-    P.cancel_pairs = {(_letter_from_json(a), _letter_from_json(b)) for a, b in pairs}
-    P.zero_weight = set(_letters(data.get("zero_weight", []), "zero_weight"))
-    return P
+    return EnrichedPresentation(
+        objects,
+        spaces,
+        name,
+        atts,
+        {(_letter_from_json(a), _letter_from_json(b)) for a, b in pairs},
+        _letters(data.get("zero_weight", []), "zero_weight"),
+    )
 
 
 def report_to_json(rep: HomologyReport) -> dict:

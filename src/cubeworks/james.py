@@ -8,14 +8,8 @@ basepoint acts as the unit, so basepoint letters are deleted)."""
 from __future__ import annotations
 
 from .errors import ValidationError
-from .simplicial import (
-    SimplexRef,
-    SimplicialSet,
-    collapse_of_surj,
-    delta_face,
-    mono_compose,
-    surj_from_collapse,
-)
+from .presented import divide
+from .simplicial import SimplexRef, SimplicialSet, delta_face
 
 
 def _letter_token(ref: SimplexRef) -> str:
@@ -33,28 +27,6 @@ def word_token(word) -> str:
     return _join_tokens(map(_letter_token, word))
 
 
-def _section(surj):
-    """First-occurrence section of a surjection tuple."""
-    sec = []
-    seen = set()
-    for i, v in enumerate(surj):
-        if v not in seen:
-            seen.add(v)
-            sec.append(i)
-    return tuple(sec)
-
-
-def divide_letter(ref: SimplexRef, T, d: int) -> SimplexRef:
-    """Factor the degeneracy of ref through the common surjection s_T:
-    returns ref' with s_{ref} = s_{ref'} o s_T (ambient dimension d)."""
-    if not T:
-        return ref
-    s = surj_from_collapse(ref.degens, d)
-    sec = _section(surj_from_collapse(T, d))
-    s_rest = mono_compose(s, sec)
-    return SimplexRef(collapse_of_surj(s_rest), ref.base)
-
-
 def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
     """Truncated free monoid on (X, base).  Words longer than `bound` are cut
     off; homology in degree d is reliable once bound >= d + 1 for the wedge
@@ -68,7 +40,7 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
     carries its degeneracy set as a bitmask.  The faces of letters are
     tabulated once, so a face of a word costs table lookups and a dict
     probe; only a degenerate face ANDs the masks of its letters and divides
-    them through `divide_letter`.  Each cell id is rendered once."""
+    them through `presented.divide`.  Each cell id is rendered once."""
     from .cubical import CubicalSet
 
     if bound < 0 or (max_dim is not None and max_dim < 0):
@@ -157,7 +129,7 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
                     hit = None
                     if T:
                         low = e - len(T)
-                        divided = (divide_letter(letters[e][c], T, e) for c in fw)
+                        divided = (divide(letters[e][c], T, e, 0) for c in fw)
                         hit = nd_of[low].get(tuple(code[low][r] for r in divided))
                     if hit is None:
                         raise ValidationError(f"face of {wid} left the truncation window")

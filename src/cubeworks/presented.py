@@ -6,9 +6,10 @@ face index, and elements written as a canonical degeneracy word applied to a
 non-degenerate base cell.  The two kinds differ only in how a face index
 looks, where indices start, and how the presheaf action rewrites elements;
 subclasses supply those.  Everything that reads the presentation alone
-lives here: cell tables, the face rule, maps, validation, coproducts and
-isomorphism search.  The face of a non-degenerate element is read from the
-stored faces; only a degenerate element goes through the presheaf action.
+lives here: cell tables, the face rule, the degeneracy rule, maps,
+validation, coproducts and isomorphism search.  The face of a
+non-degenerate element is read from the stored faces; only a degenerate
+element goes through the presheaf action.
 """
 
 from __future__ import annotations
@@ -43,6 +44,33 @@ def nd(cell: str) -> CellRef:
     return CellRef((), cell)
 
 
+def _free(taken, n: int, base: int) -> list:
+    """The directions of dimension n, counted from base, not in taken."""
+    return [i for i in range(base, n + base) if i not in taken]
+
+
+def degenerate(ref: CellRef, extra, n: int, base: int) -> CellRef:
+    """The element ref with the further degeneracy word ``extra`` applied, in
+    ambient dimension n: the directions of ref.degens are renumbered onto the
+    directions that extra leaves free.  One rule for cubes (base 1) and
+    simplices (base 0)."""
+    if not extra:
+        return ref
+    rest = _free(extra, n, base)
+    return CellRef(tuple(sorted([*extra, *(rest[d - base] for d in ref.degens)])), ref.base)
+
+
+def divide(ref: CellRef, common, n: int, base: int) -> CellRef:
+    """The inverse of `degenerate`: the element whose degeneracy by the
+    directions ``common`` (all among ref.degens) is ref, in ambient
+    dimension n."""
+    if not common:
+        return ref
+    rest = _free(common, n, base)
+    kept = (rest.index(d) + base for d in ref.degens if d not in common)
+    return CellRef(tuple(kept), ref.base)
+
+
 class PresentedSet:
     """A finite presheaf presented by its non-degenerate cells and faces.
 
@@ -51,8 +79,8 @@ class PresentedSet:
     direction and first face index: 1 for cubes, 0 for simplices) and
     ``face_indices(d)``, the face indices of a d-cell in canonical order,
     and ``face_map(n, *index)``, the face morphism into dimension n that the
-    presheaf action ``act(ref, f)`` takes; they also supply ``act`` and
-    ``degenerate(ref, extra)``.  Face data is keyed by ``(cell, *index)``.
+    presheaf action ``act(ref, f)`` takes; they also supply ``act``.  Face
+    data is keyed by ``(cell, *index)``.
     """
 
     kind = ""
@@ -112,9 +140,15 @@ class PresentedSet:
             return self.faces[(ref.base,) + i]
         return self.act(ref, self.face_map(self.dim_of(ref), *i))
 
-    def validate(self):
-        """Check that every face key is present and well formed and that each
-        face lies one dimension down, then the face identities."""
+    def degenerate(self, ref: CellRef, extra) -> CellRef:
+        """Apply a further degeneracy word (directions in the larger
+        dimension) to an element."""
+        return degenerate(ref, extra, self.dim_of(ref) + len(extra), self.index_base)
+
+    def check_shape(self):
+        """Check that face data sits on known cells under well-formed keys,
+        that every face is present, and that each face lies one dimension
+        down.  This is the part of `validate` that loading runs."""
         for key, ref in self.faces.items():
             cell = key[0]
             if cell not in self.cells:
@@ -130,6 +164,11 @@ class PresentedSet:
             for i in self.face_indices(d):
                 if (cell, *i) not in self.faces:
                     raise ValidationError(f"missing face {(cell, *i)}")
+
+    def validate(self):
+        """Check the shape of the face data, then the face identities."""
+        self.check_shape()
+        for cell, d in self.cells.items():
             if d >= 2:
                 self._check_identities(cell, d)
         return True
@@ -240,12 +279,13 @@ def is_isomorphism(X: PresentedSet, Y: PresentedSet, bijection: dict) -> bool:
 # -- isomorphism search ----------------------------------------------------------
 
 
-def _wl_colors(X: PresentedSet, face_refs: dict, rounds: int = 3):
-    """Weisfeiler-Leman colour refinement over the face data.  A colour is
-    (dimension, rank of the cell's signature among all signatures), with
-    signatures ordered as tuples, so isomorphic sets get the same colours."""
+def _wl_colors(X: PresentedSet, face_refs: dict):
+    """Three rounds of Weisfeiler-Leman colour refinement over the face
+    data.  A colour is (dimension, rank of the cell's signature among all
+    signatures), with signatures ordered as tuples, so isomorphic sets get
+    the same colours."""
     color = {c: (d,) for c, d in X.cells.items()}
-    for _ in range(rounds):
+    for _ in range(3):
         sig = {
             c: (color[c], tuple((r.degens, color[r.base]) for r in refs))
             for c, refs in face_refs.items()

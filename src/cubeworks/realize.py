@@ -85,7 +85,7 @@ class CylinderDatum:
         details["ends_injective"] = self.end0 != self.end1
         ok &= details["ends_injective"]
 
-        unit = point_complex("g")
+        unit = point_complex()
         cones_acyclic = True
         for end in (self.end0, self.end1):
             incl = ChainMap(unit, C, {0: [{C.basis[0].index(end): 1}]})

@@ -67,16 +67,6 @@ class SimplicialSet(PresentedSet):
     def face_indices(d: int) -> tuple:
         return tuple((j,) for j in range(d + 1)) if d else ()
 
-    def degenerate(self, ref: SimplexRef, extra) -> SimplexRef:
-        """Apply a further degeneracy word (collapse positions in the larger
-        dimension) to an element."""
-        if not extra:
-            return ref
-        n = self.dim_of(ref) + len(extra)
-        s = surj_from_collapse(ref.degens, n - len(extra))
-        total = mono_compose(s, surj_from_collapse(extra, n))
-        return SimplexRef(collapse_of_surj(total), ref.base)
-
     def act(self, ref: SimplexRef, f) -> SimplexRef:
         """Presheaf action of the monotone map f (a value tuple into
         [dim_of(ref)]) on the element ref."""

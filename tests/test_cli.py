@@ -411,6 +411,53 @@ def test_cli_malformed_presentation_exits_2(capsys, tmp_path, edit):
     assert len(captured.err.splitlines()) == 1
 
 
+def _point_face(cell, eps, base):
+    """An edit of a saved cubical set: the (0, eps) face of cell points at base."""
+
+    def edit(data):
+        (face,) = [f for f in data["faces"] if f["cell"] == cell and f["k"] == 0 and f["eps"] == eps]
+        face["base"] = base
+
+    return edit
+
+
+_ATT5 = [_LETTER, {"kind": "att", "index": 5, "cell": "h"}]
+
+
+@pytest.mark.parametrize(
+    "build, edit, use",
+    [
+        (
+            ["enriched", "build", "P"],
+            _set(["edges", 0, "source"], "zzz"),
+            ["enriched", "map-space", "saved", "c", "c", "--bound", "2"],
+        ),
+        (
+            ["enriched", "build", "H"],
+            _set(["attachments", 0, "boundary", "h0"], _ATT5),
+            ["enriched", "map-space", "saved", "c", "c", "--bound", "2"],
+        ),
+        (
+            ["cube", "build", "boundary", "--n", "2"],
+            _point_face("*0", 0, "*1"),
+            ["homology", "saved"],
+        ),
+    ],
+    ids=["edge-from-unknown-object", "attachment-index-out-of-range", "face-one-dimension-too-high"],
+)
+def test_cli_inconsistent_artifact_exits_2(capsys, tmp_path, build, edit, use):
+    code, _ = run(capsys, tmp_path, *build, "--name", "saved")
+    assert code == 0
+    path = tmp_path / "ws" / "saved.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    code = main(["--workspace", str(tmp_path / "ws"), *use])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_wire_format_of_both_kinds():
     assert json.loads(dumps(standard_cube(1))) == {
         "cells": {"*": 1, "0": 0, "1": 0},

@@ -1,16 +1,20 @@
+import dataclasses
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeworks.cubical import CubicalSet, nd, standard_cube
 from cubeworks.enriched import (
+    Attachment,
+    EnrichedPresentation,
     _WordFiltration,
     attach,
     build_E,
     build_H,
     build_P,
     extend_inverse,
-    free_on_graph,
     homotopy_category,
     interval_attachment_space,
     localize,
@@ -95,6 +99,123 @@ def test_attach_requires_closed_subobject():
         attach(P, space, {"h"}, "c", "c", {"h": (U, V)})
 
 
+def _h_attachment(**changes):
+    """H's homotopy cell with some of its fields changed."""
+    fields = dict(
+        space=interval_attachment_space(),
+        a_cells={"h0", "h1"},
+        source="c",
+        target="c",
+        boundary_map={"h0": (U, V), "h1": ()},
+    )
+    return Attachment(**{**fields, **changes})
+
+
+_P_WITH = {
+    "attachment-endpoint": ({"source": "zzz"}, "endpoint that is not an object"),
+    "a-cell-not-in-b": ({"a_cells": {"h0", "h1", "x"}}, "A-cell x not in B"),
+    "word-missing": ({"boundary_map": {"h0": (U, V)}}, "not at h1"),
+    "word-on-non-a-cell": ({"boundary_map": {"h0": (U, V), "h1": (), "h": ()}}, "not at h$"),
+    "attachment-index-out-of-range": (
+        {"boundary_map": {"h0": (U, ("a", 5, "h")), "h1": ()}},
+        r"unknown letter \('a', 5, 'h'\)",
+    ),
+    "letter-of-own-attachment": (
+        {"boundary_map": {"h0": (U, ("a", 0, "h")), "h1": ()}},
+        r"unknown letter \('a', 0, 'h'\)",
+    ),
+    "word-not-composable": ({"boundary_map": {"h0": (V, U), "h1": ()}}, "not composable"),
+    "word-wrong-target": ({"boundary_map": {"h0": (U,), "h1": ()}}, "wrong target"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_P_WITH))
+def test_constructor_refuses_broken_attachments(case):
+    changes, message = _P_WITH[case]
+    with pytest.raises(ValidationError, match=message):
+        replace(build_P(), attachments=[_h_attachment(**changes)])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: EnrichedPresentation(["c"], {("zzz", "c"): vertex_edge_set("u")}),
+            r"edge set \('zzz', 'c'\) has an endpoint that is not an object",
+        ),
+        (
+            lambda: EnrichedPresentation(
+                ["c", "c'"], {("c", "c'"): vertex_edge_set("u")}, attachments=[_h_attachment()]
+            ),
+            "unknown letter",
+        ),
+        (
+            lambda: replace(build_P(), cancel_pairs={(U, ("e", "c'", "c", "w"))}),
+            "is not an edge letter",
+        ),
+        (lambda: replace(build_H(), zero_weight={("a", 0, "h")}), "is not an edge letter"),
+    ],
+    ids=["edge-endpoint", "letter-of-a-missing-edge", "cancel-pair", "zero-weight-attachment"],
+)
+def test_constructor_refuses_broken_presentations(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_constructor_checks_faces_of_boundary_words():
+    # a square attached along its whole boundary: the words of the four
+    # edges must meet at the words of the corners
+    loop = EnrichedPresentation(["x"], {("x", "x"): standard_cube(1)})
+    e, v0, v1 = (("e", "x", "x", c) for c in ("*", "0", "1"))
+    square = standard_cube(2)
+    edges = {"0*": (v0, e), "1*": (v1, e), "*0": (e, v0), "*1": (e, v1)}
+    corners = {"00": (v0, v0), "01": (v0, v1), "10": (v1, v0), "11": (v1, v1)}
+    boundary = set(square.cells) - {"**"}
+    good = attach(loop, square, boundary, "x", "x", {**edges, **corners})
+    assert good.letters[("a", 0, "**")].dim == 2
+    with pytest.raises(ValidationError, match="breaks face"):
+        attach(loop, square, boundary, "x", "x", {**edges, **corners, "01": (v1, v0)})
+
+
+_EDITS = [
+    lambda v: v.__setitem__(0, None),
+    lambda v: v.__delitem__(0),
+    lambda v: v.add(None),
+    lambda v: v.append(None),
+    lambda v: v.update({}),
+    lambda v: v.clear(),
+]
+
+
+def _assert_frozen_collection(value):
+    for edit in _EDITS:
+        with pytest.raises((TypeError, AttributeError)):
+            edit(value)
+
+
+def _assert_frozen(value):
+    """Neither the fields of a dataclass nor its collections can be edited."""
+    for f in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, f.name, getattr(value, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, f.name)
+        if not isinstance(getattr(value, f.name), (str, CubicalSet)):
+            _assert_frozen_collection(getattr(value, f.name))
+
+
+@pytest.mark.parametrize("name", ["P", "H", "E", "EL", "interval_tilde"])
+def test_presentations_are_frozen(name):
+    pres = _filtration_cases()[name]
+    _assert_frozen(pres)
+    for att in pres.attachments:
+        _assert_frozen(att)
+        for word in att.boundary_map.values():
+            _assert_frozen_collection(word)
+    for info in pres.letters.values():
+        _assert_frozen_collection(info.faces)
+
+
 def test_degenerate_attachment_adds_free_edge():
     P = build_P()
     fresh = attach(P, vertex_edge_set("w"), set(), "c", "c'", {})
@@ -159,7 +280,7 @@ def test_truncation_monotone():
 
 def test_colliding_cell_ids_are_refused():
     # the word a.a and the one-letter word "a(c>c).a" render the same id
-    pres = free_on_graph(["c"], {("c", "c"): vertex_edge_set("a", "a(c>c).a")})
+    pres = EnrichedPresentation(["c"], {("c", "c"): vertex_edge_set("a", "a(c>c).a")})
     with pytest.raises(ValidationError) as err:
         mapping_space(pres, "c", "c", 2, with_stability=False)
     msg = str(err.value)
@@ -192,10 +313,15 @@ def test_filtration_level_equals_standalone_build(name):
                 assert filtered.name == alone.space.name == f"Map({x},{y})@{b}"
 
 
+Z = ("e", "x", "x", "z")
+
+
+def _loop():
+    return EnrichedPresentation(["x"], {("x", "x"): vertex_edge_set("z")})
+
+
 def _zero_weight_loop():
-    pres = free_on_graph(["x"], {("x", "x"): vertex_edge_set("z")})
-    pres.zero_weight.add(("e", "x", "x", "z"))
-    return pres
+    return replace(_loop(), zero_weight={Z})
 
 
 @pytest.mark.parametrize("bound", [0, 2])
@@ -209,27 +335,27 @@ def test_zero_weight_loop_trips_guard(bound):
         homotopy_category(pres, bound)
 
 
-def test_weights_follow_in_place_edits():
-    # letter weights are read off the presentation on every call, so a
-    # letter marked zero-weight after a first mapping space counts as such
-    pres = free_on_graph(["x"], {("x", "x"): vertex_edge_set("z")})
+def test_weights_follow_replaced_fields():
+    # a presentation rebuilt with a zero-weight letter computes its own letter
+    # table: the letter is zero-weight there and keeps weight 1 in the original
+    pres = _loop()
     assert mapping_space(pres, "x", "x", 1).space.cell_counts() == {0: 2}
-    pres.zero_weight.add(("e", "x", "x", "z"))
     with pytest.raises(GuardError) as edited:
-        mapping_space(pres, "x", "x", 1)
+        mapping_space(replace(pres, zero_weight={Z}), "x", "x", 1)
     with pytest.raises(GuardError) as fresh:
         mapping_space(_zero_weight_loop(), "x", "x", 1)
     assert str(edited.value) == str(fresh.value)
+    assert mapping_space(pres, "x", "x", 1).space.cell_counts() == {0: 2}
 
 
 def test_guard_replayed_per_level():
     # seven zero-weight edges in a row: more letters than bound 0 allows
     # (4*0+6), fewer than bound 1 allows (4*1+6)
     objs = [f"o{i}" for i in range(8)]
-    pres = free_on_graph(
+    free = EnrichedPresentation(
         objs, {(objs[i], objs[i + 1]): vertex_edge_set(f"z{i}") for i in range(7)}
     )
-    pres.zero_weight |= {("e", objs[i], objs[i + 1], f"z{i}") for i in range(7)}
+    pres = replace(free, zero_weight={("e", objs[i], objs[i + 1], f"z{i}") for i in range(7)})
     assert mapping_space(pres, "o0", "o7", 1, with_stability=False).space.cells
     levels = _WordFiltration(pres, "o0", "o7", 1)
     assert levels.cell_counts(1) == {0: 1}
@@ -272,8 +398,8 @@ _letter = st.sampled_from(_LETTERS)
     st.lists(_letter, max_size=14),
 )
 def test_normalize_word_matches_restart_loop(cancel_pairs, letters):
-    pres = free_on_graph(["x"], {("x", "x"): vertex_edge_set("a", "b", "c", "d")})
-    pres.cancel_pairs = set(cancel_pairs)
+    free = EnrichedPresentation(["x"], {("x", "x"): vertex_edge_set("a", "b", "c", "d")})
+    pres = replace(free, cancel_pairs=cancel_pairs)
     assert pres.normalize_word(letters) == _normalize_by_restart(cancel_pairs, letters)
 
 

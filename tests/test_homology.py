@@ -883,7 +883,7 @@ def test_validate_refuses_nonzero_dd():
 
 def test_chain_map_validate_refuses_non_commuting_map():
     interval = ChainComplex({0: ["a", "b"], 1: ["e"]}, {1: [{1: 1, 0: -1}]})
-    unit = point_complex("g")
+    unit = point_complex()
     ChainMap(interval, unit, {0: [{0: 1}, {0: 1}]}).validate()
     with pytest.raises(ValidationError, match="fails to commute at e"):
         ChainMap(interval, unit, {0: [{0: 1}, {}]}).validate()

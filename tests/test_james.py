@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -5,13 +6,18 @@ import pytest
 from cubeworks.chains import homology, simplicial_chains
 from cubeworks.cubical import CubicalSet, boundary
 from cubeworks.errors import ValidationError
-from cubeworks.james import divide_letter, james, word_token
+from cubeworks.james import james, word_token
+from cubeworks.presented import degenerate, divide
 from cubeworks.simplicial import (
     SimplexRef,
     SimplicialSet,
     circle,
+    collapse_of_surj,
     delta_face,
+    mono_compose,
     nd,
+    standard_simplex,
+    surj_from_collapse,
     wedge_of_intervals,
 )
 
@@ -39,6 +45,43 @@ def pinched_triangle():
 
 
 # -- reference builder -----------------------------------------------------------
+
+
+def _section(surj):
+    """First-occurrence section of a surjection tuple."""
+    sec = []
+    seen = set()
+    for i, v in enumerate(surj):
+        if v not in seen:
+            seen.add(v)
+            sec.append(i)
+    return tuple(sec)
+
+
+def divide_letter(ref: SimplexRef, T, d: int) -> SimplexRef:
+    """The division that `james` used before `presented.divide`, kept as
+    the reference: factor the degeneracy of ref through the common
+    surjection s_T, so that s_{ref} = s_{ref'} o s_T (ambient dimension d)."""
+    if not T:
+        return ref
+    s = surj_from_collapse(ref.degens, d)
+    sec = _section(surj_from_collapse(T, d))
+    s_rest = mono_compose(s, sec)
+    return SimplexRef(collapse_of_surj(s_rest), ref.base)
+
+
+def test_divide_matches_reference_and_inverts_degenerate():
+    X = standard_simplex(3)
+    checked = 0
+    for n in range(6):
+        for ref in X.refs_of_dim(n):
+            for size in range(len(ref.degens) + 1):
+                for T in combinations(ref.degens, size):
+                    divided = divide(ref, T, n, 0)
+                    assert divided == divide_letter(ref, T, n)
+                    assert degenerate(divided, T, n, 0) == ref
+                    checked += 1
+    assert checked > 1000
 
 
 def normalize_word(word, d: int):

@@ -1,12 +1,12 @@
 """The face rule shared by cubical and simplicial sets: `face_of`, the one
-identity check and the one map class, each against the per-kind code they
-replaced, kept here as references."""
+identity check, the one degeneracy rule and the one map class, each against
+the per-kind code they replaced, kept here as references."""
 
 from itertools import combinations
 
 import pytest
 
-from cubeworks.cubes import face
+from cubeworks.cubes import compose, face, projection_dropping
 from cubeworks.cubical import (
     CubicalMap,
     CubicalSet,
@@ -16,7 +16,7 @@ from cubeworks.cubical import (
 )
 from cubeworks.errors import ValidationError
 from cubeworks.james import james
-from cubeworks.presented import CellRef, PresentedMap, is_isomorphism, nd
+from cubeworks.presented import CellRef, PresentedMap, degenerate, is_isomorphism, nd
 from cubeworks.simplicial import (
     SimplexRef,
     SimplicialMap,
@@ -75,6 +75,36 @@ def reference_simplicial_apply(m, ref):
     s_img = surj_from_collapse(image.degens, base_dim)
     total = mono_compose(s_img, s)
     return SimplexRef(collapse_of_surj(total), image.base)
+
+
+def reference_cubical_degenerate(X, ref, extra):
+    """`CubicalSet.degenerate` before the shared rule: compose the two
+    projections."""
+    if not extra:
+        return ref
+    n = X.dim_of(ref) + len(extra)
+    p_extra = projection_dropping(n, extra)
+    p_old = projection_dropping(n - len(extra), ref.degens)
+    return CellRef(compose(p_old, p_extra).dropped_vars, ref.base)
+
+
+def reference_compose_drops(outer_dim, inner_degens, resolved):
+    """`cubical._compose_drops` before the shared rule: sigma_{inner} applied
+    to an already-resolved element, in ambient outer_dim."""
+    p1 = projection_dropping(outer_dim, inner_degens)
+    p2 = projection_dropping(outer_dim - len(inner_degens), resolved.degens)
+    return CellRef(compose(p2, p1).dropped_vars, resolved.base)
+
+
+def reference_simplicial_degenerate(X, ref, extra):
+    """`SimplicialSet.degenerate` before the shared rule: compose the two
+    collapse surjections."""
+    if not extra:
+        return ref
+    n = X.dim_of(ref) + len(extra)
+    s = surj_from_collapse(ref.degens, n - len(extra))
+    total = mono_compose(s, surj_from_collapse(extra, n))
+    return SimplexRef(collapse_of_surj(total), ref.base)
 
 
 def reference_identities(X):
@@ -230,6 +260,26 @@ def test_simplicial_degenerate_matches_reference_apply(make):
                 assert X.degenerate(image, ref.degens) == expected
                 checked += bool(image.degens and ref.degens)
     assert checked > 0
+
+
+@pytest.mark.parametrize("kind", ["cube3", "simplex3"])
+def test_one_degeneracy_rule_matches_the_per_kind_references(kind):
+    X = SETS[kind]()
+    base = X.index_base
+    checked = 0
+    for e in range(6):
+        for ref in X.refs_of_dim(e):
+            for n in range(e, 6):
+                for extra in combinations(range(base, n + base), n - e):
+                    got = X.degenerate(ref, extra)
+                    assert got == degenerate(ref, extra, n, base)
+                    if base:
+                        assert got == reference_cubical_degenerate(X, ref, extra)
+                        assert got == reference_compose_drops(n, extra, ref)
+                    else:
+                        assert got == reference_simplicial_degenerate(X, ref, extra)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_is_isomorphism_on_simplicial_sets():

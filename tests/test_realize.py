@@ -57,7 +57,7 @@ def test_collapse_retracts_inclusions():
 
 def test_mapping_cone_of_end_inclusion_vanishes():
     cyl = standard_cylinder()
-    unit = point_complex("g")
+    unit = point_complex()
     incl = ChainMap(unit, cyl.complex, {0: [{cyl.complex.basis[0].index(cyl.end0): 1}]})
     incl.validate()
     assert is_acyclic(mapping_cone(incl))
