@@ -72,19 +72,41 @@ class Letter(NamedTuple):
     faces: tuple
 
 
-def _word_faces(letters, word, cancel_pairs):
+def _word_faces(letters, word, cancel_pairs, reduced: bool = False):
     """The (k, eps)-faces of a word cell in (k, eps) order, each as
     (degeneracy word, face word): the face of one letter replaces that
-    letter and the result is path-normalized."""
+    letter and the result is path-normalized, leftmost pair first.
+
+    The replacement is folded onto the prefix, and then only the junction
+    with the suffix can cancel, as long as the suffix has no cancel pair of
+    its own.  A reduced word, such as every word of a mapping space, has
+    none; a boundary word may, and then the rest of the suffix is folded on
+    too."""
+    n = len(word)
+    # word[k:] has no adjacent cancel pair exactly when k >= clean
+    clean = 0
+    if not reduced:
+        pairs = (j + 1 for j in range(n - 1) if (word[j], word[j + 1]) in cancel_pairs)
+        clean = max(pairs, default=0)
     off = 0
     for i, letter in enumerate(word):
         _, _, dim, _, faces = letters[letter]
-        rest = word[i + 1 :]
         for local, repl in faces:
-            yield (
-                tuple(s + off for s in local) if off and local else local,
-                _cancel_onto(list(word[:i]), repl + rest, cancel_pairs),
-            )
+            stack = list(word[:i])
+            for l in repl:
+                if stack and (stack[-1], l) in cancel_pairs:
+                    stack.pop()
+                else:
+                    stack.append(l)
+            k = i + 1
+            while stack and k < n and (stack[-1], word[k]) in cancel_pairs:
+                stack.pop()
+                k += 1
+            if k >= clean:
+                face = tuple(stack) + word[k:]
+            else:
+                face = _cancel_onto(stack, word[k:], cancel_pairs)
+            yield tuple(s + off for s in local) if off and local else local, face
         off += dim
 
 
@@ -415,8 +437,50 @@ class MappingSpaceTruncation:
     words: dict          # cell id -> word
     stable_dims: frozenset
 
-    def zero_cells(self):
-        return [self.words[c] for c in self.space.by_dim(0)]
+
+def _least_weights(pres, x, top: int) -> list:
+    """least[n] for n <= 4 * top + 7: the least weight of a word of n
+    letters from x without adjacent cancel pairs, or top + 1 when every such
+    word is heavier than top.  It is a min-weight walk over the last letter
+    of the word, independent of which dimensions a build keeps, so the
+    word-length guard of every bound b <= top can be replayed from it."""
+    letters, cancel = pres.letters, pres.cancel_pairs
+    leaving = {}  # object -> [(letter, weight)]
+    for letter, info in letters.items():
+        leaving.setdefault(info.source, []).append((letter, info.weight))
+    follow = {  # letter -> [(letter that may come next, its weight)]
+        letter: [(l, w) for l, w in leaving.get(info.target, ()) if (letter, l) not in cancel]
+        for letter, info in letters.items()
+    }
+    least = [top + 1] * (4 * top + 8)
+    least[0] = 0
+    # last letter -> least weight of a word of n letters ending in it
+    ends = {letter: w for letter, w in leaving.get(x, ()) if w <= top}
+    for n in range(1, len(least)):
+        if not ends:
+            break
+        least[n] = min(ends.values())
+        nxt = {}
+        for letter, weight in ends.items():
+            for l, w in follow[letter]:
+                if weight + w < nxt.get(l, top + 1):
+                    nxt[l] = weight + w
+        ends = nxt
+    return least
+
+
+def _cap_is_exact(letters) -> bool:
+    """Whether a build capped in dimension fails exactly where a build of
+    every dimension does.  It does when no face of a letter weighs more than
+    the letter, so that no face of any word leaves a truncation, and when
+    letter tokens are distinct and free of the separator, so that no two
+    words share a cell id.  The word-length guard never depends on the cap."""
+    for info in letters.values():
+        for _, repl in info.faces:
+            if sum(letters[l].weight for l in repl) > info.weight:
+                return False
+    tokens = {letter_token(l) for l in letters}
+    return len(tokens) == len(letters) and not any("." in t for t in tokens)
 
 
 class _WordFiltration:
@@ -425,11 +489,14 @@ class _WordFiltration:
     Words are enumerated a single time at ``top``, each with its weight and
     dimension, and their faces are computed and resolved to word indices.
     The truncation at any bound b <= top is the subcomplex of words of weight
-    at most b; ``level(b)`` renders it as a cubical set.  Letter facts come
-    from the presentation's letter table, and the rendered levels hold no
-    reference back to the build."""
+    at most b; ``level(b)`` renders it as a cubical set.  With ``max_dim``
+    only the words of dimension at most max_dim are built, which is the
+    subcomplex of those dimensions, unless a higher word could fail the
+    build (see `_cap_is_exact`); the word-length guard counts every letter
+    either way.  Letter facts come from the presentation's letter table,
+    and the rendered levels hold no reference back to the build."""
 
-    def __init__(self, pres, x, y, top: int):
+    def __init__(self, pres, x, y, top: int, max_dim: int = None):
         self.x, self.y = x, y
         cancel = pres.cancel_pairs
         outgoing = {}   # object -> [(letter, target, weight, dim)] in letter order
@@ -437,25 +504,16 @@ class _WordFiltration:
             outgoing.setdefault(info.source, []).append(
                 (letter, info.target, info.weight, info.dim)
             )
-        # least[n]: the least weight of a partial word of n letters (top + 1
-        # while none is seen), so the word-length guard of every level
-        # b <= top can be replayed
-        least = [top + 1] * (4 * top + 8)
-        max_letters = 4 * top + 6
+        self.least = _least_weights(pres, x, top)
+        self._check_guard(top)
+        cap = max_dim if max_dim is not None and _cap_is_exact(pres.letters) else float("inf")
         found = []
 
         def rec(at, word, weight, dim):
-            n = len(word)
-            if weight < least[n]:
-                least[n] = weight
-            if n > max_letters:
-                raise GuardError(
-                    "word length guard exceeded; presentation rewrites do not terminate"
-                )
             if at == y:
                 found.append((tuple(word), weight, dim))
             for letter, tgt, w, dl in outgoing.get(at, ()):
-                if weight + w > top:
+                if weight + w > top or dim + dl > cap:
                     continue
                 if word and (word[-1], letter) in cancel:
                     continue
@@ -467,7 +525,6 @@ class _WordFiltration:
         # depth-first search over sorted letters visits words in lexicographic
         # order, so a stable sort by length gives the (length, word) order
         found.sort(key=lambda entry: len(entry[0]))
-        self.least = least
         self.words = [w for w, _, _ in found]
         self.weights = [wt for _, wt, _ in found]
         self.dims = [d for _, _, d in found]
@@ -480,7 +537,7 @@ class _WordFiltration:
         letters = pres.letters
         for w in self.words:
             out = []
-            for degens, fw in _word_faces(letters, w, cancel):
+            for degens, fw in _word_faces(letters, w, cancel, reduced=True):
                 j = index.get(fw)
                 if j is None:
                     raise ValidationError(
@@ -618,12 +675,13 @@ def homotopy_category(pres, bound: int) -> HomotopyCategory:
     Refuses unless the class structure in dimensions 0-1 is stable under
     raising the bound (no new classes appear and no existing classes merge);
     raw cell counts keep growing for free presentations, so stability is
-    measured on the quotient that the homotopy category actually uses."""
+    measured on the quotient that the homotopy category actually uses.
+    Only the words of dimension 0 and 1 are built."""
     _require_bound(bound)
     spaces = {}
     for x in pres.objects:
         for y in pres.objects:
-            levels = _WordFiltration(pres, x, y, bound + 1)
+            levels = _WordFiltration(pres, x, y, bound + 1, max_dim=1)
             small, words = levels.level(bound)
             large, _ = levels.level(bound + 1)
             cs, cl = _classes(small), _classes(large)
@@ -659,17 +717,14 @@ def homotopy_category(pres, bound: int) -> HomotopyCategory:
 # -- inverse extension search ------------------------------------------------------
 
 
-def _find_homotopy(pres, trunc: MappingSpaceTruncation, from_word, to_word):
-    """A 1-cell of the truncation whose (1,0)-face is from_word and whose
+def _find_homotopy(space: CubicalSet, from_word, to_word):
+    """A 1-cell of a truncation whose (1,0)-face is from_word and whose
     (1,1)-face is to_word; degenerate candidates allowed."""
     fid, tid = word_id(from_word), word_id(to_word)
-    if fid == tid and fid in trunc.space.cells:
+    if fid == tid and fid in space.cells:
         return ("degenerate", fid)
-    for c in trunc.space.by_dim(1):
-        if (
-            trunc.space.faces[(c, 1, 0)] == nd(fid)
-            and trunc.space.faces[(c, 1, 1)] == nd(tid)
-        ):
+    for c in space.by_dim(1):
+        if space.faces[(c, 1, 0)] == nd(fid) and space.faces[(c, 1, 1)] == nd(tid):
             return ("cell", c)
     return None
 
@@ -679,31 +734,34 @@ def extend_inverse(pres, edge, bound: int) -> dict:
     category: a left inverse with a homotopy g.f => id and a right inverse
     with a homotopy f.g' => id.  Either side may come back inconclusive
     (a failure within the truncation is not a disproof: mapping spaces are
-    not fibrant in general)."""
+    not fibrant in general).  It reads only 0- and 1-cells, so only those
+    are built."""
     if edge[0] != "e":
         raise ValidationError("extend_inverse expects a generating edge")
     _, s, t, c = edge
+    _require_bound(bound)
     f_word = (edge,)
-    back = mapping_space(pres, t, s, bound, with_stability=False)
-    loops_s = mapping_space(pres, s, s, bound, with_stability=False)
-    loops_t = mapping_space(pres, t, t, bound, with_stability=False)
+    back, back_words = _WordFiltration(pres, t, s, bound, max_dim=1).level(bound)
+    loops_s, _ = _WordFiltration(pres, s, s, bound, max_dim=1).level(bound)
+    loops_t, _ = _WordFiltration(pres, t, t, bound, max_dim=1).level(bound)
+    inverses = [back_words[g] for g in back.by_dim(0)]
 
     report = {"edge": c, "bound": bound}
     left = None
-    for g in back.zero_cells():
+    for g in inverses:
         gf = pres.compose_words(f_word, g)  # f then g
-        if word_id(gf) not in loops_s.space.cells:
+        if word_id(gf) not in loops_s.cells:
             continue
-        witness = _find_homotopy(pres, loops_s, gf, ())
+        witness = _find_homotopy(loops_s, gf, ())
         if witness:
             left = {"inverse": g, "homotopy": witness}
             break
     right = None
-    for g in back.zero_cells():
+    for g in inverses:
         fg = pres.compose_words(g, f_word)  # g then f
-        if word_id(fg) not in loops_t.space.cells:
+        if word_id(fg) not in loops_t.cells:
             continue
-        witness = _find_homotopy(pres, loops_t, fg, ())
+        witness = _find_homotopy(loops_t, fg, ())
         if witness:
             right = {"inverse": g, "homotopy": witness}
             break

@@ -12,6 +12,8 @@ import json
 import os
 import re
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .chains import HomologyReport
 from .cubical import CubicalSet
@@ -41,6 +43,40 @@ def presented_to_json(X: PresentedSet) -> dict:
     }
 
 
+def _write_presented(X: PresentedSet, fh):
+    """Write ``json.dump(presented_to_json(X), fh, indent=2, sort_keys=True)``
+    byte for byte without building the face objects: each face entry fills
+    one template whose keys are already in sorted order, and strings are
+    quoted by the encoder that `json.dump` uses."""
+    base = X.index_base
+    names = ("base", "cell", "degens", *X.face_fields)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    pick = itemgetter(*order)
+    face = ",\n    {\n%s\n    }" % ",\n".join(f"      {_quote(names[i])}: %s" for i in order)
+    cells = ",\n".join(f"    {_quote(c)}: {d}" for c, d in sorted(X.cells.items()))
+    fh.write("{\n  \"cells\": ")
+    fh.write(f"{{\n{cells}\n  }}" if cells else "{}")
+    fh.write(",\n  \"faces\": [")
+    faces = X.faces
+    for n, key in enumerate(sorted(faces)):
+        ref = faces[key]
+        degens = ",\n".join(f"        {s - base}" for s in ref.degens)
+        values = (
+            _quote(ref.base),
+            _quote(key[0]),
+            f"[\n{degens}\n      ]" if degens else "[]",
+            key[1] - base,
+            *key[2:],
+        )
+        entry = face % pick(values)
+        fh.write(entry if n else entry[1:])  # the first entry has no comma
+    fh.write("\n  ]" if faces else "]")
+    fh.write(
+        f",\n  \"kind\": {_quote(X.kind)},\n  \"name\": {_quote(X.name)},"
+        f"\n  \"schema\": {_quote(SCHEMA)}\n}}"
+    )
+
+
 def _index(x) -> bool:
     """A dimension, face index or degeneracy direction on the wire."""
     return type(x) is int and x >= 0
@@ -49,8 +85,8 @@ def _index(x) -> bool:
 def presented_from_json(data: dict, cls):
     """Parse a cubical or simplicial set.  The types are checked here (cells
     map ids to non-negative integers; each face is an object with the
-    expected fields and integer indices), then `PresentedSet.check_shape`;
-    the face identities are not, see `PresentedSet.validate`."""
+    expected fields and integer indices), then `PresentedSet.validate`
+    checks the shape of the face data and the face identities."""
     what = cls.kind.replace("_", " ")
     if data.get("schema") != SCHEMA or data.get("kind") != cls.kind:
         raise ValidationError(f"not a cubeworks/1 {what}")
@@ -77,7 +113,7 @@ def presented_from_json(data: dict, cls):
         index[0] += base
         faces[(cell, *index)] = CellRef(tuple([s + base for s in degens]) if degens else (), ref)
     X = cls(cells, faces, name=name)
-    X.check_shape()
+    X.validate()
     return X
 
 
@@ -227,18 +263,18 @@ def from_json(data: dict):
     return parser(data)
 
 
-def dumps(obj) -> str:
-    return json.dumps(to_json(obj), indent=2, sort_keys=True)
-
-
 def _dump_atomic(data, path: str):
-    """Stream canonical JSON into a new file beside path, then rename it onto
-    path, so that a reader sees the old file or the whole new one."""
+    """Stream the canonical JSON of data, a JSON value or a presented set,
+    into a new file beside path, then rename it onto path, so that a reader
+    sees the old file or the whole new one."""
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "x")
     try:
         with fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
+            if isinstance(data, PresentedSet):
+                _write_presented(data, fh)
+            else:
+                json.dump(data, fh, indent=2, sort_keys=True)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -285,14 +321,16 @@ class Workspace:
     def _flush(self):
         _dump_atomic(self.manifest, self.manifest_path)
 
-    def save(self, name: str, obj, kind: str = None) -> str:
+    def save(self, name: str, obj) -> str:
         _check_name(name)
-        data = to_json(obj)
-        if kind:
-            data.setdefault("kind", kind)
+        if isinstance(obj, PresentedSet):
+            data, kind = obj, obj.kind
+        else:
+            data = to_json(obj)
+            kind = data.get("kind", "raw")
         fname = f"{name}.json"
         _dump_atomic(data, os.path.join(self.path, fname))
-        self.manifest["entries"][name] = {"kind": data.get("kind", "raw"), "file": fname}
+        self.manifest["entries"][name] = {"kind": kind, "file": fname}
         self._flush()
         return fname
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import lt
 
 from .errors import ValidationError
 
@@ -148,7 +149,9 @@ class PresentedSet:
     def check_shape(self):
         """Check that face data sits on known cells under well-formed keys,
         that every face is present, and that each face lies one dimension
-        down.  This is the part of `validate` that loading runs."""
+        down under a degeneracy word that is strictly increasing and within
+        the face's dimension.  This is the first half of `validate`."""
+        base = self.index_base
         for key, ref in self.faces.items():
             cell = key[0]
             if cell not in self.cells:
@@ -160,6 +163,15 @@ class PresentedSet:
                 raise ValidationError(f"bad face key {key}")
             if self.dim_of(ref) != d - 1:
                 raise ValidationError(f"face of {cell} has wrong dimension")
+            degens = ref.degens
+            if degens and not (
+                base <= degens[0]
+                and degens[-1] < d - 1 + base
+                and all(map(lt, degens, degens[1:]))
+            ):
+                raise ValidationError(
+                    f"face {key} has a bad degeneracy word {list(degens)}"
+                )
         for cell, d in self.cells.items():
             for i in self.face_indices(d):
                 if (cell, *i) not in self.faces:

@@ -3,12 +3,11 @@ import json
 import pytest
 
 from cubeworks.cli import main
-from cubeworks.cubical import CubicalSet, boundary, open_box, standard_cube, tensor
-from cubeworks.enriched import build_E, build_H, build_P, special_category
+from cubeworks.cubical import CellRef, CubicalSet, boundary, nd, open_box, standard_cube, tensor
+from cubeworks.enriched import build_E, build_H, build_P, mapping_space, special_category
 from cubeworks.errors import ValidationError
 from cubeworks.io_json import (
     Workspace,
-    dumps,
     presentation_from_json,
     presentation_to_json,
     presented_from_json,
@@ -16,6 +15,7 @@ from cubeworks.io_json import (
     to_json,
 )
 from cubeworks.james import james
+from cubeworks.james_compare import localized_E
 from cubeworks.simplicial import SimplicialSet, standard_simplex, wedge_of_intervals
 from cubeworks.triangulate import triangulate
 
@@ -56,6 +56,53 @@ def test_workspace_roundtrip(tmp_path):
     Y = ws.load("b2")
     assert to_json(Y) == to_json(X)
     assert ws.names() == ["b2"]
+
+
+def _odd_names(kind):
+    """A loop at one vertex, with quotes, backslashes, control and non-ASCII
+    characters in every name."""
+    v, e = 'v"\\0', "\u00e9\n\u2713\U0001f600"
+    if kind is CubicalSet:
+        faces = {(e, 1, 0): nd(v), (e, 1, 1): nd(v)}
+    else:
+        faces = {(e, 0): nd(v), (e, 1): nd(v)}
+    return kind({v: 0, e: 1}, faces, name='q"\\\u00fc\t')
+
+
+def _collapsed(kind, n):
+    """One vertex and one n-cell whose faces are all the vertex, degenerate
+    in every direction of the face."""
+    faces = tuple(range(kind.index_base, n - 1 + kind.index_base))
+    return kind(
+        {"v": 0, "c": n}, {("c", *i): CellRef(faces, "v") for i in kind.face_indices(n)}
+    )
+
+
+_SAVED_SETS = {
+    "empty": lambda: CubicalSet({}, {}),
+    "empty-simplicial": lambda: SimplicialSet({}, {}),
+    "cube3": lambda: standard_cube(3),
+    "simplex3": lambda: standard_simplex(3),
+    "boundary3": lambda: boundary(3)[0],
+    "boundary3-triangulated": lambda: triangulate(boundary(3)[0]),
+    "james-wedge3": lambda: james(wedge_of_intervals(2), "w", 3),
+    "map-c-c-6": lambda: mapping_space(localized_E(), "c", "c", 6).space,
+    "collapsed-cube4": lambda: _collapsed(CubicalSet, 4),
+    "collapsed-simplex4": lambda: _collapsed(SimplicialSet, 4),
+    "odd-names-cubical": lambda: _odd_names(CubicalSet),
+    "odd-names-simplicial": lambda: _odd_names(SimplicialSet),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAVED_SETS))
+def test_saved_sets_are_the_bytes_of_json_dump(tmp_path, name):
+    X = _SAVED_SETS[name]()
+    ws = Workspace(str(tmp_path))
+    fname = ws.save("x", X)
+    want = json.dumps(presented_to_json(X), indent=2, sort_keys=True)
+    assert (tmp_path / fname).read_bytes() == want.encode()
+    Y = ws.load("x")
+    assert type(Y) is type(X) and (Y.cells, Y.faces, Y.name) == (X.cells, X.faces, X.name)
 
 
 def test_workspace_failed_save_keeps_old_files(tmp_path):
@@ -411,12 +458,14 @@ def test_cli_malformed_presentation_exits_2(capsys, tmp_path, edit):
     assert len(captured.err.splitlines()) == 1
 
 
-def _point_face(cell, eps, base):
-    """An edit of a saved cubical set: the (0, eps) face of cell points at base."""
+def _point_face(cell, eps, base, degens=()):
+    """An edit of a saved cubical set: the (0, eps) face of cell points at base
+    under degens."""
 
     def edit(data):
         (face,) = [f for f in data["faces"] if f["cell"] == cell and f["k"] == 0 and f["eps"] == eps]
         face["base"] = base
+        face["degens"] = list(degens)
 
     return edit
 
@@ -442,8 +491,30 @@ _ATT5 = [_LETTER, {"kind": "att", "index": 5, "cell": "h"}]
             _point_face("*0", 0, "*1"),
             ["homology", "saved"],
         ),
+        (
+            ["cube", "build", "cube", "--n", "2"],
+            _point_face("**", 0, "00", [7]),
+            ["homology", "saved", "--pipeline", "both"],
+        ),
+        (
+            ["cube", "build", "cube", "--n", "3"],
+            _point_face("***", 0, "000", [1, 0]),
+            ["homology", "saved", "--pipeline", "both"],
+        ),
+        (
+            ["cube", "build", "cube", "--n", "2"],
+            _point_face("*0", 0, "10"),
+            ["homology", "saved"],
+        ),
     ],
-    ids=["edge-from-unknown-object", "attachment-index-out-of-range", "face-one-dimension-too-high"],
+    ids=[
+        "edge-from-unknown-object",
+        "attachment-index-out-of-range",
+        "face-one-dimension-too-high",
+        "degeneracy-outside-the-face",
+        "degeneracy-word-not-increasing",
+        "face-identity-broken",
+    ],
 )
 def test_cli_inconsistent_artifact_exits_2(capsys, tmp_path, build, edit, use):
     code, _ = run(capsys, tmp_path, *build, "--name", "saved")
@@ -459,7 +530,7 @@ def test_cli_inconsistent_artifact_exits_2(capsys, tmp_path, build, edit, use):
 
 
 def test_wire_format_of_both_kinds():
-    assert json.loads(dumps(standard_cube(1))) == {
+    assert json.loads(json.dumps(to_json(standard_cube(1)))) == {
         "cells": {"*": 1, "0": 0, "1": 0},
         "faces": [
             {"base": "0", "cell": "*", "degens": [], "eps": 0, "k": 0},
@@ -469,7 +540,7 @@ def test_wire_format_of_both_kinds():
         "name": "cube1",
         "schema": "cubeworks/1",
     }
-    assert json.loads(dumps(standard_simplex(1))) == {
+    assert json.loads(json.dumps(to_json(standard_simplex(1)))) == {
         "cells": {"0": 0, "0.1": 1, "1": 0},
         "faces": [
             {"base": "1", "cell": "0.1", "degens": [], "j": 0},

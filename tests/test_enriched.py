@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubeworks.cubical import CubicalSet, nd, standard_cube
+from cubeworks import enriched
+from cubeworks.cubical import CellRef, CubicalSet, nd, standard_cube
 from cubeworks.enriched import (
     Attachment,
     EnrichedPresentation,
+    _cancel_onto,
+    _least_weights,
+    _word_faces,
     _WordFiltration,
     attach,
     build_E,
@@ -365,6 +369,140 @@ def test_guard_replayed_per_level():
         mapping_space(pres, "o0", "o7", 0)
     with pytest.raises(GuardError):
         homotopy_category(pres, 0)
+
+
+GUARD = "word length guard exceeded; presentation rewrites do not terminate"
+
+
+def _pinched_square(*extra, **fields):
+    """A loop object x with a vertex v, a square q whose faces all collapse
+    onto v, and further vertices; the given presentation fields apply."""
+    faces = {("q", k, eps): CellRef((1,), "v") for k in (1, 2) for eps in (0, 1)}
+    cells = {"v": 0, "q": 2, **{c: 0 for c in extra}}
+    return EnrichedPresentation(["x"], {("x", "x"): CubicalSet(cells, faces)}, **fields)
+
+
+Q = ("e", "x", "x", "q")
+
+
+def _guard_cases():
+    return {
+        **_filtration_cases(),
+        "point": special_category("point"),
+        "interval": special_category("interval", standard_cube(1)),
+        # only the words through q trip the guard or fail the build, and a
+        # build capped at dimension 1 never makes them
+        "zero_weight_square": _pinched_square(zero_weight={Q}),
+        "light_square": _pinched_square(zero_weight={Q}, cancel_pairs={(Q, Q)}),
+        "colliding_square": _pinched_square("q(x>x).v"),
+    }
+
+
+def _least_by_enumeration(pres, x, top):
+    """The reference: visit every word from x of weight at most top without
+    adjacent cancel pairs, recording the least weight per length; a word of
+    more than 4 * top + 6 letters trips the guard."""
+    least = [top + 1] * (4 * top + 8)
+
+    def rec(at, last, n, weight):
+        least[n] = min(least[n], weight)
+        if n > 4 * top + 6:
+            raise GuardError(GUARD)
+        for letter, info in pres.letters.items():
+            if (
+                info.source == at
+                and weight + info.weight <= top
+                and (last, letter) not in pres.cancel_pairs
+            ):
+                rec(info.target, letter, n + 1, weight + info.weight)
+
+    rec(x, None, 0, 0)
+    return least
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (GuardError, ValidationError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("name", sorted(_guard_cases()))
+def test_least_weights_match_enumeration(name):
+    pres = _guard_cases()[name]
+    for x in pres.objects:
+        for top in range(7):
+            want = _outcome(_least_by_enumeration, pres, x, top)
+            if want == "GuardError: " + GUARD:
+                assert _least_weights(pres, x, top)[-1] <= top, (x, top)
+                continue
+            assert _least_weights(pres, x, top) == want, (x, top)
+
+
+class _Uncapped(_WordFiltration):
+    """A build of every dimension wherever the code asks for a capped one."""
+
+    def __init__(self, pres, x, y, top, max_dim=None):
+        super().__init__(pres, x, y, top)
+
+
+def _hcat_tables(pres, bound):
+    h = homotopy_category(pres, bound)
+    return h.homs, h.class_of, h.rep_words
+
+
+@pytest.mark.parametrize("name", sorted(_guard_cases()))
+def test_capped_builds_answer_as_uncapped_ones(name, monkeypatch):
+    pres = _guard_cases()[name]
+    edges = [l for l in pres.letters if l[0] == "e"]
+    for bound in range(6):
+        capped = _outcome(_hcat_tables, pres, bound)
+        reports = [_outcome(extend_inverse, pres, e, bound) for e in edges]
+        with monkeypatch.context() as m:
+            m.setattr(enriched, "_WordFiltration", _Uncapped)
+            assert _outcome(_hcat_tables, pres, bound) == capped, bound
+            assert [_outcome(extend_inverse, pres, e, bound) for e in edges] == reports
+    if name == "zero_weight_square":
+        assert capped == "GuardError: " + GUARD
+    if name == "light_square":
+        assert "word weights are not face-monotone" in capped
+    if name == "colliding_square":
+        assert "both have the cell id 'q(x>x).v(x>x)'" in capped
+
+
+def _faces_by_rescan(letters, word, cancel):
+    """The reference face rule: fold the replacement and the whole suffix
+    onto the prefix."""
+    out, off = [], 0
+    for i, letter in enumerate(word):
+        for local, repl in letters[letter].faces:
+            face = _cancel_onto(list(word[:i]), repl + word[i + 1 :], cancel)
+            out.append((tuple(s + off for s in local), face))
+        off += letters[letter].dim
+    return out
+
+
+@pytest.mark.parametrize("name", ["P", "H", "E", "EL"])
+def test_junction_face_step_matches_full_rescan(name):
+    pres = _filtration_cases()[name]
+    letters, cancel = pres.letters, pres.cancel_pairs
+    for x in pres.objects:
+        for y in pres.objects:
+            for word in _WordFiltration(pres, x, y, 4).words:
+                got = list(_word_faces(letters, word, cancel, reduced=True))
+                assert got == _faces_by_rescan(letters, word, cancel)
+
+
+_EL = localize(build_E(), U)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(sorted(_EL.letters)), max_size=8))
+def test_face_step_matches_full_rescan_on_words_with_cancel_pairs(word):
+    # boundary words need not be reduced, so the rule must hold on any word
+    word = tuple(word)
+    got = list(_word_faces(_EL.letters, word, _EL.cancel_pairs))
+    assert got == _faces_by_rescan(_EL.letters, word, _EL.cancel_pairs)
 
 
 def test_negative_bound_refused():

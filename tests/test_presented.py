@@ -227,6 +227,24 @@ def test_identity_through_a_degenerate_face_is_checked():
         broken.validate()
 
 
+@pytest.mark.parametrize(
+    "make, key, ref",
+    [
+        (lambda: standard_cube(2), ("**", 1, 0), CellRef((8,), "00")),
+        (lambda: standard_cube(2), ("**", 1, 0), CellRef((0,), "00")),
+        (lambda: standard_cube(3), ("***", 1, 0), CellRef((2, 1), "000")),
+        (lambda: standard_cube(3), ("***", 1, 0), CellRef((1, 1), "000")),
+        (lambda: standard_simplex(2), ("0.1.2", 0), SimplexRef((1,), "1")),
+    ],
+    ids=["above-the-face", "below-index-base", "decreasing", "repeated", "simplicial-above"],
+)
+def test_check_shape_refuses_bad_degeneracy_words(make, key, ref):
+    X = make()
+    broken = type(X)(X.cells, {**X.faces, key: ref})
+    with pytest.raises(ValidationError, match="bad degeneracy word"):
+        broken.check_shape()
+
+
 @pytest.mark.parametrize("name", ["cube3", "simplex3", "collapsed_square"])
 def test_identity_check_agrees_with_reference_on_every_swap(name):
     X = SETS[name]()
