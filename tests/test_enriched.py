@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeworks import enriched
-from cubeworks.cubical import CellRef, CubicalSet, nd, standard_cube
+from cubeworks.cubical import CellRef, CubicalSet, standard_cube
 from cubeworks.enriched import (
     Attachment,
     EnrichedPresentation,
