@@ -3,7 +3,8 @@
 Every matrix, a boundary or a chain map, is a list of columns aligned with
 its source basis; a column maps the position of a target basis element to
 its non-zero coefficient.  Basis labels live only in the `basis` lists, and
-`sparse_entries` hands one matrix to the elimination as it stands.
+`sparse_entries` hands one matrix to the elimination, less the rows that
+`homology` has already paired.
 """
 
 from __future__ import annotations
@@ -72,9 +73,15 @@ def _product(A, B) -> list:
     return out
 
 
-def sparse_entries(columns) -> dict:
-    """One matrix as {(row, col): value}, the input of the elimination."""
-    return {(i, j): v for j, column in enumerate(columns) for i, v in column.items() if v}
+def sparse_entries(columns, dropped=()) -> dict:
+    """One matrix as {(row, col): value}, the input of the elimination,
+    without the rows in `dropped`."""
+    return {
+        (i, j): v
+        for j, column in enumerate(columns)
+        for i, v in column.items()
+        if v and i not in dropped
+    }
 
 
 @dataclass(frozen=True)
@@ -112,12 +119,29 @@ class HomologyReport:
 
 
 def homology(C: ChainComplex) -> HomologyReport:
+    """Betti numbers and torsion from the invariant factors of each boundary,
+    in one sweep up the degrees that eliminates ∂_d without the rows its
+    predecessor paired.
+
+    Eliminating ∂_d pairs a set J of d-cells, its sparse pivot columns (see
+    `invariant_factors_sparse`): on ker ∂_d the coordinates in J are
+    integer functions of the others.  So forgetting them maps ker ∂_d
+    isomorphically onto a saturated sublattice, and as im ∂_(d+1) lies in
+    ker ∂_d, ∂_(d+1) without the rows J has the same kernel and the same
+    invariant factors as ∂_(d+1).  This is the reduction of Kaczynski,
+    Mrozek & Ślusarek ("Homology computation by reduction of chain
+    complexes", 1998); with it, the zero-fill pivots of the elimination
+    pair cells the way coreduction does (Mrozek & Batko, "Coreduction
+    homology algorithm", 2009).
+    """
     top = C.top_degree
-    factors = {
-        d: invariant_factors_sparse(sparse_entries(C.boundary[d]))
-        for d in range(1, top + 1)
-        if C.rank(d) and C.rank(d - 1)
-    }
+    factors = {}
+    cleared = set()  # positions of the (d - 1)-cells that ∂_(d-1) paired
+    for d in range(1, top + 1):
+        paired = set()
+        if C.rank(d) and C.rank(d - 1):
+            factors[d] = invariant_factors_sparse(sparse_entries(C.boundary[d], cleared), paired)
+        cleared = paired
     entries = []
     for d in range(top + 1):
         rank_d = len(factors.get(d, ()))

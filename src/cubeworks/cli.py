@@ -251,7 +251,9 @@ def cmd_james(args, ws):
     _maybe_store(ws, args.name, J)
     out = {"cells": J.cell_counts(), "bound": args.bound}
     if args.homology:
-        out["homology"] = report_to_json(homology(simplicial_chains(J)))
+        chains = simplicial_chains(J)
+        del J  # the faces are most of the memory, and elimination needs only the chains
+        out["homology"] = report_to_json(homology(chains))
     else:
         out["space"] = to_json(J)
     _emit(out)

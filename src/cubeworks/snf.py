@@ -4,11 +4,17 @@ arithmetic throughout.
 Two entry points: `smith_normal_form` computes D together with unimodular
 R, C such that M = R * D * C (diagonal d1 | d2 | ...), pivoting by minimal
 absolute value to control coefficient growth; `invariant_factors_sparse`
-is a transform-free fast path that eliminates on a sparse representation,
-taking the shortest row next and pivoting on a unit or, failing one, on an
-entry that divides its whole row and column, and only densifies what is
-left.  `smith_normal_form` is its fallback for that remainder and its
-oracle in the tests.
+is a transform-free fast path that eliminates on a sparse representation
+and only densifies what is left.  It pivots first on a unit that is alone
+in its column, which makes no fill (the coreduction step of Mrozek &
+Batko, "Coreduction homology algorithm", 2009), then takes the shortest
+row and pivots on a unit or, failing one, on an entry that divides its
+whole row and column.  It can report the columns it pivoted on, which
+`chains.homology` uses to delete rows of the next boundary matrix before
+eliminating it (the reduction step of Kaczynski, Mrozek & Ślusarek,
+"Homology computation by reduction of chain complexes", 1998).
+`smith_normal_form` is its fallback for the remainder and its oracle in
+the tests.
 """
 
 from __future__ import annotations
@@ -133,10 +139,14 @@ def smith_normal_form(M) -> SNFResult:
 # -- sparse invariant factors --------------------------------------------------
 
 
-def invariant_factors_sparse(entries):
+def invariant_factors_sparse(entries, paired=None):
     """Invariant factors of a sparse integer matrix given as {(i, j): v}.
 
-    Pivots are eliminated on the sparse structure, shortest row first
+    Pivots are eliminated on the sparse structure.  A column with a single
+    entry, a unit, is pivoted on at once: no other row holds the column, so
+    the pivot deletes a row and a column and makes no fill.  A worklist
+    holds each column whose entry count has dropped to 1, and is drained
+    before every heap pop.  Otherwise the shortest row goes next
     (Markowitz's rule): a heap holds (row length, row), and only the rows a
     pivot modified are pushed again.  The popped row pivots on its unit
     entry in the column with fewest entries; failing a unit, on a divisible
@@ -147,6 +157,14 @@ def invariant_factors_sparse(entries):
     heap until a round makes no pivot.  Whatever remains is handed to the
     dense routine, and the split-off summands join its factors in one
     divisibility chain.
+
+    `paired`, if given, is a set that receives the column of every sparse
+    pivot; the pivot order does not depend on it.  Each pivot row, as it
+    stands when pivoted, is an integer combination of the given rows, is
+    zero in the columns of all earlier pivots, and is divisible by its
+    pivot v.  Divided by v, these rows vanish on the kernel of the matrix
+    and form a unitriangular block on the paired columns, so on a kernel
+    vector the paired coordinates are integer functions of the others.
     """
     rows = {}
     cols = {}
@@ -154,6 +172,19 @@ def invariant_factors_sparse(entries):
         if v:
             rows.setdefault(i, {})[j] = v
             cols.setdefault(j, set()).add(i)
+    if paired is None:
+        paired = set()
+    lone = [j for j, col in cols.items() if len(col) == 1]
+
+    def release(i, row):
+        """Take the pivot row i out of the columns of its other entries."""
+        for jj in row:
+            col = cols[jj]
+            col.discard(i)
+            if len(col) == 1:
+                lone.append(jj)
+            elif not col:
+                del cols[jj]
 
     heap = [(len(row), i) for i, row in rows.items()]
     ones = 0
@@ -162,7 +193,23 @@ def invariant_factors_sparse(entries):
         heapq.heapify(heap)
         parked = set()
         progress = False
-        while heap:
+        while True:
+            while lone:
+                j = lone.pop()
+                col = cols.get(j)
+                if col is None or len(col) != 1:
+                    continue
+                (i,) = col
+                pivot_row = rows[i]
+                if pivot_row[j] not in (1, -1):
+                    continue
+                del rows[i], cols[j], pivot_row[j]
+                release(i, pivot_row)
+                paired.add(j)
+                ones += 1
+                progress = True
+            if not heap:
+                break
             length, i = heapq.heappop(heap)
             pivot_row = rows.get(i)
             if pivot_row is None or len(pivot_row) != length:
@@ -203,11 +250,8 @@ def invariant_factors_sparse(entries):
                     heapq.heappush(heap, (len(row2), i2))
                 else:
                     del rows[i2]
-            for jj in pivot_row:
-                col = cols[jj]
-                col.discard(i)
-                if not col:
-                    del cols[jj]
+            release(i, pivot_row)
+            paired.add(j)
             if piv == 1 or piv == -1:
                 ones += 1
             else:

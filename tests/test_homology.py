@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 from cubeworks.chains import (
     ChainComplex,
     ChainMap,
+    HomologyReport,
     cubical_chains,
     homology,
     is_acyclic,
@@ -863,6 +864,168 @@ def test_elimination_input_matches_reference(fixture):
         # item for item and in order, so the elimination pivots as before
         assert list(sparse_entries(C.boundary[d]).items()) == list(reference[d].items())
 
+
+# -- the sweep against per-degree elimination ------------------------------------
+
+
+def unreduced_homology(C, eliminate) -> HomologyReport:
+    """The homology report with every boundary matrix eliminated whole, on
+    its own, by `eliminate(columns, rows)`: the route before the sweep."""
+    factors = {
+        d: eliminate(C.boundary[d], C.rank(d - 1))
+        for d in range(1, C.top_degree + 1)
+        if C.rank(d) and C.rank(d - 1)
+    }
+    entries = []
+    for d in range(C.top_degree + 1):
+        betti = C.rank(d) - len(factors.get(d, ())) - len(factors.get(d + 1, ()))
+        torsion = tuple(sorted(f for f in factors.get(d + 1, ()) if f > 1))
+        entries.append((d, betti, torsion))
+    return HomologyReport(tuple(entries))
+
+
+def _sparse_factors(columns, rows):
+    return invariant_factors_sparse(sparse_entries(columns))
+
+
+def _dense_factors(columns, rows):
+    return smith_normal_form([[column.get(i, 0) for column in columns] for i in range(rows)]).diag
+
+
+_SWEEP_FIXTURES = {
+    **_ELIMINATION_FIXTURES,  # rp2^1 is the three-cell RP2
+    "klein-bottle": klein_bottle,
+    "moore-mod3": moore_space_mod3,
+}
+
+
+@pytest.mark.parametrize("fixture", list(_SWEEP_FIXTURES))
+def test_sweep_matches_unreduced_elimination(fixture):
+    X = _SWEEP_FIXTURES[fixture]()
+    C = (simplicial_chains if isinstance(X, SimplicialSet) else cubical_chains)(X)
+    report = homology(C)
+    assert report == unreduced_homology(C, _sparse_factors)
+    if all(C.rank(d - 1) * C.rank(d) <= 20_000 for d in C.basis):
+        assert report == unreduced_homology(C, _dense_factors)
+
+
+def _elementary_report(summands) -> tuple:
+    """The report of a direct sum of elementary complexes: ("Z", d) is Z in
+    degree d, and ("K", d, k) is Z --k--> Z from degree d to d - 1.  Torsion
+    is read as invariant factors, through the dense oracle."""
+    top = max(s[1] for s in summands)
+    entries = []
+    for d in range(top + 1):
+        betti = sum(1 for s in summands if s == ("Z", d))
+        orders = [s[2] for s in summands if s[0] == "K" and s[1] == d + 1 and s[2] > 1]
+        diagonal = [[k if r == c else 0 for c in range(len(orders))] for r, k in enumerate(orders)]
+        torsion = tuple(f for f in smith_normal_form(diagonal).diag if f > 1) if orders else ()
+        entries.append((d, betti, torsion))
+    return tuple(entries)
+
+
+@st.composite
+def elementary_complexes(draw):
+    """A direct sum of elementary complexes in degrees 0..4, with each degree
+    conjugated by a random unimodular basis change, as (complex, report).
+    Replacing the basis vector e_a by e_a + c e_b adds c times column b to
+    column a of ∂_d and subtracts c times row a from row b of ∂_(d+1); a
+    swap exchanges the two columns and the two rows."""
+    summands = draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("Z"), st.integers(0, 4)),
+            st.tuples(st.just("K"), st.integers(1, 4), st.sampled_from([1, 2, 3, 4, 6])),
+        ),
+        min_size=1, max_size=8,
+    ))
+    top = max(s[1] for s in summands)
+    rank = dict.fromkeys(range(top + 2), 0)
+    M = {d: {} for d in range(1, top + 2)}  # degree -> {(row, col): value}
+    for s in summands:
+        if s[0] == "K":
+            M[s[1]][(rank[s[1] - 1], rank[s[1]])] = s[2]
+            rank[s[1] - 1] += 1
+        rank[s[1]] += 1
+    dense = {
+        d: [[M[d].get((i, j), 0) for j in range(rank[d])] for i in range(rank[d - 1])]
+        for d in range(1, top + 2)
+    }
+    for op, d, a, b, c in draw(st.lists(
+        st.tuples(
+            st.sampled_from(["add", "swap"]), st.integers(0, top),
+            st.integers(0, 7), st.integers(0, 7), st.sampled_from([1, -1, 2, -2, 3]),
+        ),
+        max_size=40,
+    )):
+        if rank[d] < 2:
+            continue
+        a, b = a % rank[d], b % rank[d]
+        if a == b:
+            continue
+        below, above = dense.get(d, []), dense[d + 1]
+        if op == "add":
+            for row in below:
+                row[a] += c * row[b]
+            above[b] = [x - c * y for x, y in zip(above[b], above[a])]
+        else:
+            for row in below:
+                row[a], row[b] = row[b], row[a]
+            above[a], above[b] = above[b], above[a]
+    basis = {d: [f"e{d}.{t}" for t in range(rank[d])] for d in range(top + 1)}
+    boundary = {
+        d: [{i: row[j] for i, row in enumerate(dense[d]) if row[j]} for j in range(rank[d])]
+        for d in range(1, top + 1)
+    }
+    C = ChainComplex(basis, boundary)
+    C.validate()
+    return C, _elementary_report(summands)
+
+
+@settings(max_examples=200, deadline=None)
+@given(elementary_complexes())
+def test_homology_of_conjugated_elementary_complexes(built):
+    C, want = built
+    assert homology(C).entries == want
+    assert homology(C) == unreduced_homology(C, _sparse_factors)
+
+
+def test_sweep_pairs_nothing_across_an_empty_degree():
+    # the edge a pairs with the vertex p; degree 2 is empty, so the rows
+    # of ∂_4 (positions of 3-cells) must not lose position 0 to that pairing
+    C = ChainComplex(
+        {0: ["p"], 1: ["a"], 3: ["t"], 4: ["f"]}, {1: [{0: 1}], 4: [{0: 2}]}
+    )
+    C.validate()
+    assert groups(homology(C)) == [(0, ()), (0, ()), (0, ()), (0, (2,)), (0, ())]
+
+def test_pivots_after_a_divisible_pivot_pair_their_columns():
+    # ∂_1 over 0-cells p, q, s and 1-cells a, u, w: the row of p, the
+    # shortest, has no unit and pivots on its 2 in column a, which divides
+    # its row and column; that turns q into u + w, which pivots on u.  The
+    # rows of ∂_1 vanish on z = -a - u + w, and ∂_2(e) = 2z.
+    boundary = {
+        1: [{0: 2, 1: 2}, {1: 1, 2: 1}, {0: 2, 1: 3, 2: 1}],
+        2: [{0: -2, 1: -2, 2: 2}],
+    }
+    C = ChainComplex({0: ["p", "q", "s"], 1: ["a", "u", "w"], 2: ["e"]}, boundary)
+    C.validate()
+    order = []
+    divisible = snf._divisible_pivot
+
+    def spy(row, rows, cols):
+        j = divisible(row, rows, cols)
+        order.append((j, set(paired)))
+        return j
+
+    paired = set()
+    with mock.patch.object(snf, "_divisible_pivot", spy):
+        assert invariant_factors_sparse(sparse_entries(boundary[1]), paired) == [1, 2]
+    assert order == [(0, set())]
+    # both pair: the divisible pivot's column a, and u, taken after it; so
+    # ∂_2 is eliminated without the rows a and u, as the 1 x 1 matrix (2)
+    assert paired == {0, 1}
+    assert groups(homology(C)) == [(1, (2,)), (0, (2,)), (0, ())]
+    assert homology(C) == unreduced_homology(C, _dense_factors)
 
 def test_validate_refuses_position_out_of_range():
     for column in ({0: 1, 2: -1}, {-1: 1}, {"a": 1}):
