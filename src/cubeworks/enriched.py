@@ -79,9 +79,9 @@ def _word_faces(letters, word, cancel_pairs, reduced: bool = False):
 
     The replacement is folded onto the prefix, and then only the junction
     with the suffix can cancel, as long as the suffix has no cancel pair of
-    its own.  A reduced word, such as every word of a mapping space, has
-    none; a boundary word may, and then the rest of the suffix is folded on
-    too."""
+    its own.  A reduced word, such as every word of a mapping space and
+    every boundary word the constructor accepts, has none; any other word
+    may, and then the rest of the suffix is folded on too."""
     n = len(word)
     # word[k:] has no adjacent cancel pair exactly when k >= clean
     clean = 0
@@ -177,9 +177,10 @@ class EnrichedPresentation:
 
     def _attachment_letters(self, i: int, att: Attachment, known: dict) -> dict:
         """The letters of attachment i, after checking its endpoints, that A is
-        a face-closed subobject of B, and that the boundary words use known
-        letters, compose, have the dimension of their cells and respect
-        faces.  Its letters weigh as much as its heaviest boundary word."""
+        a face-closed subobject of B, and that the boundary words are
+        reduced, use known letters, compose, have the dimension of their
+        cells and respect faces.  Its letters weigh as much as its heaviest
+        boundary word."""
         space, a_cells, words = att.space, att.a_cells, att.boundary_map
         if att.source not in self.objects or att.target not in self.objects:
             raise ValidationError(f"attachment {i} has an endpoint that is not an object")
@@ -193,6 +194,9 @@ class EnrichedPresentation:
             raise ValidationError(
                 f"attachment {i} needs a boundary word on each A-cell only, not at {c}"
             )
+        for a in sorted(a_cells):
+            if words[a] != self.normalize_word(words[a]):
+                raise ValidationError(f"boundary word of {a} is not reduced")
         weight = 1
         for a in sorted(a_cells):
             word = words[a]
@@ -213,7 +217,7 @@ class EnrichedPresentation:
             weight = max(weight, sum(known[l].weight for l in word))
             got = _word_faces(known, word, self.cancel_pairs)
             for n, (face, ref) in enumerate(zip(got, space.faces_of(a))):
-                expected = (ref.degens, self.normalize_word(words[ref.base]))
+                expected = (ref.degens, words[ref.base])
                 if face != expected:
                     raise ValidationError(
                         f"boundary word of {a} breaks face ({n // 2 + 1},{n % 2}): "

@@ -18,6 +18,7 @@ from cubeworks.james import james
 from cubeworks.james_compare import localized_E
 from cubeworks.simplicial import SimplicialSet, standard_simplex, wedge_of_intervals
 from cubeworks.triangulate import triangulate
+from test_enriched import _interval_along
 
 
 def run(capsys, tmp_path, *argv):
@@ -456,6 +457,21 @@ def test_cli_malformed_presentation_exits_2(capsys, tmp_path, edit):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_stored_unreduced_boundary_word_exits_2(capsys, tmp_path):
+    Workspace(str(tmp_path / "ws")).save("saved", _interval_along("*"))
+    code, out = run(capsys, tmp_path, "enriched", "map-space", "saved", "x", "x", "--bound", "1")
+    assert code == 0 and json.loads(out)["cells"] == {"0": 5, "1": 1}
+    path = tmp_path / "ws" / "saved.json"
+    data = json.loads(path.read_text())
+    word = data["attachments"][0]["boundary"]["*"]
+    word += [{"kind": "edge", "source": "x", "target": "x", "cell": c} for c in "fg"]
+    path.write_text(json.dumps(data))
+    code = main(["--workspace", str(tmp_path / "ws"), "enriched", "map-space", "saved", "x", "x", "--bound", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["invalid input: boundary word of * is not reduced"]
 
 
 def _point_face(cell, eps, base, degens=()):

@@ -181,6 +181,33 @@ def test_constructor_checks_faces_of_boundary_words():
         attach(loop, square, boundary, "x", "x", {**edges, **corners, "01": (v1, v0)})
 
 
+def _interval_along(word):
+    """Attach the interval to one object x along the boundary word `word` on
+    its edge, where x has the edge * from 0 to 1, the vertices f and g, and
+    the cancel pair (f, g)."""
+    edges = CubicalSet({**standard_cube(1).cells, "f": 0, "g": 0}, standard_cube(1).faces)
+    e, v0, v1, f, g = (("e", "x", "x", c) for c in ("*", "0", "1", "f", "g"))
+    letters = {"*": e, "0": v0, "1": v1, "f": f, "g": g}
+    free = EnrichedPresentation(["x"], {("x", "x"): edges}, cancel_pairs={(f, g)})
+    interval = standard_cube(1)
+    words = {"0": (v0,), "1": (v1,), "*": tuple(letters[c] for c in word)}
+    return attach(free, interval, set(interval.cells), "x", "x", words)
+
+
+def test_constructor_refuses_unreduced_boundary_words():
+    assert _interval_along("*").letters.keys() == {
+        ("e", "x", "x", c) for c in ("*", "0", "1", "f", "g")
+    }
+    # the cancel pair is refused wherever it sits: before this check,
+    # (*, f, g) was accepted and (f, g, *) broke a face
+    messages = set()
+    for word in ("*fg", "fg*"):
+        with pytest.raises(ValidationError) as err:
+            _interval_along(word)
+        messages.add(str(err.value))
+    assert messages == {"boundary word of * is not reduced"}
+
+
 _EDITS = [
     lambda v: v.__setitem__(0, None),
     lambda v: v.__delitem__(0),

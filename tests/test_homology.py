@@ -4,7 +4,7 @@ from math import factorial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from cubeworks.chains import (
@@ -25,6 +25,7 @@ from cubeworks.cubical import (
     CubicalSet,
     boundary,
     coproduct,
+    enumerate_maps,
     nd,
     open_box,
     pushout,
@@ -51,6 +52,7 @@ from cubeworks.simplicial import (
 from cubeworks import snf
 from cubeworks.snf import invariant_factors_sparse, smith_normal_form
 from cubeworks.triangulate import simplex_count, triangulate
+from random_sets import cubical_sets
 
 
 def H(X):
@@ -614,13 +616,36 @@ def test_triangulate_matches_reference():
     assert degenerate_faces > 0
 
 
+def _square_with_collapsed_edge():
+    """The square with its edge *0 collapsed to a point: the pushout of the
+    square and the point along the interval."""
+    (into_square,) = [m for m in enumerate_maps(standard_cube(1), standard_cube(2))
+                      if m.assignment["*"] == nd("*0")]
+    (collapse,) = enumerate_maps(standard_cube(1), standard_cube(0))
+    return pushout(into_square, collapse)[0]
+
+
+@settings(deadline=None)
+@given(cubical_sets())
+@example(_square_with_collapsed_edge())
+def test_triangulate_matches_reference_on_random_sets(X):
+    X.validate()
+    T, R = triangulate(X), reference_triangulate(X)
+    assert list(T.cells.items()) == list(R.cells.items())
+    assert list(T.faces.items()) == list(R.faces.items())
+    assert simplex_count(X) == len(T.cells)
+    assert T.validate() is True
+    assert homology(simplicial_chains(T)) == homology(cubical_chains(X))
+
+
 def test_triangulate_guard():
     with pytest.raises(GuardError):
         triangulate(standard_cube(3), guard=50)
     assert len(triangulate(standard_cube(3), guard=51).cells) == 51
-    # the count comes before any chain is built: the 7-cube (189,171
-    # simplices) trips a budget of 10**5 without enumerating a chain
-    with mock.patch("cubeworks.triangulate.spanning_chains", side_effect=AssertionError):
+    # the count comes before any chain or table is built: the 7-cube
+    # (189,171 simplices) trips a budget of 10**5 without enumerating a chain
+    with mock.patch("cubeworks.triangulate.spanning_chains", side_effect=AssertionError), \
+            mock.patch("cubeworks.triangulate.chain_table", side_effect=AssertionError):
         with pytest.raises(GuardError):
             triangulate(standard_cube(7), guard=10**5)
 

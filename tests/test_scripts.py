@@ -87,3 +87,14 @@ def test_bench_ledger_script(tmp_path):
     assert before["src_sha256"] == ["p"] and after["src_sha256"] == ["c"]
     assert abs(torsion["relative_change"]["wall_ref"] - (245 / 610 - 1)) < 1e-12
     assert torsion["relative_change"]["setup_s"] == 0.0
+
+
+def test_ladder_script_runs_one_rung():
+    out = json.loads(run_script("ladder.py", "--rung", "tri_cube6_boundary"))
+    assert out["rung"] == "tri_cube6_boundary"
+    # the boundary of the 6-cube: 728 cells, 14,048 simplices, a 5-sphere
+    assert sum(out["cells"].values()) == 14048
+    assert out["cells"]["5"] == 1440
+    assert out["homology"] == [[1, []]] + [[0, []]] * 4 + [[1, []]]
+    assert set(out["stages"]) == {"triangulate", "homology"}
+    assert out["wall_s"] > 0 and out["max_rss_mb"] > 0
