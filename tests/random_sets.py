@@ -1,6 +1,6 @@
 """Hypothesis strategies for small random cubical sets.
 
-A set is a standard cube glued by a few pushouts (`cubical.pushout`) with
+A set is a standard cube glued by up to three pushouts (`cubical.pushout`) with
 further standard cubes.  Each pushout X <- A -> C glues a cube C of
 dimension at most 3 along a small A: a cube or the boundary of a cube of
 dimension at most 2.  Both legs are drawn from `enumerate_maps`, so a leg
@@ -20,13 +20,13 @@ MAX_VERTEX_MAPS = 1000
 
 
 @st.composite
-def cubical_sets(draw, max_dim: int = 3, max_steps: int = 3):
-    X = standard_cube(draw(st.integers(0, max_dim)))
-    for _ in range(draw(st.integers(0, max_steps))):
+def cubical_sets(draw):
+    X = standard_cube(draw(st.integers(0, 3)))
+    for _ in range(draw(st.integers(0, 3))):
         vertices = len(X.by_dim(0))
         sources = [A for A in SOURCES if vertices ** len(A.by_dim(0)) <= MAX_VERTEX_MAPS]
         A = draw(st.sampled_from(sources))
-        C = standard_cube(draw(st.integers(0, max_dim)))
+        C = standard_cube(draw(st.integers(0, 3)))
         into_x = draw(st.sampled_from(enumerate_maps(A, X, guard=10**12)))
         into_c = draw(st.sampled_from(enumerate_maps(A, C, guard=10**12)))
         X, _, _ = pushout(into_x, into_c)

@@ -198,8 +198,8 @@ def test_constructor_refuses_unreduced_boundary_words():
     assert _interval_along("*").letters.keys() == {
         ("e", "x", "x", c) for c in ("*", "0", "1", "f", "g")
     }
-    # the cancel pair is refused wherever it sits: before this check,
-    # (*, f, g) was accepted and (f, g, *) broke a face
+    # the cancel pair is refused with one message wherever it sits, not
+    # only where it would break a face
     messages = set()
     for word in ("*fg", "fg*"):
         with pytest.raises(ValidationError) as err:
