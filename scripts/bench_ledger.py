@@ -3,12 +3,14 @@
 ledger file.
 
     python3 scripts/bench_ledger.py --parent P.jsonl --change C.jsonl \\
-        [--parent-rev REV] [--change-rev REV] --out BENCH_<n>.json
+        --parent-rev REV --change-rev REV --out BENCH_<n>.json
 
 Each input file holds the output lines of any number of runs of
 `perfbench/run.py`, untraced (`--trace 0`) and traced (`--trace 1`), one
 side each; other lines are ignored.  Every run prints a context line and a
-metrics line.  For each workload and side the ledger keeps:
+metrics line.  A run made outside a git checkout has no commit; it gets its
+side's revision.  A run whose commit does not start with its side's
+revision is refused.  For each workload and side the ledger keeps:
 
 - the median and quartiles of each end-to-end metric over the untraced
   runs, with the values of every run;
@@ -48,6 +50,17 @@ def read_runs(path) -> list:
             elif "metrics" in data and context is not None:
                 runs.append((context, data))
                 context = None
+    return runs
+
+
+def stamp(runs, rev: str) -> list:
+    """The runs of one side, each with its commit: a missing one is filled
+    from rev, and a known one must start with it."""
+    for context, _ in runs:
+        if context.get("commit") is None:
+            context["commit"] = rev
+        elif not context["commit"].startswith(rev):
+            sys.exit(f"error: a run of commit {context['commit']} is not of revision {rev}")
     return runs
 
 
@@ -120,12 +133,12 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", nargs="+", required=True, help="harness output of the parent")
     p.add_argument("--change", nargs="+", required=True, help="harness output of the change")
-    p.add_argument("--parent-rev", help="revision the parent runs measured")
-    p.add_argument("--change-rev", help="revision the change runs measured")
+    p.add_argument("--parent-rev", required=True, help="revision the parent runs measured")
+    p.add_argument("--change-rev", required=True, help="revision the change runs measured")
     p.add_argument("--out", required=True, help="ledger file to write")
     args = p.parse_args(argv)
-    parent = [run for path in args.parent for run in read_runs(path)]
-    change = [run for path in args.change for run in read_runs(path)]
+    parent = stamp([run for path in args.parent for run in read_runs(path)], args.parent_rev)
+    change = stamp([run for path in args.change for run in read_runs(path)], args.change_rev)
     if not parent or not change:
         sys.exit("error: no harness runs found on one side")
     revs = {"parent": args.parent_rev, "change": args.change_rev}

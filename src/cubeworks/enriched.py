@@ -7,8 +7,7 @@ Mapping spaces are only ever materialized as word-length truncations: cells
 are alternating words of edge cells and attached cells; when a face of an
 attached cell lands in A it is rewritten to its boundary word and the result
 is path-normalized.  Localized edges are unit-labeled, carry zero word
-weight, and cancel against their formal inverses, which keeps every
-truncation closed under faces.
+weight, and cancel against their formal inverses.
 
 Each call enumerates words once, at the largest bound it needs, and reads
 every smaller bound off that build as its weight filtration: the words of
@@ -22,6 +21,11 @@ Letters are plain tuples: ("e", src, tgt, cell) for an edge generator and
 A presentation is a frozen value.  Its constructor checks every invariant
 and computes the letter table once; `attach`, `localize` and
 `glue_presentations` each build their result in one constructor call.
+Among the invariants, zero-weight letters are closed under faces and letter
+tokens are distinct and free of the separator ``.``.  So no face of a word
+weighs more than the word, every truncation is closed under faces, a build
+capped in dimension is the subcomplex of a full build, and no two words
+share a cell id.
 """
 
 from __future__ import annotations
@@ -49,18 +53,6 @@ def word_id(word) -> str:
     return ".".join(letter_token(l) for l in word)
 
 
-def _cancel_onto(stack: list, letters, cancel_pairs) -> tuple:
-    """Append letters to a word without adjacent cancel pairs, deleting each
-    pair as it forms.  This deletes the leftmost pair first, so it agrees
-    with repeated leftmost deletion for any set of cancel pairs."""
-    for letter in letters:
-        if stack and (stack[-1], letter) in cancel_pairs:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return tuple(stack)
-
-
 class Letter(NamedTuple):
     """The facts of one letter.  ``faces`` lists its (k, eps)-faces in
     (k, eps) order, each as (local degeneracy word, replacement word)."""
@@ -72,22 +64,17 @@ class Letter(NamedTuple):
     faces: tuple
 
 
-def _word_faces(letters, word, cancel_pairs, reduced: bool = False):
-    """The (k, eps)-faces of a word cell in (k, eps) order, each as
-    (degeneracy word, face word): the face of one letter replaces that
-    letter and the result is path-normalized, leftmost pair first.
+def _word_faces(letters, word, cancel_pairs):
+    """The (k, eps)-faces of a normal word cell (one without adjacent cancel
+    pairs) in (k, eps) order, each as (degeneracy word, face word): the face
+    of one letter replaces that letter and the result is path-normalized,
+    leftmost pair first.
 
     The replacement is folded onto the prefix, and then only the junction
-    with the suffix can cancel, as long as the suffix has no cancel pair of
-    its own.  A reduced word, such as every word of a mapping space and
-    every boundary word the constructor accepts, has none; any other word
-    may, and then the rest of the suffix is folded on too."""
+    with the suffix can cancel, because the suffix of a normal word has no
+    cancel pair of its own.  Every word of a mapping space is normal, and so
+    is every boundary word the constructor accepts."""
     n = len(word)
-    # word[k:] has no adjacent cancel pair exactly when k >= clean
-    clean = 0
-    if not reduced:
-        pairs = (j + 1 for j in range(n - 1) if (word[j], word[j + 1]) in cancel_pairs)
-        clean = max(pairs, default=0)
     off = 0
     for i, letter in enumerate(word):
         _, _, dim, _, faces = letters[letter]
@@ -102,11 +89,8 @@ def _word_faces(letters, word, cancel_pairs, reduced: bool = False):
             while stack and k < n and (stack[-1], word[k]) in cancel_pairs:
                 stack.pop()
                 k += 1
-            if k >= clean:
-                face = tuple(stack) + word[k:]
-            else:
-                face = _cancel_onto(stack, word[k:], cancel_pairs)
-            yield tuple(s + off for s in local) if off and local else local, face
+            shifted = tuple(s + off for s in local) if off and local else local
+            yield shifted, tuple(stack) + word[k:]
         off += dim
 
 
@@ -152,11 +136,25 @@ class EnrichedPresentation:
         letters = self._edge_letters()
         for i, att in enumerate(self.attachments):
             letters.update(self._attachment_letters(i, att, letters))
-        object.__setattr__(self, "letters", MappingProxyType(dict(sorted(letters.items()))))
+        letters = dict(sorted(letters.items()))
+        tokens = {}  # token -> letter, so that word ids are distinct
+        for letter in letters:
+            token = letter_token(letter)
+            if "." in token:
+                raise ValidationError(f"letter token {token!r} contains the separator '.'")
+            if token in tokens:
+                raise ValidationError(
+                    f"letters {tokens[token]} and {letter} have the same token {token!r}"
+                )
+            tokens[token] = letter
+        object.__setattr__(self, "letters", MappingProxyType(letters))
 
     def _edge_letters(self) -> dict:
-        """The edge letters, after checking the endpoints of every edge set and
-        that cancel pairs and zero-weight letters are edge letters."""
+        """The edge letters, after checking the endpoints of every edge set,
+        that cancel pairs and zero-weight letters are edge letters, and that
+        the faces of a zero-weight letter are zero-weight.  Edge letters are
+        the only ones that could weigh less than a face: an attachment letter
+        weighs as much as its heaviest boundary word."""
         letters = {}
         for (s, t), space in self.edges.items():
             if s not in self.objects or t not in self.objects:
@@ -173,14 +171,21 @@ class EnrichedPresentation:
             raise ValidationError(
                 f"cancel pair or zero-weight letter {letter} is not an edge letter"
             )
+        for letter in sorted(self.zero_weight):
+            for _, (face,) in letters[letter].faces:  # an edge face is one letter
+                if face not in self.zero_weight:
+                    raise ValidationError(
+                        f"zero-weight letter {letter} has the face {face}, "
+                        "which is not zero-weight"
+                    )
         return letters
 
     def _attachment_letters(self, i: int, att: Attachment, known: dict) -> dict:
         """The letters of attachment i, after checking its endpoints, that A is
-        a face-closed subobject of B, and that the boundary words are
-        reduced, use known letters, compose, have the dimension of their
-        cells and respect faces.  Its letters weigh as much as its heaviest
-        boundary word."""
+        a face-closed subobject of B, and that the boundary words have no
+        adjacent cancel pair, use known letters, compose, have the dimension
+        of their cells and respect faces.  Its letters weigh as much as its
+        heaviest boundary word."""
         space, a_cells, words = att.space, att.a_cells, att.boundary_map
         if att.source not in self.objects or att.target not in self.objects:
             raise ValidationError(f"attachment {i} has an endpoint that is not an object")
@@ -196,7 +201,7 @@ class EnrichedPresentation:
             )
         for a in sorted(a_cells):
             if words[a] != self.normalize_word(words[a]):
-                raise ValidationError(f"boundary word of {a} is not reduced")
+                raise ValidationError(f"boundary word of {a} has an adjacent cancel pair")
         weight = 1
         for a in sorted(a_cells):
             word = words[a]
@@ -239,12 +244,16 @@ class EnrichedPresentation:
         }
 
     def normalize_word(self, letters):
-        """Delete adjacent cancel pairs, leftmost first, until none is left."""
-        return _cancel_onto([], letters, self.cancel_pairs)
-
-    def compose_words(self, u, v):
-        """u then v (diagrammatic order), normalized."""
-        return self.normalize_word(u + v)
+        """Delete adjacent cancel pairs, leftmost first, until none is left.
+        Each pair is deleted as it forms, which agrees with repeated leftmost
+        deletion for any set of cancel pairs."""
+        stack = []
+        for letter in letters:
+            if stack and (stack[-1], letter) in self.cancel_pairs:
+                stack.pop()
+            else:
+                stack.append(letter)
+        return tuple(stack)
 
 
 def vertex_edge_set(*names) -> CubicalSet:
@@ -473,20 +482,6 @@ def _least_weights(pres, x, top: int) -> list:
     return least
 
 
-def _cap_is_exact(letters) -> bool:
-    """Whether a build capped in dimension fails exactly where a build of
-    every dimension does.  It does when no face of a letter weighs more than
-    the letter, so that no face of any word leaves a truncation, and when
-    letter tokens are distinct and free of the separator, so that no two
-    words share a cell id.  The word-length guard never depends on the cap."""
-    for info in letters.values():
-        for _, repl in info.faces:
-            if sum(letters[l].weight for l in repl) > info.weight:
-                return False
-    tokens = {letter_token(l) for l in letters}
-    return len(tokens) == len(letters) and not any("." in t for t in tokens)
-
-
 class _WordFiltration:
     """Every cell word of Map(x, y) up to one word-weight bound, built once.
 
@@ -495,10 +490,9 @@ class _WordFiltration:
     The truncation at any bound b <= top is the subcomplex of words of weight
     at most b; ``level(b)`` renders it as a cubical set.  With ``max_dim``
     only the words of dimension at most max_dim are built, which is the
-    subcomplex of those dimensions, unless a higher word could fail the
-    build (see `_cap_is_exact`); the word-length guard counts every letter
-    either way.  Letter facts come from the presentation's letter table,
-    and the rendered levels hold no reference back to the build."""
+    subcomplex of those dimensions; the word-length guard counts every
+    letter either way.  Letter facts come from the presentation's letter
+    table, and the rendered levels hold no reference back to the build."""
 
     def __init__(self, pres, x, y, top: int, max_dim: int = None):
         self.x, self.y = x, y
@@ -510,7 +504,7 @@ class _WordFiltration:
             )
         self.least = _least_weights(pres, x, top)
         self._check_guard(top)
-        cap = max_dim if max_dim is not None and _cap_is_exact(pres.letters) else float("inf")
+        cap = float("inf") if max_dim is None else max_dim
         found = []
 
         def rec(at, word, weight, dim):
@@ -537,19 +531,11 @@ class _WordFiltration:
 
         # faces[i]: the (k, eps)-faces of word i in (k, eps) order, each as
         # (degeneracy word, index of the face word)
-        self.faces = []
         letters = pres.letters
-        for w in self.words:
-            out = []
-            for degens, fw in _word_faces(letters, w, cancel, reduced=True):
-                j = index.get(fw)
-                if j is None:
-                    raise ValidationError(
-                        f"face left the truncation: {word_id(fw)} from "
-                        f"{word_id(w)}; word weights are not face-monotone"
-                    )
-                out.append((degens, j))
-            self.faces.append(out)
+        self.faces = [
+            [(degens, index[fw]) for degens, fw in _word_faces(letters, w, cancel)]
+            for w in self.words
+        ]
 
     def _check_guard(self, b: int):
         """The word-length guard of a standalone build at bound b."""
@@ -578,22 +564,12 @@ class _WordFiltration:
             cid = ids[i]
             if cid is None:
                 cid = ids[i] = word_id(w)
-            if cid in cells:
-                raise ValidationError(
-                    f"words {index[cid]} and {w} both have the cell id {cid!r}"
-                )
             cells[cid] = self.dims[i]
             index[cid] = w
         faces = {}
-        weights = self.weights
         for i in keep:
             cid = ids[i]
             for n, (degens, j) in enumerate(self.faces[i]):
-                if weights[j] > b:
-                    raise ValidationError(
-                        f"face left the truncation: {word_id(self.words[j])} from "
-                        f"{cid}; word weights are not face-monotone"
-                    )
                 faces[(cid, n // 2 + 1, n % 2)] = CellRef(degens, ids[j])
         space = CubicalSet(cells, faces, name=f"Map({self.x},{self.y})@{b}")
         return space, index
@@ -609,8 +585,7 @@ def mapping_space(pres, x, y, bound: int, with_stability: bool = True) -> Mappin
 
     stable_dims lists the dimensions in which raising the bound by one adds
     no cells.  It is read off the weight filtration of one build at
-    bound + 1, which also checks that every face of that build stays inside
-    it; stability is computed, never assumed."""
+    bound + 1; stability is computed, never assumed."""
     _require_bound(bound)
     if not with_stability:
         space, index = _WordFiltration(pres, x, y, bound).level(bound)
@@ -652,9 +627,7 @@ class HomotopyCategory:
 
     def compose(self, x, y, z, r1, r2):
         """Class of (r1: x->y) followed by (r2: y->z)."""
-        w = self._pres.compose_words(
-            self.rep_words[(x, y, r1)], self.rep_words[(y, z, r2)]
-        )
+        w = self._pres.normalize_word(self.rep_words[(x, y, r1)] + self.rep_words[(y, z, r2)])
         table = self.class_of[(x, z)]
         wid = word_id(w)
         if wid not in table:
@@ -753,7 +726,7 @@ def extend_inverse(pres, edge, bound: int) -> dict:
     report = {"edge": c, "bound": bound}
     left = None
     for g in inverses:
-        gf = pres.compose_words(f_word, g)  # f then g
+        gf = pres.normalize_word(f_word + g)  # f then g
         if word_id(gf) not in loops_s.cells:
             continue
         witness = _find_homotopy(loops_s, gf, ())
@@ -762,7 +735,7 @@ def extend_inverse(pres, edge, bound: int) -> dict:
             break
     right = None
     for g in inverses:
-        fg = pres.compose_words(g, f_word)  # g then f
+        fg = pres.normalize_word(g + f_word)  # g then f
         if word_id(fg) not in loops_t.cells:
             continue
         witness = _find_homotopy(loops_t, fg, ())

@@ -471,7 +471,9 @@ def test_cli_stored_unreduced_boundary_word_exits_2(capsys, tmp_path):
     code = main(["--workspace", str(tmp_path / "ws"), "enriched", "map-space", "saved", "x", "x", "--bound", "1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.splitlines() == ["invalid input: boundary word of * is not reduced"]
+    assert captured.err.splitlines() == [
+        "invalid input: boundary word of * has an adjacent cancel pair"
+    ]
 
 
 def _point_face(cell, eps, base, degens=()):
@@ -487,6 +489,15 @@ def _point_face(cell, eps, base, degens=()):
 
 
 _ATT5 = [_LETTER, {"kind": "att", "index": 5, "cell": "h"}]
+
+
+def _zero_weight_edge_on_heavy_vertex(data):
+    """An edit of a saved P: a zero-weight edge w from u to u, where the
+    vertex u keeps weight 1."""
+    space = data["edges"][0]["space"]
+    space["cells"]["w"] = 1
+    space["faces"] += [{"base": "u", "cell": "w", "degens": [], "eps": e, "k": 0} for e in (0, 1)]
+    data["zero_weight"] = [{**_LETTER, "cell": "w"}]
 
 
 @pytest.mark.parametrize(
@@ -522,6 +533,16 @@ _ATT5 = [_LETTER, {"kind": "att", "index": 5, "cell": "h"}]
             _point_face("*0", 0, "10"),
             ["homology", "saved"],
         ),
+        (
+            ["enriched", "build", "P"],
+            _zero_weight_edge_on_heavy_vertex,
+            ["enriched", "map-space", "saved", "c", "c'", "--bound", "1"],
+        ),
+        (
+            ["enriched", "build", "P"],
+            _set(["edges", 0, "space", "cells"], {"u.x": 0}),
+            ["enriched", "map-space", "saved", "c", "c'", "--bound", "1"],
+        ),
     ],
     ids=[
         "edge-from-unknown-object",
@@ -530,6 +551,8 @@ _ATT5 = [_LETTER, {"kind": "att", "index": 5, "cell": "h"}]
         "degeneracy-outside-the-face",
         "degeneracy-word-not-increasing",
         "face-identity-broken",
+        "zero-weight-edge-with-heavier-face",
+        "edge-id-with-separator",
     ],
 )
 def test_cli_inconsistent_artifact_exits_2(capsys, tmp_path, build, edit, use):

@@ -10,7 +10,6 @@ from cubeworks.cubical import CellRef, CubicalSet, standard_cube
 from cubeworks.enriched import (
     Attachment,
     EnrichedPresentation,
-    _cancel_onto,
     _least_weights,
     _word_faces,
     _WordFiltration,
@@ -140,6 +139,21 @@ def test_constructor_refuses_broken_attachments(case):
         replace(build_P(), attachments=[_h_attachment(**changes)])
 
 
+def _pinched_square(*extra, **fields):
+    """A loop object x with a vertex v, a square q whose faces all collapse
+    onto v, and further vertices; the given presentation fields apply."""
+    faces = {("q", k, eps): CellRef((1,), "v") for k in (1, 2) for eps in (0, 1)}
+    cells = {"v": 0, "q": 2, **{c: 0 for c in extra}}
+    return EnrichedPresentation(["x"], {("x", "x"): CubicalSet(cells, faces)}, **fields)
+
+
+Q = ("e", "x", "x", "q")
+_Q_FACE = (
+    r"zero-weight letter \('e', 'x', 'x', 'q'\) has the face \('e', 'x', 'x', 'v'\), "
+    "which is not zero-weight$"
+)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -158,8 +172,25 @@ def test_constructor_refuses_broken_attachments(case):
             "is not an edge letter",
         ),
         (lambda: replace(build_H(), zero_weight={("a", 0, "h")}), "is not an edge letter"),
+        # a zero-weight letter with a heavier face: its words would have faces
+        # outside their truncation
+        (lambda: _pinched_square(zero_weight={Q}), _Q_FACE),
+        (lambda: _pinched_square(zero_weight={Q}, cancel_pairs={(Q, Q)}), _Q_FACE),
+        # the one-letter word q(x>x).v renders the id of the word q.v
+        (
+            lambda: _pinched_square("q(x>x).v"),
+            r"^letter token 'q\(x>x\).v\(x>x\)' contains the separator '\.'$",
+        ),
     ],
-    ids=["edge-endpoint", "letter-of-a-missing-edge", "cancel-pair", "zero-weight-attachment"],
+    ids=[
+        "edge-endpoint",
+        "letter-of-a-missing-edge",
+        "cancel-pair",
+        "zero-weight-attachment",
+        "zero-weight-square",
+        "light-square",
+        "colliding-square",
+    ],
 )
 def test_constructor_refuses_broken_presentations(build, message):
     with pytest.raises(ValidationError, match=message):
@@ -205,7 +236,7 @@ def test_constructor_refuses_unreduced_boundary_words():
         with pytest.raises(ValidationError) as err:
             _interval_along(word)
         messages.add(str(err.value))
-    assert messages == {"boundary word of * is not reduced"}
+    assert messages == {"boundary word of * has an adjacent cancel pair"}
 
 
 _EDITS = [
@@ -310,13 +341,17 @@ def test_truncation_monotone():
 
 
 def test_colliding_cell_ids_are_refused():
-    # the word a.a and the one-letter word "a(c>c).a" render the same id
-    pres = EnrichedPresentation(["c"], {("c", "c"): vertex_edge_set("a", "a(c>c).a")})
+    # the word a.a and the one-letter word "a(c>c).a" would render the same id
+    with pytest.raises(ValidationError, match="^letter token 'a\\(c>c\\).a\\(c>c\\)' contains"):
+        EnrichedPresentation(["c"], {("c", "c"): vertex_edge_set("a", "a(c>c).a")})
+    # the edges x from y(z to w and x(y from z to w both have the token x(y(z>w)
+    objects = ["y(z", "z", "w"]
+    edges = {("y(z", "w"): vertex_edge_set("x"), ("z", "w"): vertex_edge_set("x(y")}
     with pytest.raises(ValidationError) as err:
-        mapping_space(pres, "c", "c", 2, with_stability=False)
-    msg = str(err.value)
-    assert "('e', 'c', 'c', 'a(c>c).a'),)" in msg
-    assert "(('e', 'c', 'c', 'a'), ('e', 'c', 'c', 'a'))" in msg
+        EnrichedPresentation(objects, edges)
+    assert str(err.value) == (
+        "letters ('e', 'y(z', 'w', 'x') and ('e', 'z', 'w', 'x(y') have the same token 'x(y(z>w)'"
+    )
 
 
 def _filtration_cases():
@@ -401,27 +436,13 @@ def test_guard_replayed_per_level():
 GUARD = "word length guard exceeded; presentation rewrites do not terminate"
 
 
-def _pinched_square(*extra, **fields):
-    """A loop object x with a vertex v, a square q whose faces all collapse
-    onto v, and further vertices; the given presentation fields apply."""
-    faces = {("q", k, eps): CellRef((1,), "v") for k in (1, 2) for eps in (0, 1)}
-    cells = {"v": 0, "q": 2, **{c: 0 for c in extra}}
-    return EnrichedPresentation(["x"], {("x", "x"): CubicalSet(cells, faces)}, **fields)
-
-
-Q = ("e", "x", "x", "q")
-
-
 def _guard_cases():
     return {
         **_filtration_cases(),
         "point": special_category("point"),
         "interval": special_category("interval", standard_cube(1)),
-        # only the words through q trip the guard or fail the build, and a
-        # build capped at dimension 1 never makes them
-        "zero_weight_square": _pinched_square(zero_weight={Q}),
-        "light_square": _pinched_square(zero_weight={Q}, cancel_pairs={(Q, Q)}),
-        "colliding_square": _pinched_square("q(x>x).v"),
+        # trips the guard at every bound
+        "zero_weight_loop": _zero_weight_loop(),
     }
 
 
@@ -489,23 +510,18 @@ def test_capped_builds_answer_as_uncapped_ones(name, monkeypatch):
             m.setattr(enriched, "_WordFiltration", _Uncapped)
             assert _outcome(_hcat_tables, pres, bound) == capped, bound
             assert [_outcome(extend_inverse, pres, e, bound) for e in edges] == reports
-    if name == "zero_weight_square":
-        assert capped == "GuardError: " + GUARD
-    if name == "light_square":
-        assert "word weights are not face-monotone" in capped
-    if name == "colliding_square":
-        assert "both have the cell id 'q(x>x).v(x>x)'" in capped
 
 
-def _faces_by_rescan(letters, word, cancel):
-    """The reference face rule: fold the replacement and the whole suffix
-    onto the prefix."""
+def _faces_by_rescan(pres, word):
+    """The reference face rule: replace the letter and normalize the whole
+    word."""
     out, off = [], 0
     for i, letter in enumerate(word):
-        for local, repl in letters[letter].faces:
-            face = _cancel_onto(list(word[:i]), repl + word[i + 1 :], cancel)
+        info = pres.letters[letter]
+        for local, repl in info.faces:
+            face = pres.normalize_word(word[:i] + repl + word[i + 1 :])
             out.append((tuple(s + off for s in local), face))
-        off += letters[letter].dim
+        off += info.dim
     return out
 
 
@@ -516,8 +532,8 @@ def test_junction_face_step_matches_full_rescan(name):
     for x in pres.objects:
         for y in pres.objects:
             for word in _WordFiltration(pres, x, y, 4).words:
-                got = list(_word_faces(letters, word, cancel, reduced=True))
-                assert got == _faces_by_rescan(letters, word, cancel)
+                got = list(_word_faces(letters, word, cancel))
+                assert got == _faces_by_rescan(pres, word)
 
 
 _EL = localize(build_E(), U)
@@ -526,10 +542,12 @@ _EL = localize(build_E(), U)
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(sorted(_EL.letters)), max_size=8))
 def test_face_step_matches_full_rescan_on_words_with_cancel_pairs(word):
-    # boundary words need not be reduced, so the rule must hold on any word
-    word = tuple(word)
+    # the words are drawn with cancel pairs and normalized: the face step
+    # takes only normal words, as the mapping spaces and the constructor's
+    # boundary words are
+    word = _EL.normalize_word(word)
     got = list(_word_faces(_EL.letters, word, _EL.cancel_pairs))
-    assert got == _faces_by_rescan(_EL.letters, word, _EL.cancel_pairs)
+    assert got == _faces_by_rescan(_EL, word)
 
 
 def test_negative_bound_refused():

@@ -36,11 +36,11 @@ def test_kan_survey_script():
     assert "point: fills all boxes" in out
 
 
-def _harness_lines(sha, trace, wall_ref=None, dense=(), layer=0):
+def _harness_lines(sha, trace, wall_ref=None, dense=(), layer=0, commit=None):
     """The two JSON lines one harness run prints, cut down to what the
     ledger reads, with a log line in front."""
     context = {
-        "workload": "torsion", "seed": 5, "trace": trace, "commit": None,
+        "workload": "torsion", "seed": 5, "trace": trace, "commit": commit,
         "src_sha256": sha, "failures": [], "counts": {"task": {"cells": [1, 1]}},
     }
     if trace:
@@ -61,17 +61,19 @@ def _harness_lines(sha, trace, wall_ref=None, dense=(), layer=0):
 def test_bench_ledger_script(tmp_path):
     parent = [line for w in (600.0, 620.0, 610.0) for line in _harness_lines("p", 0, w)]
     parent += _harness_lines("p", 1, dense=[(7, 7), (393, 357)], layer=23)
-    change = [line for w in (240.0, 250.0) for line in _harness_lines("c", 0, w)]
+    # runs made in a git checkout know their commit; the others get their rev
+    change = [line for w in (240.0, 250.0) for line in _harness_lines("c", 0, w, commit="def012")]
     change += _harness_lines("c", 1, layer=0)
     (tmp_path / "parent.jsonl").write_text("\n".join(parent) + "\n")
     (tmp_path / "change.jsonl").write_text("\n".join(change) + "\n")
     out = tmp_path / "BENCH.json"
     run_script(
         "bench_ledger.py", "--parent", str(tmp_path / "parent.jsonl"),
-        "--change", str(tmp_path / "change.jsonl"), "--parent-rev", "abc", "--out", str(out),
+        "--change", str(tmp_path / "change.jsonl"), "--parent-rev", "abc",
+        "--change-rev", "def", "--out", str(out),
     )
     ledger = json.loads(out.read_text())
-    assert ledger["revs"] == {"parent": "abc", "change": None}
+    assert ledger["revs"] == {"parent": "abc", "change": "def"}
     torsion = ledger["workloads"]["torsion"]
     before, after = torsion["parent"], torsion["change"]
     assert (before["runs"], before["traced_runs"], after["runs"]) == (3, 1, 2)
@@ -85,8 +87,22 @@ def test_bench_ledger_script(tmp_path):
     assert before["layers"]["snf.smith_normal_form.calls"] == 23
     assert (before["attempted"], before["failed"]) == (12, 0)
     assert before["src_sha256"] == ["p"] and after["src_sha256"] == ["c"]
+    assert before["commit"] == ["abc"] and after["commit"] == ["def", "def012"]
     assert abs(torsion["relative_change"]["wall_ref"] - (245 / 610 - 1)) < 1e-12
     assert torsion["relative_change"]["setup_s"] == 0.0
+
+
+def test_bench_ledger_script_refuses_runs_of_another_commit(tmp_path):
+    (tmp_path / "runs.jsonl").write_text("\n".join(_harness_lines("p", 0, 600.0, commit="abc9")))
+    runs = str(tmp_path / "runs.jsonl")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "bench_ledger.py"), "--parent", runs,
+         "--change", runs, "--parent-rev", "abc", "--change-rev", "def",
+         "--out", str(tmp_path / "BENCH.json")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1 and not (tmp_path / "BENCH.json").exists()
+    assert proc.stderr.splitlines() == ["error: a run of commit abc9 is not of revision def"]
 
 
 def test_ladder_script_runs_one_rung():
