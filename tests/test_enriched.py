@@ -342,7 +342,7 @@ def test_truncation_monotone():
 
 def test_colliding_cell_ids_are_refused():
     # the word a.a and the one-letter word "a(c>c).a" would render the same id
-    with pytest.raises(ValidationError, match="^letter token 'a\\(c>c\\).a\\(c>c\\)' contains"):
+    with pytest.raises(ValidationError, match=r"^letter token 'a\(c>c\)\.a\(c>c\)' contains"):
         EnrichedPresentation(["c"], {("c", "c"): vertex_edge_set("a", "a(c>c).a")})
     # the edges x from y(z to w and x(y from z to w both have the token x(y(z>w)
     objects = ["y(z", "z", "w"]
