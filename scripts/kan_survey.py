@@ -13,8 +13,8 @@ def main():
     cases = [
         ("point", standard_cube(0), 3),
         ("two points", coproduct(standard_cube(0), standard_cube(0))[0], 2),
-        ("interval", standard_cube(1), 2),
-        ("square", standard_cube(2), 2),
+        ("interval", standard_cube(1), 3),
+        ("square", standard_cube(2), 3),
         ("boundary of the square", boundary(2)[0], 2),
     ]
     for name, X, max_dim in cases:

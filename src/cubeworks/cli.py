@@ -313,7 +313,7 @@ def build_parser():
     kc = cube_sub.add_parser("kan-check")
     kc.add_argument("space")
     kc.add_argument("--max-dim", type=int, default=2)
-    kc.add_argument("--guard", type=int, default=10**7)
+    kc.add_argument("--guard", type=int, default=10**7, help="most choices one map search may try")
 
     h = sub.add_parser("homology", help="homology of a cubical set")
     h.add_argument("space")

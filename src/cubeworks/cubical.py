@@ -25,6 +25,7 @@ from .presented import (
     PresentedSet,
     degenerate,
     disjoint_union,
+    divide,
     find_isomorphism,
     is_isomorphism,
     nd,
@@ -111,8 +112,7 @@ def standard_cube(n: int, guard: int = 8) -> CubicalSet:
             for eps in (0, 1):
                 composite = compose(m, face(k, i, eps))
                 faces[(cid, i, eps)] = nd(_slot_id(composite))
-    X = CubicalSet(cells, faces, name=f"cube{n}")
-    return X
+    return CubicalSet(cells, faces, name=f"cube{n}")
 
 
 def subobject(X: CubicalSet, keep, name: str = "") -> tuple:
@@ -143,10 +143,7 @@ def boundary(n: int) -> tuple:
     if n == 0:
         B = empty_set()
         return B, CubicalMap(B, X, {})
-    top = "*" * n
-    keep = [c for c in X.cells if c != top]
-    B, incl = subobject(X, keep, name=f"boundary{n}")
-    return B, incl
+    return subobject(X, [c for c in X.cells if c != "*" * n], name=f"boundary{n}")
 
 
 def open_box(n: int, k: int, eps: int) -> tuple:
@@ -159,8 +156,7 @@ def open_box(n: int, k: int, eps: int) -> tuple:
     top = "*" * n
     removed = top[: k - 1] + str(1 - eps) + top[k:]
     keep = [c for c in X.cells if c not in (top, removed)]
-    B, incl = subobject(X, keep, name=f"box{n}_{k}_{eps}")
-    return B, incl
+    return subobject(X, keep, name=f"box{n}_{k}_{eps}")
 
 
 # -- colimits ----------------------------------------------------------------
@@ -373,56 +369,82 @@ def empty_to_point() -> CubicalMap:
 # -- map enumeration, lifting, isomorphism ------------------------------------
 
 
-def _fits(X: CubicalSet, Y: CubicalSet, c: str, faces, assign: dict) -> bool:
-    """Whether an element of Y whose faces, in face-index order, are
-    ``faces`` can be the image of cell c of X, given the images in
-    ``assign`` of the bases of the faces of c."""
-    for image_face, fr in zip(faces, X.faces_of(c)):
-        if image_face != Y.degenerate(assign[fr.base], fr.degens):
-            return False
-    return True
+def _extensions(X: CubicalSet, Y: CubicalSet, fixed: dict, unfixed, guard, memo: dict):
+    """Every assignment of the cells ``unfixed`` of X that makes, with the
+    images ``fixed``, a map X -> Y: fixed cells first, the rest in
+    (dimension, id) order.  Only the cells that are no face of an unfixed
+    cell get a chosen image, top dimension first.  By Yoneda a map out of a
+    cube is one element, so the face CellRef(w, b) of a cell with image r
+    sends b to that face of r divided by w, and clashes unless w is among
+    its degeneracies.  ``memo`` holds the faces of elements of Y read so far.
+    GuardError once more than ``guard`` (None: no bound) choices are tried."""
+    order = sorted(unfixed, key=lambda c: (X.cells[c], c))
+    x_faces = {c: X.faces_of(c) for c in order}
+    below = {fr.base for faces in x_faces.values() for fr in faces}
+    chosen = sorted((c for c in order if c not in below), key=lambda c: (-X.cells[c], c))
+    candidates = {X.cells[c]: Y.refs_of_dim(X.cells[c]) for c in chosen}
+    assign = dict(fixed)
+    tried = 0
+
+    def force(c, ref, trail) -> bool:
+        stack = [(c, ref)]
+        while stack:
+            a, r = stack.pop()
+            if a in assign:
+                if assign[a] != r:
+                    return False
+                continue
+            assign[a] = r
+            trail.append(a)
+            d = X.cells[a]
+            if r not in memo:
+                memo[r] = [Y.face_of(r, *i) for i in Y.face_indices(d)]
+            for fr, s in zip(x_faces[a], memo[r]):
+                if fr.degens:
+                    if not set(fr.degens) <= set(s.degens):
+                        return False
+                    s = divide(s, fr.degens, d - 1, 1)
+                stack.append((fr.base, s))
+        return True
+
+    def rec(i):
+        nonlocal tried
+        if i == len(chosen):
+            yield {**fixed, **{c: assign[c] for c in order}}
+            return
+        c = chosen[i]
+        for ref in candidates[X.cells[c]]:
+            tried += 1
+            if guard is not None and tried > guard:
+                raise GuardError(f"map search tried more than {guard} choices")
+            trail = []
+            if force(c, ref, trail):
+                yield from rec(i + 1)
+            for a in trail:
+                del assign[a]
+
+    return rec(0)
+
+
+def _sorted_maps(X: CubicalSet, Y: CubicalSet, guard: int, memo: dict) -> list:
+    """Every map X -> Y as an assignment, ordered by the images of the cells
+    in (dimension, id) order, each ranked by its place in Y.refs_of_dim."""
+    rank = {d: {r: n for n, r in enumerate(Y.refs_of_dim(d))} for d in set(X.cells.values())}
+    return sorted(
+        _extensions(X, Y, {}, X.cells, guard, memo),
+        key=lambda a: [rank[X.cells[c]][r] for c, r in a.items()],
+    )
 
 
 def enumerate_maps(X: CubicalSet, Y: CubicalSet, guard: int = 10**7):
-    """All cubical maps X -> Y, by dimension-increasing backtracking.  The
-    faces of each candidate image are read once per call."""
-    order = sorted(X.cells, key=lambda c: (X.cells[c], c))
-    by_dim = {}
-    space = 1
-    for c in order:
-        d = X.cells[c]
-        if d not in by_dim:
-            by_dim[d] = Y.refs_of_dim(d)
-        space *= max(len(by_dim[d]), 1)
-        if space > guard:
-            raise GuardError(f"search space exceeds guard {guard}")
-    candidates = {
-        d: [(ref, [Y.face_of(ref, *i) for i in Y.face_indices(d)]) for ref in refs]
-        for d, refs in by_dim.items()
-    }
-    out = []
-
-    def rec(i, partial):
-        if i == len(order):
-            out.append(CubicalMap(X, Y, dict(partial)))
-            return
-        c = order[i]
-        for ref, faces in candidates[X.cells[c]]:
-            if _fits(X, Y, c, faces, partial):
-                partial[c] = ref
-                rec(i + 1, partial)
-                del partial[c]
-
-    rec(0, {})
-    return out
+    """All cubical maps X -> Y, searched from the top cells down.  The guard
+    bounds the number of choices the search tries."""
+    if guard < 0:
+        raise ValidationError(f"guard {guard} must not be negative")
+    return [CubicalMap(X, Y, a) for a in _sorted_maps(X, Y, guard, {})]
 
 
-def extend_map(
-    whole: CubicalSet,
-    Y: CubicalSet,
-    partial_map: dict,
-    missing,
-):
+def extend_map(whole: CubicalSet, Y: CubicalSet, partial_map: dict, missing):
     """Find one extension of a partial assignment (on the subobject) to the
     listed missing cells of `whole`, or None.  Cell ids of the subobject must
     coincide with their images in `whole`.  Every face of a missing cell
@@ -434,60 +456,37 @@ def extend_map(
                 raise ValidationError(
                     f"face {fr.base} of missing cell {c} is neither assigned nor missing"
                 )
-    assign = dict(partial_map)
-
-    def rec(i):
-        if i == len(order):
-            return True
-        c = order[i]
-        d = whole.cells[c]
-        for ref in Y.refs_of_dim(d):
-            faces = (Y.face_of(ref, *index) for index in Y.face_indices(d))
-            if _fits(whole, Y, c, faces, assign):
-                assign[c] = ref
-                if rec(i + 1):
-                    return True
-                del assign[c]
-        return False
-
-    if rec(0):
-        return CubicalMap(whole, Y, assign)
-    return None
+    first = next(_extensions(whole, Y, partial_map, order, None, {}), None)
+    return None if first is None else CubicalMap(whole, Y, first)
 
 
 def kan_check(X: CubicalSet, max_dim: int, guard: int = 10**7) -> dict:
     """For each open box up to max_dim, test every map of the box into X for an
     extension to the full cube.  Returns a report with the first failing
-    lifting problem as witness."""
-    if max_dim < 0:
-        raise ValidationError(f"max_dim {max_dim} must not be negative")
+    lifting problem as witness.  Every search is bounded by ``guard``
+    choices, and all of them share one table of the faces of X."""
+    for name, value in (("max_dim", max_dim), ("guard", guard)):
+        if value < 0:
+            raise ValidationError(f"{name} {value} must not be negative")
+    memo = {}
     report = {"max_dim": max_dim, "families": [], "pass": True, "witness": None}
     for n in range(1, max_dim + 1):
         cube_n = standard_cube(n)
-        top = "*" * n
         for k in range(1, n + 1):
             for eps in (0, 1):
-                box, incl = open_box(n, k, eps)
-                removed = top[: k - 1] + str(1 - eps) + top[k:]
-                maps = enumerate_maps(box, X, guard=guard)
+                box, _ = open_box(n, k, eps)
+                missing = [c for c in cube_n.cells if c not in box.cells]
+                maps = _sorted_maps(box, X, guard, memo)
                 filled = 0
                 failing = None
                 for m in maps:
-                    ext = extend_map(cube_n, X, m.assignment, [removed, top])
-                    if ext is not None:
+                    if next(_extensions(cube_n, X, m, missing, guard, memo), None) is not None:
                         filled += 1
                     elif failing is None:
-                        failing = {
-                            c: repr(ref) for c, ref in sorted(m.assignment.items())
-                        }
-                entry = {
-                    "n": n,
-                    "k": k,
-                    "eps": eps,
-                    "boxes": len(maps),
-                    "filled": filled,
-                }
-                report["families"].append(entry)
+                        failing = {c: repr(ref) for c, ref in sorted(m.items())}
+                report["families"].append(
+                    {"n": n, "k": k, "eps": eps, "boxes": len(maps), "filled": filled}
+                )
                 if failing is not None and report["witness"] is None:
                     report["witness"] = {"n": n, "k": k, "eps": eps, "box_map": failing}
                 if filled < len(maps):

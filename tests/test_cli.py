@@ -247,6 +247,7 @@ def test_cli_bad_spec_or_size_exits_2(capsys, tmp_path, argv):
     [
         ["cube", "kan-check", "cube:1", "--max-dim", "-1"],
         ["quillen", "check", "--max-dim", "-1"],
+        ["cube", "kan-check", "cube:1", "--max-dim", "1", "--guard", "-5"],
     ],
 )
 def test_cli_negative_max_dim_exits_2(capsys, tmp_path, argv):

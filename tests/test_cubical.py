@@ -1,7 +1,10 @@
 import random
+import time
 from math import comb
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from cubeworks.cubes import enumerate_hom, face
 from cubeworks.cubical import (
@@ -33,6 +36,8 @@ from cubeworks.cubical import (
     tensor_maps,
 )
 from cubeworks.errors import GuardError, ValidationError
+from map_oracle import reference_extension, reference_kan_check, reference_maps
+from random_sets import SOURCES, cubical_sets
 
 
 def loop_set():
@@ -494,6 +499,123 @@ def test_enumerate_maps_two_points():
 def test_enumerate_maps_guard():
     with pytest.raises(GuardError):
         enumerate_maps(standard_cube(3), standard_cube(3), guard=10)
+
+
+def test_enumerate_maps_square_into_cube_under_default_guard():
+    # by Yoneda the maps out of the square are the 2-elements of the 3-cube
+    C3 = standard_cube(3)
+    maps = enumerate_maps(standard_cube(2), C3)
+    assert sorted(m.assignment["**"] for m in maps) == sorted(C3.refs_of_dim(2))
+    assert len(maps) == 38
+    for m in maps:
+        m.validate()
+
+
+def test_small_guard_trips_fast():
+    # the guard counts the choices tried, so it trips before the search is
+    # large, however large the whole search would be
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="more than 10 choices"):
+        enumerate_maps(boundary(3)[0], standard_cube(4), guard=10)
+    with pytest.raises(GuardError):
+        kan_check(standard_cube(2), 3, guard=10)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("max_dim", [0, 2])
+def test_negative_guard_refused(max_dim):
+    with pytest.raises(ValidationError, match="guard -5 must not be negative"):
+        enumerate_maps(standard_cube(0), standard_cube(1), guard=-5)
+    with pytest.raises(ValidationError, match="guard -5 must not be negative"):
+        kan_check(standard_cube(1), max_dim, guard=-5)
+
+
+def small_sets():
+    two, _, _ = coproduct(standard_cube(0), standard_cube(0))
+    # a square with its boundary collapsed to a vertex, and a square whose
+    # four faces are one loop: the sphere maps only degenerately into the
+    # second, since the faces of its cell are degenerate
+    sphere = CubicalSet(
+        {"v": 0, "s": 2}, {("s", k, eps): CellRef((1,), "v") for k in (1, 2) for eps in (0, 1)}
+    )
+    one_loop = CubicalSet(
+        {"v": 0, "e": 1, "s": 2},
+        {("e", 1, 0): nd("v"), ("e", 1, 1): nd("v"),
+         **{("s", k, eps): nd("e") for k in (1, 2) for eps in (0, 1)}},
+    )
+    return {
+        "point and interval": coproduct(standard_cube(0), standard_cube(1))[0],
+        "sphere": sphere,
+        "one loop": one_loop,
+        "point": standard_cube(0),
+        "interval": standard_cube(1),
+        "two points": two,
+        "square": standard_cube(2),
+        "boundary of the square": boundary(2)[0],
+        "open box": open_box(2, 1, 1)[0],
+        "loop": loop_set(),
+        "collapsed square": collapsed_square()[0],
+    }
+
+
+def as_lists(maps):
+    return [list(m.assignment.items()) for m in maps]
+
+
+def test_enumerate_maps_matches_oracle_on_fixtures():
+    sets = small_sets()
+    for A in sets:
+        for X in sets:
+            maps = enumerate_maps(sets[A], sets[X])
+            assert as_lists(maps) == as_lists(reference_maps(sets[A], sets[X])), (A, X)
+
+
+@given(st.sampled_from(range(len(SOURCES))), cubical_sets())
+@settings(deadline=None)
+def test_enumerate_maps_matches_oracle_on_random_sets(a, X):
+    A = SOURCES[a]
+    maps = enumerate_maps(A, X)
+    for m in maps:
+        m.validate()
+    # the vertex-first oracle costs about |X_0|^v partial maps
+    if len(X.by_dim(0)) ** len(A.by_dim(0)) <= 1000:
+        assert as_lists(maps) == as_lists(reference_maps(A, X))
+
+
+def test_kan_check_matches_oracle_on_fixtures():
+    for name, X in small_sets().items():
+        assert kan_check(X, 2) == reference_kan_check(X, 2), name
+
+
+def test_kan_check_interval_dim3_matches_oracle():
+    report = kan_check(standard_cube(1), 3)
+    assert report == reference_kan_check(standard_cube(1), 3)
+    assert [f["boxes"] for f in report["families"] if f["n"] == 3] == [5] * 6
+
+
+def test_kan_check_square_dim3():
+    report = kan_check(standard_cube(2), 3)
+    assert [f["boxes"] for f in report["families"] if f["n"] == 3] == [19] * 6
+    assert not report["pass"]
+
+
+def test_extend_map_matches_oracle_on_box_maps():
+    # every map of each open box of the square into the boundary of the
+    # square, extended over the missing face and the top cell
+    B2, sq = boundary(2)[0], standard_cube(2)
+    for k in (1, 2):
+        for eps in (0, 1):
+            box, _ = open_box(2, k, eps)
+            removed = ["*", "*"]
+            removed[k - 1] = str(1 - eps)
+            missing = ["".join(removed), "**"]
+            for target in (B2, sq, loop_set()):
+                for m in enumerate_maps(box, target):
+                    ext = extend_map(sq, target, m.assignment, missing)
+                    ref = reference_extension(sq, target, m.assignment, missing)
+                    assert (ext is None) == (ref is None)
+                    if ext is not None:
+                        assert ext.validate()
 
 
 def test_kan_point_passes():
