@@ -447,8 +447,8 @@ def enumerate_maps(X: CubicalSet, Y: CubicalSet, guard: int = 10**7):
 def extend_map(whole: CubicalSet, Y: CubicalSet, partial_map: dict, missing):
     """Find one extension of a partial assignment (on the subobject) to the
     listed missing cells of `whole`, or None.  Cell ids of the subobject must
-    coincide with their images in `whole`.  Every face of a missing cell
-    must be assigned or missing itself."""
+    coincide with their images in `whole`.  Every cell of `whole` must be
+    assigned or missing."""
     order = sorted(missing, key=lambda c: (whole.cells[c], c))
     for c in order:
         for fr in whole.faces_of(c):
@@ -456,6 +456,9 @@ def extend_map(whole: CubicalSet, Y: CubicalSet, partial_map: dict, missing):
                 raise ValidationError(
                     f"face {fr.base} of missing cell {c} is neither assigned nor missing"
                 )
+    unplaced = whole.cells.keys() - partial_map.keys() - set(order)
+    if unplaced:
+        raise ValidationError(f"cell {min(unplaced)} is neither assigned nor missing")
     first = next(_extensions(whole, Y, partial_map, order, None, {}), None)
     return None if first is None else CubicalMap(whole, Y, first)
 

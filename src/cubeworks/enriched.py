@@ -12,8 +12,8 @@ weight, and cancel against their formal inverses.
 Each call enumerates words once, at the largest bound it needs, and reads
 every smaller bound off that build as its weight filtration: the words of
 weight at most the bound.  Inside a build, words are keyed by their letter
-tuples; the string cell id of a word is rendered once, when a level is
-turned into a cubical set.
+tuples; a word's faces and string cell id are resolved only when a rendered
+level first keeps it.
 
 Letters are plain tuples: ("e", src, tgt, cell) for an edge generator and
 ("a", attachment index, cell) for an attached cell.
@@ -486,13 +486,15 @@ class _WordFiltration:
     """Every cell word of Map(x, y) up to one word-weight bound, built once.
 
     Words are enumerated a single time at ``top``, each with its weight and
-    dimension, and their faces are computed and resolved to word indices.
-    The truncation at any bound b <= top is the subcomplex of words of weight
-    at most b; ``level(b)`` renders it as a cubical set.  With ``max_dim``
-    only the words of dimension at most max_dim are built, which is the
-    subcomplex of those dimensions; the word-length guard counts every
-    letter either way.  Letter facts come from the presentation's letter
-    table, and the rendered levels hold no reference back to the build."""
+    dimension, which is all ``cell_counts`` reads.  The truncation at any
+    bound b <= top is the subcomplex of words of weight at most b;
+    ``level(b)`` renders it as a cubical set, resolving the faces of a word
+    to word indices (memoized, like its cell id) when a level first keeps
+    it.  With ``max_dim`` only the words of dimension at most max_dim are
+    built, which is the subcomplex of those dimensions; the word-length
+    guard counts every letter either way.  Letter facts come from the
+    presentation's letter table, and the rendered levels hold no reference
+    back to the build."""
 
     def __init__(self, pres, x, y, top: int, max_dim: int = None):
         self.x, self.y = x, y
@@ -527,15 +529,11 @@ class _WordFiltration:
         self.weights = [wt for _, wt, _ in found]
         self.dims = [d for _, _, d in found]
         self._ids = [None] * len(self.words)  # cell ids, rendered on first use
-        index = {w: i for i, w in enumerate(self.words)}
-
         # faces[i]: the (k, eps)-faces of word i in (k, eps) order, each as
-        # (degeneracy word, index of the face word)
-        letters = pres.letters
-        self.faces = [
-            [(degens, index[fw]) for degens, fw in _word_faces(letters, w, cancel)]
-            for w in self.words
-        ]
+        # (degeneracy word, index of the face word), resolved on first use
+        self.faces = [None] * len(self.words)
+        self._index = {w: i for i, w in enumerate(self.words)}
+        self._letters, self._cancel = pres.letters, cancel
 
     def _check_guard(self, b: int):
         """The word-length guard of a standalone build at bound b."""
@@ -569,6 +567,9 @@ class _WordFiltration:
         faces = {}
         for i in keep:
             cid = ids[i]
+            if self.faces[i] is None:
+                found = _word_faces(self._letters, self.words[i], self._cancel)
+                self.faces[i] = [(degens, self._index[fw]) for degens, fw in found]
             for n, (degens, j) in enumerate(self.faces[i]):
                 faces[(cid, n // 2 + 1, n % 2)] = CellRef(degens, ids[j])
         space = CubicalSet(cells, faces, name=f"Map({self.x},{self.y})@{b}")
@@ -584,8 +585,8 @@ def mapping_space(pres, x, y, bound: int, with_stability: bool = True) -> Mappin
     """Materialize the word-length truncation of Map(x, y) as a cubical set.
 
     stable_dims lists the dimensions in which raising the bound by one adds
-    no cells.  It is read off the weight filtration of one build at
-    bound + 1; stability is computed, never assumed."""
+    no cells.  It is counted off one build at bound + 1, whose heavier words
+    get no faces; stability is computed, never assumed."""
     _require_bound(bound)
     if not with_stability:
         space, index = _WordFiltration(pres, x, y, bound).level(bound)

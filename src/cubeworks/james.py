@@ -28,9 +28,10 @@ def word_token(word) -> str:
 
 
 def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
-    """Truncated free monoid on (X, base).  Words longer than `bound` are cut
-    off; homology in degree d is reliable once bound >= d + 1 for the wedge
-    and circle families (validated empirically in the acceptance suite).
+    """Truncated free monoid on (X, base); words longer than `bound` are cut
+    off.  For a connected X the James splitting ΣJ_L X ≃ ⋁_(k≤L) ΣX^(∧k)
+    gives H̃_d = ⊕_(k≤L) H̃_d(X^(∧k)) below the `max_dim` cap, and X^(∧k) is
+    (k - 1)-connected, so degree d is that of the whole J X once bound >= d.
 
     Based cubical sets are accepted by triangulating first (the free monoid
     is taken degreewise, i.e. in the cartesian flavor).

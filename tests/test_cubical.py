@@ -688,6 +688,10 @@ def test_extend_map_refuses_a_face_neither_assigned_nor_missing():
         ValidationError, match=r"face 1\* of missing cell \*\* is neither assigned nor missing"
     ):
         extend_map(sq, I, vertices, ["**", "0*"])
+    # every face of 0* is assigned, but **, *0, 1* and *1 are neither
+    # assigned nor missing: refused, not returned as a map without them
+    with pytest.raises(ValidationError, match=r"^cell \*\* is neither assigned nor missing$"):
+        extend_map(sq, I, vertices, ["0*"])
     ext = extend_map(sq, I, vertices, ["**", "0*", "1*", "*0", "*1"])
     assert ext.validate() is True
     assert ext.assignment["**"] == CellRef((2,), "*")

@@ -377,6 +377,18 @@ def test_filtration_level_equals_standalone_build(name):
                 assert list(filtered.faces.items()) == list(alone.space.faces.items())
                 assert list(words.items()) == list(alone.words.items())
                 assert filtered.name == alone.space.name == f"Map({x},{y})@{b}"
+            # faces are resolved when a level first keeps a word, so render
+            # both levels of one build in either order (levels 0-5 as above)
+            standalone = [mapping_space(pres, x, y, c, with_stability=False) for c in range(6)]
+            for b in range(5):
+                for order in ((b, b + 1), (b + 1, b)):
+                    levels = _WordFiltration(pres, x, y, b + 1)
+                    for c in order:
+                        space, words = levels.level(c)
+                        want = standalone[c]
+                        assert list(space.cells.items()) == list(want.space.cells.items())
+                        assert list(space.faces.items()) == list(want.space.faces.items())
+                        assert list(words.items()) == list(want.words.items())
 
 
 Z = ("e", "x", "x", "z")
@@ -548,6 +560,42 @@ def test_face_step_matches_full_rescan_on_words_with_cancel_pairs(word):
     word = _EL.normalize_word(word)
     got = list(_word_faces(_EL.letters, word, _EL.cancel_pairs))
     assert got == _faces_by_rescan(_EL, word)
+
+
+def _count_word_faces(monkeypatch) -> dict:
+    """Patch `_word_faces` to count its calls per word."""
+    calls = {}
+    real = enriched._word_faces
+
+    def counting(letters, word, cancel):
+        calls[word] = calls.get(word, 0) + 1
+        return real(letters, word, cancel)
+
+    monkeypatch.setattr(enriched, "_word_faces", counting)
+    return calls
+
+
+def test_faces_resolved_only_for_rendered_words(monkeypatch):
+    build = _WordFiltration(_EL, "c", "c", 5)
+    heaviest = {w for w, wt in zip(build.words, build.weights) if wt == 5}
+    calls = _count_word_faces(monkeypatch)
+    trunc = mapping_space(_EL, "c", "c", 4)
+    # once per rendered cell; the words of weight 5 are only counted
+    assert calls == {w: 1 for w in trunc.words.values()}
+    assert heaviest and not heaviest & calls.keys()
+
+
+def test_homotopy_category_resolves_each_word_once(monkeypatch):
+    # both levels of each build are rendered and the larger keeps every
+    # word, so each word is resolved at least once; the total makes it once
+    built = sum(
+        len(_WordFiltration(_EL, x, y, 4, max_dim=1).words)
+        for x in _EL.objects
+        for y in _EL.objects
+    )
+    calls = _count_word_faces(monkeypatch)
+    homotopy_category(_EL, 3)
+    assert sum(calls.values()) == built
 
 
 def test_negative_bound_refused():

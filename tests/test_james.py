@@ -20,6 +20,9 @@ from cubeworks.simplicial import (
     surj_from_collapse,
     wedge_of_intervals,
 )
+from cubeworks.triangulate import triangulate
+from james_splitting import invariant_factors, james_splitting_groups
+from test_homology import groups, klein_bottle, moore_space_mod3, projective_plane
 
 
 def point_based():
@@ -255,3 +258,51 @@ def test_james_circle_L5():
     rep = homology(simplicial_chains(J))
     for d in range(5):
         assert rep.betti(d) == 1 and not rep.torsion(d), d
+
+
+# -- the James splitting as a second route -------------------------------------
+
+
+def test_splitting_oracle_on_known_groups():
+    assert invariant_factors([2, 3]) == (6,)
+    assert invariant_factors([4, 2, 3, 1]) == (2, 12)
+    rp2 = [(1, ()), (0, (2,)), (0, ())]
+    # RP2 ∧ RP2 has H̃_2 = Z/2 ⊗ Z/2 and H̃_3 = Tor(Z/2, Z/2); J_1 is X itself
+    assert james_splitting_groups(rp2, 1, 4) == rp2 + [(0, ())]
+    assert james_splitting_groups(rp2, 2, 5) == [(1, ()), *[(0, (2,))] * 3, (0, ())]
+    # J S^1 = ΩS^2 has Z in every degree; J_L S^1 stops at degree L
+    assert james_splitting_groups([(1, ()), (1, ())], 3, 6) == [(1, ())] * 4 + [(0, ())] * 2
+
+
+def _splitting_matches(X, base, L, max_dim, top):
+    got = homology(simplicial_chains(james(X, base, L, max_dim)))
+    want = james_splitting_groups(groups(homology(simplicial_chains(X))), L, top)
+    assert (groups(got) + [(0, ())] * top)[:top] == want, (X.name, L)
+    return got
+
+
+@pytest.mark.parametrize("L", range(1, 6))
+def test_james_circle_and_wedge_match_splitting(L):
+    # a 1-dimensional X gives a J_L X of dimension L, so the default cap
+    # max_dim = L drops nothing and every degree is compared
+    _splitting_matches(circle(), "v", L, None, L + 1)
+    if L <= 4:
+        _splitting_matches(wedge_of_intervals(2), "w", L, None, L + 1)
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_james_rp2_matches_splitting_below_the_cap(L):
+    # Z/2 in degree 1 of RP2 gives tensor and Tor terms in every smash power
+    T = triangulate(projective_plane())
+    got = _splitting_matches(T, "v#", L, 4, 4)
+    if L == 3:
+        # the cap degree gains the cycles whose bounding 5-cells are not built
+        assert groups(got)[4] == (1440, ())
+
+
+@pytest.mark.parametrize("build", [klein_bottle, moore_space_mod3])
+def test_james_torsion_fixtures_match_splitting(build):
+    T = triangulate(build())
+    _splitting_matches(T, "v#", 2, 4, 4)
+    _splitting_matches(T, "v#", 3, 3, 3)
+

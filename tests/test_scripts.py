@@ -114,3 +114,17 @@ def test_ladder_script_runs_one_rung():
     assert out["homology"] == [[1, []]] + [[0, []]] * 4 + [[1, []]]
     assert set(out["stages"]) == {"triangulate", "homology"}
     assert out["wall_s"] > 0 and out["max_rss_mb"] > 0
+
+
+def test_ladder_map_cc6_hash_is_pinned(monkeypatch):
+    # Map(c, c) of the localized E at window 6, byte for byte: cells per
+    # dimension and the hash of its face items in order, under two hash seeds
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        out = json.loads(run_script("ladder.py", "--rung", "map_cc6", "--hash"))
+        assert out["cells"] == {
+            "0": 127, "1": 642, "2": 1404, "3": 1672, "4": 1136, "5": 416, "6": 64
+        }
+        assert out["faces_sha256"] == (
+            "b9a2ae5ce587840dabbbadb4005e88b5dcca51baac67ca5ed459f0909eb9c309"
+        )
