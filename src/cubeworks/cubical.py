@@ -12,7 +12,6 @@ composition as the oracle.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 
 from . import cubes
 from .cubes import CubeMap, compose, face, projection_dropping, split_projection_face
@@ -192,28 +191,33 @@ class UnionFind:
 
 
 def pushout(f: CubicalMap, g: CubicalMap) -> tuple:
-    """Pushout of X <-f- A -g-> Y, computed dimensionwise bottom-up.
+    """Pushout of X <-f- A -g-> Y.
 
-    Union-find identifies elements (degenerate ones included); a class that
-    contains a degenerate member is re-pointed at the degeneracy of its
-    resolved base, per the Eilenberg-Zilber normal form.
+    Union-find identifies the images f(a) and g(a) of each cell a of A, once,
+    in the dimension of a, and its classes are resolved in (dimension, least
+    member) order.  A class with a degenerate member resolves to that
+    member's base, resolved in a lower dimension, under the member's
+    degeneracy word; any other class becomes a new cell named ``side:cell``
+    after its least member.  The degenerate elements s.a of A need no
+    identification of their own: by the Eilenberg-Zilber normal form
+    f(s.a) = s.f(a) and g(s.a) = s.g(a) resolve through f(a) and g(a), which
+    are identified one or more dimensions lower.
     """
     if f.source is not g.source and (
         f.source.cells != g.source.cells or f.source.faces != g.source.faces
     ):
         raise ValidationError("pushout requires a shared source")
-    A, X, Y = f.source, f.target, g.target
-    N = max(X.dim_bound, Y.dim_bound, A.dim_bound, 0)
-
+    X, Y = f.target, g.target
+    sides = {"X": X, "Y": Y}
     uf = UnionFind()
-    idents = {}  # dim -> list of (token, token)
-    for a, da in A.cells.items():
-        fa, ga = f.assignment[a], g.assignment[a]
-        for n in range(da, N + 1):
-            for degens in combinations(range(1, n + 1), n - da):
-                left = ("X", X.degenerate(fa, degens))
-                right = ("Y", Y.degenerate(ga, degens))
-                idents.setdefault(n, []).append((left, right))
+    for side, Z in sides.items():
+        for c in Z.cells:
+            uf.find((side, nd(c)))
+    for a in f.source.cells:
+        uf.union(("X", f.assignment[a]), ("Y", g.assignment[a]))
+    classes = {}
+    for token in uf.parent:
+        classes.setdefault(uf.find(token), []).append(token)
 
     cells = {}
     faces = {}
@@ -222,44 +226,25 @@ def pushout(f: CubicalMap, g: CubicalMap) -> tuple:
     def resolved_ref(side, ref: CellRef, ambient: int) -> CellRef:
         return degenerate(resolve[side][ref.base], ref.degens, ambient, 1)
 
-    for n in range(N + 1):
-        for left, right in idents.get(n, []):
-            uf.union(left, right)
-        tokens = set()
-        for side, Z in (("X", X), ("Y", Y)):
-            for c in Z.by_dim(n):
-                tokens.add((side, nd(c)))
-        tokens |= {t for t in uf.parent if t[1].base in (X.cells if t[0] == "X" else Y.cells)
-                   and (X if t[0] == "X" else Y).dim_of(t[1]) == n}
-        classes = {}
-        for t in tokens:
-            classes.setdefault(uf.find(t), []).append(t)
-        for root in sorted(classes, key=lambda t: (t[0], t[1].degens, t[1].base)):
-            members = classes[root]
-            degenerate_members = [m for m in members if m[1].degens]
-            plain = [m for m in members if not m[1].degens]
-            if degenerate_members:
-                side0, ref0 = degenerate_members[0]
-                target = resolved_ref(side0, ref0, n)
-                for side, ref in degenerate_members[1:]:
-                    other = resolved_ref(side, ref, n)
-                    if other != target:
-                        raise ValidationError(
-                            "pushout broke the unique degeneracy decomposition"
-                        )
-                for side, ref in plain:
-                    resolve[side][ref.base] = target
-            else:
-                side0, ref0 = min(plain, key=lambda t: (t[0], t[1].base))
-                new_id = f"{side0}:{ref0.base}"
-                cells[new_id] = n
-                for side, ref in plain:
-                    resolve[side][ref.base] = nd(new_id)
-                Z = X if side0 == "X" else Y
-                for k in range(1, n + 1):
-                    for eps in (0, 1):
-                        fr = Z.faces[(ref0.base, k, eps)]
-                        faces[(new_id, k, eps)] = resolved_ref(side0, fr, n - 1)
+    def dim(token) -> int:
+        return sides[token[0]].dim_of(token[1])
+
+    for root in sorted(classes, key=lambda t: (dim(t), t)):
+        n = dim(root)
+        targets = {resolved_ref(side, ref, n) for side, ref in classes[root] if ref.degens}
+        if len(targets) > 1:
+            raise ValidationError("pushout broke the unique degeneracy decomposition")
+        if targets:
+            (target,) = targets
+        else:
+            side0, ref0 = root
+            target = nd(f"{side0}:{ref0.base}")
+            cells[target.base] = n
+            for (k, eps), fr in zip(CubicalSet.face_indices(n), sides[side0].faces_of(ref0.base)):
+                faces[(target.base, k, eps)] = resolved_ref(side0, fr, n - 1)
+        for side, ref in classes[root]:
+            if not ref.degens:
+                resolve[side][ref.base] = target
 
     P = CubicalSet(cells, faces, name=f"po({X.name},{Y.name})")
     leg_x = CubicalMap(X, P, {c: resolve["X"][c] for c in X.cells})
@@ -338,14 +323,17 @@ def pushout_product(f: CubicalMap, g: CubicalMap) -> CubicalMap:
     BB = tensor(f.target, g.target)
     a_b = tensor_maps(identity_map(f.source), g, AA, AB)
     b_a = tensor_maps(f, identity_map(g.source), AA, BA)
-    P, _, _ = pushout(a_b, b_a)
+    P, leg_ab, leg_ba = pushout(a_b, b_a)
     fb = tensor_maps(f, identity_map(g.target), AB, BB)
     bg = tensor_maps(identity_map(f.target), g, BA, BB)
-    assignment = {}
-    for c in P.cells:
-        side, orig = c.split(":", 1)
-        assignment[c] = fb.assignment[orig] if side == "X" else bg.assignment[orig]
-    return CubicalMap(P, BB, assignment)
+    # each cell of P is the image of a cell of AB or BA under its leg, and
+    # every such cell has the same image in BB, as the square commutes
+    image = {}
+    for leg, outer in ((leg_ab, fb), (leg_ba, bg)):
+        for c, ref in leg.assignment.items():
+            if not ref.degens:
+                image[ref.base] = outer.assignment[c]
+    return CubicalMap(P, BB, {c: image[c] for c in P.cells})
 
 
 def interval_inclusion() -> CubicalMap:
@@ -448,7 +436,10 @@ def extend_map(whole: CubicalSet, Y: CubicalSet, partial_map: dict, missing):
     """Find one extension of a partial assignment (on the subobject) to the
     listed missing cells of `whole`, or None.  Cell ids of the subobject must
     coincide with their images in `whole`.  Every cell of `whole` must be
-    assigned or missing."""
+    assigned or missing, and nothing else may be."""
+    unknown = (partial_map.keys() | set(missing)) - whole.cells.keys()
+    if unknown:
+        raise ValidationError(f"cell {min(unknown)} is not a cell of the whole set")
     order = sorted(missing, key=lambda c: (whole.cells[c], c))
     for c in order:
         for fr in whole.faces_of(c):

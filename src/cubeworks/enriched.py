@@ -31,6 +31,7 @@ share a cell id.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import inf
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -451,35 +452,39 @@ class MappingSpaceTruncation:
     stable_dims: frozenset
 
 
-def _least_weights(pres, x, top: int) -> list:
-    """least[n] for n <= 4 * top + 7: the least weight of a word of n
-    letters from x without adjacent cancel pairs, or top + 1 when every such
-    word is heavier than top.  It is a min-weight walk over the last letter
-    of the word, independent of which dimensions a build keeps, so the
-    word-length guard of every bound b <= top can be replayed from it."""
+def _endless_weight(pres, x):
+    """The least weight of a word from x, without adjacent cancel pairs, that
+    zero-weight letters can continue forever, again without adjacent cancel
+    pairs; infinity if there is none.  A build at bound b has finitely many
+    words exactly when b is below it: a word of weight at most b holds at
+    most b letters of positive weight, so infinitely many such words need an
+    endless zero-weight tail.  The first letter of the tail weighs nothing,
+    so the least such word may end in it.  It reads every letter, whatever
+    dimensions a build keeps."""
     letters, cancel = pres.letters, pres.cancel_pairs
-    leaving = {}  # object -> [(letter, weight)]
+    leaving = {}  # object -> the letters leaving it
     for letter, info in letters.items():
-        leaving.setdefault(info.source, []).append((letter, info.weight))
-    follow = {  # letter -> [(letter that may come next, its weight)]
-        letter: [(l, w) for l, w in leaving.get(info.target, ()) if (letter, l) not in cancel]
+        leaving.setdefault(info.source, []).append(letter)
+    follow = {  # letter -> the letters that may come next
+        letter: [l for l in leaving.get(info.target, ()) if (letter, l) not in cancel]
         for letter, info in letters.items()
     }
-    least = [top + 1] * (4 * top + 8)
-    least[0] = 0
-    # last letter -> least weight of a word of n letters ending in it
-    ends = {letter: w for letter, w in leaving.get(x, ()) if w <= top}
-    for n in range(1, len(least)):
-        if not ends:
-            break
-        least[n] = min(ends.values())
-        nxt = {}
-        for letter, weight in ends.items():
-            for l, w in follow[letter]:
-                if weight + w < nxt.get(l, top + 1):
-                    nxt[l] = weight + w
-        ends = nxt
-    return least
+    # prune each zero-weight letter with no successor left until none is
+    # pruned: each one left starts an endless zero-weight walk
+    endless = {letter for letter, info in letters.items() if info.weight == 0}
+    while stuck := {letter for letter in endless if endless.isdisjoint(follow[letter])}:
+        endless -= stuck
+    # last letter -> least weight of a word ending in it
+    least = {letter: letters[letter].weight for letter in leaving.get(x, ())}
+    todo = list(least)
+    while todo:
+        letter = todo.pop()
+        for l in follow[letter]:
+            weight = least[letter] + letters[l].weight
+            if weight < least.get(l, inf):
+                least[l] = weight
+                todo.append(l)
+    return min((w for letter, w in least.items() if letter in endless), default=inf)
 
 
 class _WordFiltration:
@@ -491,10 +496,11 @@ class _WordFiltration:
     ``level(b)`` renders it as a cubical set, resolving the faces of a word
     to word indices (memoized, like its cell id) when a level first keeps
     it.  With ``max_dim`` only the words of dimension at most max_dim are
-    built, which is the subcomplex of those dimensions; the word-length
-    guard counts every letter either way.  Letter facts come from the
-    presentation's letter table, and the rendered levels hold no reference
-    back to the build."""
+    built, which is the subcomplex of those dimensions.  The word-length
+    guard refuses exactly the tops at which a build of every dimension would
+    not end, so a capped build refuses where an uncapped one does.  Letter
+    facts come from the presentation's letter table, and the rendered levels
+    hold no reference back to the build."""
 
     def __init__(self, pres, x, y, top: int, max_dim: int = None):
         self.x, self.y = x, y
@@ -504,9 +510,11 @@ class _WordFiltration:
             outgoing.setdefault(info.source, []).append(
                 (letter, info.target, info.weight, info.dim)
             )
-        self.least = _least_weights(pres, x, top)
-        self._check_guard(top)
-        cap = float("inf") if max_dim is None else max_dim
+        if _endless_weight(pres, x) <= top:
+            raise GuardError(
+                "word length guard exceeded; presentation rewrites do not terminate"
+            )
+        cap = inf if max_dim is None else max_dim
         found = []
 
         def rec(at, word, weight, dim):
@@ -535,15 +543,7 @@ class _WordFiltration:
         self._index = {w: i for i, w in enumerate(self.words)}
         self._letters, self._cancel = pres.letters, cancel
 
-    def _check_guard(self, b: int):
-        """The word-length guard of a standalone build at bound b."""
-        if min(self.least[4 * b + 7 :]) <= b:
-            raise GuardError(
-                "word length guard exceeded; presentation rewrites do not terminate"
-            )
-
     def cell_counts(self, b: int) -> dict:
-        self._check_guard(b)
         counts = {}
         for wt, d in zip(self.weights, self.dims):
             if wt <= b:
@@ -552,7 +552,6 @@ class _WordFiltration:
 
     def level(self, b: int):
         """The truncation at bound b as (cubical set, cell id -> word)."""
-        self._check_guard(b)
         keep = [i for i, wt in enumerate(self.weights) if wt <= b]
         ids = self._ids
         cells = {}

@@ -241,11 +241,14 @@ class PresentedMap:
         return self.target.degenerate(image, ref.degens)
 
     def validate(self):
-        """Check that every cell has an image of its own dimension and that
-        the map commutes with every face.  The face of a non-degenerate image
-        is read from the target's stored faces; a degenerate image goes
-        through the presheaf action."""
+        """Check that every cell, and nothing else, has an image of its own
+        dimension and that the map commutes with every face.  The face of a
+        non-degenerate image is read from the target's stored faces; a
+        degenerate image goes through the presheaf action."""
         source, target = self.source, self.target
+        unknown = self.assignment.keys() - source.cells.keys()
+        if unknown:
+            raise ValidationError(f"assignment for unknown source cell {min(unknown)}")
         for cell, d in source.cells.items():
             image = self.assignment.get(cell)
             if image is None:

@@ -15,7 +15,6 @@ from .cubical import (
     CubicalMap,
     _pair_id,
     boundary,
-    coproduct,
     endpoint_inclusion,
     find_isomorphism,
     interval_inclusion,
@@ -46,11 +45,8 @@ def _result(cid, name, passed, detail):
 
 
 def _glued_loop():
-    I = standard_cube(1)
-    P = standard_cube(0)
-    two, _, _ = coproduct(P, P)
-    f = CubicalMap(two, I, {"l:pt": nd("0"), "r:pt": nd("1")})
-    g = CubicalMap(two, P, {"l:pt": nd("pt"), "r:pt": nd("pt")})
+    f = interval_inclusion()
+    g = CubicalMap(f.source, standard_cube(0), {"l:pt": nd("pt"), "r:pt": nd("pt")})
     Q, _, _ = pushout(f, g)
     return Q
 

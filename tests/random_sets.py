@@ -16,12 +16,19 @@ SOURCES = [standard_cube(0), standard_cube(1), boundary(1)[0], standard_cube(2),
 
 
 @st.composite
+def spans(draw, X):
+    """A span X <- A -> C with A drawn from SOURCES and C a standard cube of
+    dimension at most 3, as a pair of maps (into X, into C)."""
+    A = draw(st.sampled_from(SOURCES))
+    C = standard_cube(draw(st.integers(0, 3)))
+    into_x = draw(st.sampled_from(enumerate_maps(A, X)))
+    into_c = draw(st.sampled_from(enumerate_maps(A, C)))
+    return into_x, into_c
+
+
+@st.composite
 def cubical_sets(draw):
     X = standard_cube(draw(st.integers(0, 3)))
     for _ in range(draw(st.integers(0, 3))):
-        A = draw(st.sampled_from(SOURCES))
-        C = standard_cube(draw(st.integers(0, 3)))
-        into_x = draw(st.sampled_from(enumerate_maps(A, X)))
-        into_c = draw(st.sampled_from(enumerate_maps(A, C)))
-        X, _, _ = pushout(into_x, into_c)
+        X, _, _ = pushout(*draw(spans(X)))
     return X

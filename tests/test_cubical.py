@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from math import comb
@@ -37,7 +38,7 @@ from cubeworks.cubical import (
 )
 from cubeworks.errors import GuardError, ValidationError
 from map_oracle import reference_extension, reference_kan_check, reference_maps
-from random_sets import SOURCES, cubical_sets
+from random_sets import SOURCES, cubical_sets, spans
 
 
 def loop_set():
@@ -176,6 +177,68 @@ def test_pushout_collapsing_an_edge_repoints_degenerately():
     Q.validate()
     assert Q.cell_counts() == {0: 3, 1: 3, 2: 1}
     assert leg_sq.assignment["0*"].degens != ()
+
+
+def _composite(h, leg) -> tuple:
+    """h after leg, as the images of the cells of leg's source in order."""
+    return tuple(h.apply(leg.assignment[c]) for c in leg.source.cells)
+
+
+def _images(h) -> tuple:
+    return tuple(h.assignment[c] for c in h.source.cells)
+
+
+PUSHOUT_TARGETS = [standard_cube(1), standard_cube(2), loop_set()]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_pushout_universal_property(data):
+    # the square commutes, and h -> (h after leg_x, h after leg_y) is a
+    # bijection from the maps P -> Z onto the pairs of maps X -> Z, Y -> Z
+    # that agree on A
+    X = data.draw(cubical_sets())
+    f, g = data.draw(spans(X))
+    P, leg_x, leg_y = pushout(f, g)
+    assert P.validate() and leg_x.validate() and leg_y.validate()
+    assert _composite(leg_x, f) == _composite(leg_y, g)
+    Z = data.draw(st.sampled_from(PUSHOUT_TARGETS))
+    on_a = {}  # the maps Y -> Z by their composite with g
+    for v in enumerate_maps(g.target, Z):
+        on_a.setdefault(_composite(v, g), []).append(_images(v))
+    pairs = {
+        (_images(u), v) for u in enumerate_maps(X, Z) for v in on_a.get(_composite(u, f), ())
+    }
+    got = [(_composite(h, leg_x), _composite(h, leg_y)) for h in enumerate_maps(P, Z)]
+    assert len(set(got)) == len(got)
+    assert set(got) == pairs
+
+
+def test_pushout_refusals():
+    I, pt = standard_cube(1), standard_cube(0)
+    with pytest.raises(ValidationError, match=r"^pushout requires a shared source$"):
+        pushout(identity_map(I), identity_map(pt))
+    # I -> {p, q} sends both vertices to p but the edge to s1.q, which is no
+    # map; pushed out against I -> point it asks s1 of one vertex to equal
+    # s1 of another
+    collapse = CubicalMap(I, pt, {"0": nd("pt"), "1": nd("pt"), "*": CellRef((1,), "pt")})
+    pq = CubicalSet({"p": 0, "q": 0}, {})
+    bogus = CubicalMap(I, pq, {"0": nd("p"), "1": nd("p"), "*": CellRef((1,), "q")})
+    with pytest.raises(
+        ValidationError, match=r"^pushout broke the unique degeneracy decomposition$"
+    ):
+        pushout(collapse, bogus)
+
+
+def test_iterated_pushout_product_source_is_pinned():
+    # cells in order and faces of the source of i^(x)4, the boundary of the
+    # 4-cube as a pushout of pushouts
+    S = iterated_pushout_product([interval_inclusion()] * 4).source
+    text = repr(list(S.cells.items())) + repr(list(S.faces.items()))
+    assert S.cell_counts() == {0: 16, 1: 32, 2: 24, 3: 8}
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "79b3771755184dbc6bef01711651551e60f74af8ebb6913d5f396bbc945cd7c9"
+    )
 
 
 def test_union_find_long_chain_and_least_roots():
@@ -416,6 +479,13 @@ def test_map_with_missing_or_unknown_image_is_invalid():
         CubicalMap(I, I, {"0": nd("0"), "1": nd("1")}).validate()
     with pytest.raises(ValidationError, match=r"image of \* is unknown target cell zz"):
         CubicalMap(I, I, {"0": nd("0"), "1": nd("1"), "*": nd("zz")}).validate()
+
+
+def test_map_with_an_image_for_an_unknown_cell_is_invalid():
+    I = standard_cube(1)
+    extra = {"0": nd("0"), "1": nd("1"), "*": nd("*"), "q": nd("0")}
+    with pytest.raises(ValidationError, match=r"^assignment for unknown source cell q$"):
+        CubicalMap(I, I, extra).validate()
 
 
 def test_pushout_product_boundary_squares():
@@ -695,6 +765,20 @@ def test_extend_map_refuses_a_face_neither_assigned_nor_missing():
     ext = extend_map(sq, I, vertices, ["**", "0*", "1*", "*0", "*1"])
     assert ext.validate() is True
     assert ext.assignment["**"] == CellRef((2,), "*")
+
+
+def test_extend_map_refuses_a_missing_id_outside_the_set():
+    sq, I = standard_cube(2), standard_cube(1)
+    vertices = {"00": nd("0"), "01": nd("0"), "10": nd("1"), "11": nd("1")}
+    with pytest.raises(ValidationError, match=r"^cell zz is not a cell of the whole set$"):
+        extend_map(sq, I, vertices, ["**", "0*", "1*", "*0", "*1", "zz"])
+
+
+def test_extend_map_refuses_an_assigned_id_outside_the_set():
+    sq, I = standard_cube(2), standard_cube(1)
+    vertices = {"00": nd("0"), "01": nd("0"), "10": nd("1"), "11": nd("1"), "q": nd("0")}
+    with pytest.raises(ValidationError, match=r"^cell q is not a cell of the whole set$"):
+        extend_map(sq, I, vertices, ["**", "0*", "1*", "*0", "*1"])
 
 
 def test_action_functoriality_random():

@@ -10,7 +10,7 @@ from cubeworks.cubical import CellRef, CubicalSet, standard_cube
 from cubeworks.enriched import (
     Attachment,
     EnrichedPresentation,
-    _least_weights,
+    _endless_weight,
     _word_faces,
     _WordFiltration,
     attach,
@@ -427,22 +427,60 @@ def test_weights_follow_replaced_fields():
 
 
 def test_guard_replayed_per_level():
-    # seven zero-weight edges in a row: more letters than bound 0 allows
-    # (4*0+6), fewer than bound 1 allows (4*1+6)
+    # seven zero-weight edges in a row: finitely many words at every bound,
+    # so no bound is refused (a cutoff at 4b+7 letters refused bound 0)
     objs = [f"o{i}" for i in range(8)]
     free = EnrichedPresentation(
         objs, {(objs[i], objs[i + 1]): vertex_edge_set(f"z{i}") for i in range(7)}
     )
     pres = replace(free, zero_weight={("e", objs[i], objs[i + 1], f"z{i}") for i in range(7)})
-    assert mapping_space(pres, "o0", "o7", 1, with_stability=False).space.cells
     levels = _WordFiltration(pres, "o0", "o7", 1)
-    assert levels.cell_counts(1) == {0: 1}
+    assert levels.cell_counts(0) == levels.cell_counts(1) == {0: 1}
+    assert mapping_space(pres, "o0", "o7", 0).space.cell_counts() == {0: 1}
+    assert len(homotopy_category(pres, 0).homs[("o0", "o7")]) == 1
+    # a zero-weight loop behind two edges of weight 1: out of w, bound 1 is
+    # answered, bound 2 (and so bound 1 with stability, built at 2) is refused
+    behind = _loop_behind_two_edges()
+    assert mapping_space(behind, "w", "x", 1, with_stability=False).space.cells == {}
+    for bound, stability in ((2, False), (1, True)):
+        with pytest.raises(GuardError):
+            mapping_space(behind, "w", "x", bound, with_stability=stability)
     with pytest.raises(GuardError):
-        levels.level(0)
+        homotopy_category(behind, 1)
+
+
+def _loop_behind_two_edges():
+    edges = {
+        ("w", "v"): vertex_edge_set("a"),
+        ("v", "x"): vertex_edge_set("b"),
+        ("x", "x"): vertex_edge_set("z"),
+    }
+    return replace(EnrichedPresentation(["w", "v", "x"], edges), zero_weight={Z})
+
+
+def _localized_chain(n: int, cyclic: bool):
+    """Objects 0..n-1 with edges e_i: i -> i+1, all localized, and either an
+    edge g: n-1 -> 0 of weight 1 or, when cyclic, a localized edge e_(n-1)
+    closing the cycle."""
+    edges = {(f"{i}", f"{i + 1}"): vertex_edge_set(f"e{i}") for i in range(n - 1)}
+    edges[(f"{n - 1}", "0")] = vertex_edge_set(f"e{n - 1}" if cyclic else "g")
+    pres = EnrichedPresentation([f"{i}" for i in range(n)], edges)
+    for (s, t), space in edges.items():
+        if cyclic or t != "0":
+            pres = localize(pres, ("e", s, t, next(iter(space.cells))))
+    return pres
+
+
+def test_localized_chain_builds_at_every_bound():
+    # the zero-weight letters and their inverses cannot run on forever
+    # without a cancel pair, so each bound b has finitely many words: the
+    # powers of the loop e_0...e_4 g up to b
+    pres = _localized_chain(6, cyclic=False)
+    for b in range(4):
+        assert mapping_space(pres, "0", "0", b).space.cell_counts() == {0: b + 1}
+    # closing the cycle with a localized edge gives an endless zero-weight walk
     with pytest.raises(GuardError):
-        mapping_space(pres, "o0", "o7", 0)
-    with pytest.raises(GuardError):
-        homotopy_category(pres, 0)
+        mapping_space(_localized_chain(3, cyclic=True), "0", "0", 0)
 
 
 GUARD = "word length guard exceeded; presentation rewrites do not terminate"
@@ -455,18 +493,27 @@ def _guard_cases():
         "interval": special_category("interval", standard_cube(1)),
         # trips the guard at every bound
         "zero_weight_loop": _zero_weight_loop(),
+        # trips it from bound 2 on out of w, from bound 1 on out of v
+        "loop_behind_two_edges": _loop_behind_two_edges(),
+        # finitely many words at every bound, and an endless zero-weight cycle
+        "localized_chain": _localized_chain(4, cyclic=False),
+        "localized_cycle": _localized_chain(3, cyclic=True),
     }
 
 
-def _least_by_enumeration(pres, x, top):
-    """The reference: visit every word from x of weight at most top without
-    adjacent cancel pairs, recording the least weight per length; a word of
-    more than 4 * top + 6 letters trips the guard."""
-    least = [top + 1] * (4 * top + 8)
+def _words_by_enumeration(pres, x, top):
+    """The reference: count every word from x of weight at most top without
+    adjacent cancel pairs.  A word of at least (top + 1) * (L + 1) letters,
+    for L letters, has a run of more than L zero-weight letters, so a
+    letter repeats in it and the run can be repeated forever: the guard
+    trips."""
+    cutoff = (top + 1) * (len(pres.letters) + 1)
+    count = 0
 
     def rec(at, last, n, weight):
-        least[n] = min(least[n], weight)
-        if n > 4 * top + 6:
+        nonlocal count
+        count += 1
+        if n >= cutoff:
             raise GuardError(GUARD)
         for letter, info in pres.letters.items():
             if (
@@ -477,7 +524,7 @@ def _least_by_enumeration(pres, x, top):
                 rec(info.target, letter, n + 1, weight + info.weight)
 
     rec(x, None, 0, 0)
-    return least
+    return count
 
 
 def _outcome(fn, *args):
@@ -489,14 +536,18 @@ def _outcome(fn, *args):
 
 @pytest.mark.parametrize("name", sorted(_guard_cases()))
 def test_least_weights_match_enumeration(name):
+    # the guard refuses a top exactly when the enumeration does not end, and
+    # otherwise the build holds every word the enumeration visits
     pres = _guard_cases()[name]
     for x in pres.objects:
         for top in range(7):
-            want = _outcome(_least_by_enumeration, pres, x, top)
-            if want == "GuardError: " + GUARD:
-                assert _least_weights(pres, x, top)[-1] <= top, (x, top)
-                continue
-            assert _least_weights(pres, x, top) == want, (x, top)
+            want = _outcome(_words_by_enumeration, pres, x, top)
+            assert (_endless_weight(pres, x) <= top) == (want == "GuardError: " + GUARD)
+            built = [_outcome(_WordFiltration, pres, x, y, top) for y in pres.objects]
+            if isinstance(want, int):
+                assert sum(len(b.words) for b in built) == want, (x, top)
+            else:
+                assert built == [want] * len(pres.objects), (x, top)
 
 
 class _Uncapped(_WordFiltration):
