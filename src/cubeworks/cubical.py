@@ -415,12 +415,13 @@ def _extensions(X: CubicalSet, Y: CubicalSet, fixed: dict, unfixed, guard, memo:
 
 
 def _sorted_maps(X: CubicalSet, Y: CubicalSet, guard: int, memo: dict) -> list:
-    """Every map X -> Y as an assignment, ordered by the images of the cells
-    in (dimension, id) order, each ranked by its place in Y.refs_of_dim."""
+    """Every map X -> Y as an assignment, ordered by the images of its cells,
+    listed in (dimension, id) order and ranked by their places in Y.refs_of_dim."""
     rank = {d: {r: n for n, r in enumerate(Y.refs_of_dim(d))} for d in set(X.cells.values())}
+    tables = [rank[X.cells[c]] for c in sorted(X.cells, key=lambda c: (X.cells[c], c))]
     return sorted(
         _extensions(X, Y, {}, X.cells, guard, memo),
-        key=lambda a: [rank[X.cells[c]][r] for c, r in a.items()],
+        key=lambda a: tuple(map(dict.__getitem__, tables, a.values())),
     )
 
 

@@ -19,7 +19,7 @@ from .chains import HomologyReport
 from .cubical import CubicalSet
 from .enriched import Attachment, EnrichedPresentation
 from .errors import ValidationError
-from .presented import CellRef, PresentedSet
+from .presented import CellRef, PresentedSet, nd
 from .simplicial import SimplicialSet
 
 SCHEMA = "cubeworks/1"
@@ -46,25 +46,28 @@ def presented_to_json(X: PresentedSet) -> dict:
 def _write_presented(X: PresentedSet, fh):
     """Write ``json.dump(presented_to_json(X), fh, indent=2, sort_keys=True)``
     byte for byte without building the face objects: each face entry fills
-    one template whose keys are already in sorted order, and strings are
-    quoted by the encoder that `json.dump` uses."""
+    one template whose keys are already in sorted order, with each cell id
+    quoted (by the encoder of `json.dump`) and each degeneracy word rendered once."""
     base = X.index_base
     names = ("base", "cell", "degens", *X.face_fields)
     order = sorted(range(len(names)), key=names.__getitem__)
     pick = itemgetter(*order)
     face = ",\n    {\n%s\n    }" % ",\n".join(f"      {_quote(names[i])}: %s" for i in order)
-    cells = ",\n".join(f"    {_quote(c)}: {d}" for c, d in sorted(X.cells.items()))
+    quoted = {c: _quote(c) for c in X.cells}
+    cells = ",\n".join(f"    {quoted[c]}: {d}" for c, d in sorted(X.cells.items()))
     fh.write("{\n  \"cells\": ")
     fh.write(f"{{\n{cells}\n  }}" if cells else "{}")
     fh.write(",\n  \"faces\": [")
     faces = X.faces
+    words = {(): "[]"}  # each degeneracy word rendered once
+    for w in {r.degens for r in faces.values()} - {()}:
+        words[w] = "[\n%s\n      ]" % ",\n".join(f"        {s - base}" for s in w)
     for n, key in enumerate(sorted(faces)):
         ref = faces[key]
-        degens = ",\n".join(f"        {s - base}" for s in ref.degens)
         values = (
-            _quote(ref.base),
-            _quote(key[0]),
-            f"[\n{degens}\n      ]" if degens else "[]",
+            quoted.get(ref.base) or _quote(ref.base),
+            quoted.get(key[0]) or _quote(key[0]),
+            words[ref.degens],
             key[1] - base,
             *key[2:],
         )
@@ -95,13 +98,14 @@ def presented_from_json(data: dict, cls):
         raise ValidationError(f"{what} cells must map cell ids to non-negative integers")
     if not isinstance(entries, list) or not isinstance(name, str):
         raise ValidationError(f"{what} needs a list of faces and a string name")
-    base = cls.index_base
+    base, fields = cls.index_base, cls.face_fields
+    refs = {c: nd(c) for c in cells}  # one non-degenerate ref per base cell
     faces = {}
     for f in entries:
         if type(f) is not dict:
             raise ValidationError(f"malformed {what} face {repr(f):.80}")
         cell, ref, degens = f.get("cell"), f.get("base"), f.get("degens")
-        index = [f.get(k) for k in cls.face_fields]
+        index = [f.get(k) for k in fields]
         if not (
             type(cell) is str
             and type(ref) is str
@@ -111,7 +115,9 @@ def presented_from_json(data: dict, cls):
         ):
             raise ValidationError(f"malformed {what} face {repr(f):.80}")
         index[0] += base
-        faces[(cell, *index)] = CellRef(tuple([s + base for s in degens]) if degens else (), ref)
+        faces[(cell, *index)] = (
+            CellRef(tuple([s + base for s in degens]), ref) if degens else refs.get(ref) or nd(ref)
+        )
     X = cls(cells, faces, name=name)
     X.validate()
     return X

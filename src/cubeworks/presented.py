@@ -2,29 +2,30 @@
 
 Cubical and simplicial sets share one presentation: a table of
 non-degenerate cells with their dimensions, one face reference per cell and
-face index, and elements written as a canonical degeneracy word applied to a
-non-degenerate base cell.  The two kinds differ only in how a face index
-looks, where indices start, and how the presheaf action rewrites elements;
-subclasses supply those.  Everything that reads the presentation alone
-lives here: cell tables, the face rule, the degeneracy rule, maps,
-validation, coproducts and isomorphism search.  The face of a
-non-degenerate element is read from the stored faces; only a degenerate
-element goes through the presheaf action.
+face index, and elements written as the ``(degens, base)`` tuple `CellRef`
+of a canonical degeneracy word applied to a non-degenerate base cell.  The
+two kinds differ only in how a face index looks, where indices start, and
+how the presheaf action rewrites elements; subclasses supply those.
+Everything that reads the presentation alone lives here: cell tables, the
+face rule, the degeneracy rule, maps, validation, coproducts and isomorphism
+search.  The face of a non-degenerate element is read from the stored faces;
+only a degenerate element goes through the presheaf action.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from operator import lt
+from typing import NamedTuple
 
 from .errors import ValidationError
 
 
-@dataclass(frozen=True, order=True)
-class CellRef:
-    """A possibly-degenerate element: degeneracy word applied to a base cell.
+class CellRef(NamedTuple):
+    """A possibly-degenerate element: the ``(degens, base)`` tuple of a
+    degeneracy word applied to a base cell, hashed and ordered as that tuple.
 
     ``degens`` lists, in ascending order, the directions collapsed by the
     degeneracy (coordinate directions from 1 for cubes, collapse positions
@@ -72,16 +73,25 @@ def divide(ref: CellRef, common, n: int, base: int) -> CellRef:
     return CellRef(tuple(kept), ref.base)
 
 
+@lru_cache(maxsize=None)
+def _identity_positions(face_indices, d: int) -> tuple:
+    """The face identities of a d-cell as (b, a, shifted) positions among the
+    faces of a cell, in the order `_check_identities` checks them."""
+    at = {i: n for n, i in enumerate(face_indices(d))}
+    return tuple((at[b], at[a], at[(b[0] - 1, *b[1:])]) for b in at for a in at if a[0] < b[0])
+
+
 class PresentedSet:
     """A finite presheaf presented by its non-degenerate cells and faces.
 
     Subclasses set ``kind`` (the JSON kind tag), ``face_fields`` (the names
     of the parts of a face index), ``index_base`` (the first coordinate
     direction and first face index: 1 for cubes, 0 for simplices) and
-    ``face_indices(d)``, the face indices of a d-cell in canonical order,
-    and ``face_map(n, *index)``, the face morphism into dimension n that the
-    presheaf action ``act(ref, f)`` takes; they also supply ``act``.  Face
-    data is keyed by ``(cell, *index)``.
+    ``face_indices(d)``, the face indices of a d-cell in canonical order
+    (those of a (d - 1)-cell first, so an index has one position in every
+    dimension), and ``face_map(n, *index)``, the face morphism into
+    dimension n that the presheaf action ``act(ref, f)`` takes; they also
+    supply ``act``.  Face data is keyed by ``(cell, *index)``.
     """
 
     kind = ""
@@ -150,20 +160,22 @@ class PresentedSet:
         """Check that face data sits on known cells under well-formed keys,
         that every face is present, and that each face lies one dimension
         down under a degeneracy word that is strictly increasing and within
-        the face's dimension.  This is the first half of `validate`."""
-        base = self.index_base
+        the face's dimension.  This is the first half of `validate`; it
+        returns the faces of each cell in face-index order for the second."""
+        base, cells = self.index_base, self.cells
+        keys = {d: set(self.face_indices(d)) for d in set(cells.values())}
         for key, ref in self.faces.items():
             cell = key[0]
-            if cell not in self.cells:
+            if cell not in cells:
                 raise ValidationError(f"face data on unknown cell {cell}")
-            if ref.base not in self.cells:
+            if ref.base not in cells:
                 raise ValidationError(f"face of {cell} points at unknown {ref.base}")
-            d = self.cells[cell]
-            if key[1:] not in self.face_indices(d):
+            d = cells[cell]
+            if key[1:] not in keys[d]:
                 raise ValidationError(f"bad face key {key}")
-            if self.dim_of(ref) != d - 1:
-                raise ValidationError(f"face of {cell} has wrong dimension")
             degens = ref.degens
+            if cells[ref.base] + len(degens) != d - 1:
+                raise ValidationError(f"face of {cell} has wrong dimension")
             if degens and not (
                 base <= degens[0]
                 and degens[-1] < d - 1 + base
@@ -172,35 +184,35 @@ class PresentedSet:
                 raise ValidationError(
                     f"face {key} has a bad degeneracy word {list(degens)}"
                 )
-        for cell, d in self.cells.items():
-            for i in self.face_indices(d):
-                if (cell, *i) not in self.faces:
-                    raise ValidationError(f"missing face {(cell, *i)}")
+        rows = {}
+        for cell, d in cells.items():
+            row = rows[cell] = [self.faces.get((cell, *i)) for i in self.face_indices(d)]
+            if None in row:
+                missing = self.face_indices(d)[row.index(None)]
+                raise ValidationError(f"missing face {(cell, *missing)}")
+        return rows
 
     def validate(self):
         """Check the shape of the face data, then the face identities."""
-        self.check_shape()
+        rows = self.check_shape()
         for cell, d in self.cells.items():
             if d >= 2:
-                self._check_identities(cell, d)
+                self._check_identities(cell, d, rows)
         return True
 
-    def _check_identities(self, cell: str, d: int):
+    def _check_identities(self, cell: str, d: int, rows: dict):
         """The face identities of a d-cell, d >= 2: for face indices a, b with
         a[0] < b[0], face a of face b equals face (b[0] - 1, *b[1:]) of face a.
         These are the cubical (j < k) and simplicial (i < j) identities."""
-        faces, face_of = self.faces, self.face_of
-        own = [(i, faces[(cell, *i)]) for i in self.face_indices(d)]
-        for b, fb in own:
-            shifted = (b[0] - 1, *b[1:])
-            for a, fa in own:
-                if a[0] < b[0]:
-                    # `face_of` written out, so that a non-degenerate face
-                    # costs one lookup and no call
-                    left = face_of(fb, *a) if fb.degens else faces[(fb.base, *a)]
-                    right = face_of(fa, *shifted) if fa.degens else faces[(fa.base, *shifted)]
-                    if left != right:
-                        raise ValidationError(f"face identity fails at {cell}, {a},{b}")
+        own, indices, face_of = rows[cell], self.face_indices(d), self.face_of
+        for b, a, shifted in _identity_positions(self.face_indices, d):
+            fb, fa = own[b], own[a]
+            # `face_of` written out, so that a non-degenerate face costs one
+            # lookup and no call
+            left = face_of(fb, *indices[a]) if fb.degens else rows[fb.base][a]
+            right = face_of(fa, *indices[shifted]) if fa.degens else rows[fa.base][shifted]
+            if left != right:
+                raise ValidationError(f"face identity fails at {cell}, {indices[a]},{indices[b]}")
 
     def __repr__(self):
         counts = self.cell_counts()

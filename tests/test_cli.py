@@ -1,6 +1,10 @@
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
 
 from cubeworks.cli import main
 from cubeworks.cubical import CellRef, CubicalSet, boundary, nd, open_box, standard_cube, tensor
@@ -8,6 +12,7 @@ from cubeworks.enriched import build_E, build_H, build_P, mapping_space, special
 from cubeworks.errors import ValidationError
 from cubeworks.io_json import (
     Workspace,
+    _write_presented,
     presentation_from_json,
     presentation_to_json,
     presented_from_json,
@@ -18,6 +23,7 @@ from cubeworks.james import james
 from cubeworks.james_compare import localized_E
 from cubeworks.simplicial import SimplicialSet, standard_simplex, wedge_of_intervals
 from cubeworks.triangulate import triangulate
+from random_sets import cubical_sets
 from test_enriched import _interval_along
 
 
@@ -104,6 +110,51 @@ def test_saved_sets_are_the_bytes_of_json_dump(tmp_path, name):
     assert (tmp_path / fname).read_bytes() == want.encode()
     Y = ws.load("x")
     assert type(Y) is type(X) and (Y.cells, Y.faces, Y.name) == (X.cells, X.faces, X.name)
+
+
+def _escaped_collapse():
+    """A vertex, a square and a cube whose faces are the vertex, degenerate in
+    every direction of the face, with ids that JSON escapes."""
+    v = 'v"\\\u00e9'
+    cells = {v: 0, 'sq"\\': 2, "cube\u00e9": 3}
+    return CubicalSet(
+        cells,
+        {
+            (c, *i): CellRef(tuple(range(1, n)), v)
+            for c, n in cells.items()
+            for i in CubicalSet.face_indices(n)
+        },
+    )
+
+
+def _check_round_trip(X):
+    """The template writer against `json.dump`, then a workspace save and
+    load that gives back the same tables and a set that validates."""
+    want, got = io.StringIO(), io.StringIO()
+    json.dump(presented_to_json(X), want, indent=2, sort_keys=True)
+    _write_presented(X, got)
+    assert got.getvalue() == want.getvalue()
+    with tempfile.TemporaryDirectory() as path:
+        ws = Workspace(path)
+        with open(os.path.join(path, ws.save("x", X))) as fh:
+            assert fh.read() == want.getvalue()
+        Y = ws.load("x")
+    assert type(Y) is type(X) and (Y.cells, Y.faces) == (X.cells, X.faces)
+    assert Y.validate()
+
+
+def test_round_trip_of_degenerate_faces_with_escaped_ids():
+    X = _escaped_collapse()
+    assert any(ref.degens for ref in X.faces.values())
+    for Z in (X, triangulate(X)):
+        _check_round_trip(Z)
+
+
+@settings(deadline=None)
+@given(cubical_sets())
+def test_round_trip_of_random_sets_and_their_triangulations(X):
+    _check_round_trip(X)
+    _check_round_trip(triangulate(X))
 
 
 def test_workspace_failed_save_keeps_old_files(tmp_path):

@@ -113,12 +113,38 @@ def reference_identities(X):
     return reference_simplicial_identities(X)
 
 
+def reference_first_failure(X):
+    """The message of the identity check as it read every face by key, one
+    `face_of` per side: cells in table order, then b, then a with
+    a[0] < b[0].  None when every identity holds."""
+    for cell, d in X.cells.items():
+        if d < 2:
+            continue
+        for b in X.face_indices(d):
+            for a in X.face_indices(d):
+                if a[0] < b[0]:
+                    left = X.face_of(X.faces[(cell, *b)], *a)
+                    right = X.face_of(X.faces[(cell, *a)], b[0] - 1, *b[1:])
+                    if left != right:
+                        return f"face identity fails at {cell}, {a},{b}"
+    return None
+
+
 def validates(X):
     try:
         X.validate()
     except ValidationError:
         return False
     return True
+
+
+def refusal(X):
+    """The message `validate` refuses X with, or None."""
+    try:
+        X.validate()
+    except ValidationError as exc:
+        return str(exc)
+    return None
 
 
 # -- fixtures ---------------------------------------------------------------------
@@ -245,6 +271,94 @@ def test_check_shape_refuses_bad_degeneracy_words(make, key, ref):
         broken.check_shape()
 
 
+def edited(X, faces=(), drop=None):
+    """X with the given faces set and the face key ``drop`` removed."""
+    table = {**X.faces, **dict(faces)}
+    table.pop(drop, None)
+    return type(X)(X.cells, table, name=X.name)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda: edited(standard_cube(2), {("qq", 1, 0): nd("00")}),
+            "face data on unknown cell qq",
+        ),
+        (
+            lambda: edited(standard_cube(2), {("**", 1, 0): nd("zz")}),
+            "face of ** points at unknown zz",
+        ),
+        (
+            lambda: edited(standard_cube(2), {("**", 3, 0): nd("0*")}),
+            "bad face key ('**', 3, 0)",
+        ),
+        (
+            lambda: edited(standard_simplex(2), {("0.1.2", 3): nd("0.1")}),
+            "bad face key ('0.1.2', 3)",
+        ),
+        (lambda: edited(standard_cube(2), drop=("**", 2, 1)), "missing face ('**', 2, 1)"),
+        (
+            lambda: edited(standard_simplex(2), drop=("0.1.2", 1)),
+            "missing face ('0.1.2', 1)",
+        ),
+        (
+            lambda: edited(standard_cube(2), {("**", 1, 0): nd("00")}),
+            "face of ** has wrong dimension",
+        ),
+        (
+            lambda: edited(standard_cube(2), {("**", 1, 0): CellRef((1, 2), "00")}),
+            "face of ** has wrong dimension",
+        ),
+        (
+            lambda: edited(standard_cube(3), {("***", 1, 0): CellRef((2, 1), "000")}),
+            "face ('***', 1, 0) has a bad degeneracy word [2, 1]",
+        ),
+        (
+            lambda: edited(standard_cube(3), {("***", 2, 1): nd("*0*")}),
+            "face identity fails at ***, (1, 0),(2, 1)",
+        ),
+        (
+            lambda: swapped(standard_cube(3), "***", (2, 0), (3, 1)),
+            "face identity fails at ***, (1, 0),(2, 0)",
+        ),
+        (
+            lambda: pinched_triangle(t0=SimplexRef((0,), "v")),
+            "face identity fails at t, (0,),(1,)",
+        ),
+        (
+            lambda: swapped(collapsed_square(), "X:**", (1, 0), (2, 1)),
+            "face identity fails at X:**, (1, 0),(2, 1)",
+        ),
+    ],
+    ids=[
+        "unknown-cell",
+        "unknown-base",
+        "key-outside-the-face-indices",
+        "simplicial-key-outside",
+        "missing-face",
+        "simplicial-missing-face",
+        "wrong-dimension",
+        "degenerate-wrong-dimension",
+        "bad-degeneracy-word",
+        "identity-through-a-plain-face",
+        "first-failing-pair-after-a-swap",
+        "identity-through-a-degenerate-face",
+        "degenerate-face-swapped",
+    ],
+)
+def test_refusals_name_the_first_failure(make, message):
+    assert refusal(make()) == message
+
+
+@pytest.mark.parametrize("kind", [CubicalSet, SimplicialSet])
+def test_face_indices_of_a_face_come_first(kind):
+    # the identity check reads a face index at one position in every dimension
+    for d in range(1, 7):
+        below = kind.face_indices(d - 1)
+        assert kind.face_indices(d)[: len(below)] == below
+
+
 @pytest.mark.parametrize("name", ["cube3", "simplex3", "collapsed_square"])
 def test_identity_check_agrees_with_reference_on_every_swap(name):
     X = SETS[name]()
@@ -253,8 +367,32 @@ def test_identity_check_agrees_with_reference_on_every_swap(name):
         for a, b in combinations(X.face_indices(d), 2):
             broken = swapped(X, cell, a, b)
             assert validates(broken) == reference_identities(broken)
+            assert refusal(broken) == reference_first_failure(broken)
             refused += not validates(broken)
     assert refused > 0
+
+
+# -- elements as tuples -------------------------------------------------------------
+
+
+def test_cell_ref_is_the_plain_tuple_of_its_fields():
+    refs = [CellRef((2,), "a"), CellRef((), "b"), CellRef((1, 3), "b"), CellRef((), "a")]
+    for ref in refs:
+        assert hash(ref) == hash((ref.degens, ref.base))
+        assert ref == (ref.degens, ref.base)
+    # ordered by (degens, base), degeneracy word first
+    assert sorted(refs) == [
+        CellRef((), "a"),
+        CellRef((), "b"),
+        CellRef((1, 3), "b"),
+        CellRef((2,), "a"),
+    ]
+    assert repr(CellRef((), "b")) == "<b>"
+    assert repr(CellRef((1, 3), "b")) == "<s[1, 3].b>"
+    assert str(SimplexRef((0,), "v")) == "<s[0].v>"
+    for field in ("degens", "base"):
+        with pytest.raises(AttributeError):
+            setattr(refs[0], field, ())
 
 
 # -- one map class ------------------------------------------------------------------
