@@ -201,12 +201,15 @@ def pushout(f: CubicalMap, g: CubicalMap) -> tuple:
     after its least member.  The degenerate elements s.a of A need no
     identification of their own: by the Eilenberg-Zilber normal form
     f(s.a) = s.f(a) and g(s.a) = s.g(a) resolve through f(a) and g(a), which
-    are identified one or more dimensions lower.
+    are identified one or more dimensions lower.  Both legs are validated
+    first, so a span whose legs are not maps is refused.
     """
     if f.source is not g.source and (
         f.source.cells != g.source.cells or f.source.faces != g.source.faces
     ):
         raise ValidationError("pushout requires a shared source")
+    f.validate()
+    g.validate()
     X, Y = f.target, g.target
     sides = {"X": X, "Y": Y}
     uf = UnionFind()
@@ -259,13 +262,17 @@ def _pair_id(x: str, y: str) -> str:
     return f"{x}|{y}"
 
 
-def tensor(X: CubicalSet, Y: CubicalSet) -> CubicalSet:
+def tensor(X: CubicalSet, Y: CubicalSet, guard: int = 10**6) -> CubicalSet:
     """Day convolution: non-degenerate cells are pairs, dimensions add, faces
     act blockwise with degeneracy words shifted into the correct block.
 
     Each pair id is rendered once, and the non-degenerate faces that point at
     the same pair share one reference.  Raises ValidationError when two pairs
-    get the same id, which ids that contain ``|`` can cause."""
+    get the same id, which ids that contain ``|`` can cause, and GuardError,
+    before building any cell, when there would be more than ``guard`` pairs."""
+    total = len(X.cells) * len(Y.cells)
+    if total > guard:
+        raise GuardError(f"tensor of {total} cells exceeds guard {guard}")
     refs = {x: {y: nd(_pair_id(x, y)) for y in Y.cells} for x in X.cells}
     y_faces = [
         (y, dy, tuple(zip(CubicalSet.face_indices(dy), Y.faces_of(y))))
@@ -431,28 +438,6 @@ def enumerate_maps(X: CubicalSet, Y: CubicalSet, guard: int = 10**7):
     if guard < 0:
         raise ValidationError(f"guard {guard} must not be negative")
     return [CubicalMap(X, Y, a) for a in _sorted_maps(X, Y, guard, {})]
-
-
-def extend_map(whole: CubicalSet, Y: CubicalSet, partial_map: dict, missing):
-    """Find one extension of a partial assignment (on the subobject) to the
-    listed missing cells of `whole`, or None.  Cell ids of the subobject must
-    coincide with their images in `whole`.  Every cell of `whole` must be
-    assigned or missing, and nothing else may be."""
-    unknown = (partial_map.keys() | set(missing)) - whole.cells.keys()
-    if unknown:
-        raise ValidationError(f"cell {min(unknown)} is not a cell of the whole set")
-    order = sorted(missing, key=lambda c: (whole.cells[c], c))
-    for c in order:
-        for fr in whole.faces_of(c):
-            if fr.base not in partial_map and fr.base not in order:
-                raise ValidationError(
-                    f"face {fr.base} of missing cell {c} is neither assigned nor missing"
-                )
-    unplaced = whole.cells.keys() - partial_map.keys() - set(order)
-    if unplaced:
-        raise ValidationError(f"cell {min(unplaced)} is neither assigned nor missing")
-    first = next(_extensions(whole, Y, partial_map, order, None, {}), None)
-    return None if first is None else CubicalMap(whole, Y, first)
 
 
 def kan_check(X: CubicalSet, max_dim: int, guard: int = 10**7) -> dict:

@@ -30,6 +30,7 @@ share a cell id.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from math import inf
 from types import MappingProxyType
@@ -487,32 +488,55 @@ def _endless_weight(pres, x):
     return min((w for letter, w in least.items() if letter in endless), default=inf)
 
 
+def _count_words(pres, x, y, top: int, max_dim: int = None) -> dict:
+    """The cells per dimension of Map(x, y) at bound ``top``, counted without
+    building a word: one letter per step, it carries the number of words
+    from x for each (last letter, object, weight, dimension), with the cap
+    and cancel-pair rule of `_WordFiltration`.  The word-length guard
+    refuses exactly the tops at which a build of every dimension would not
+    end, capped or not, so the walk ends."""
+    if _endless_weight(pres, x) <= top:
+        raise GuardError("word length guard exceeded; presentation rewrites do not terminate")
+    cap = inf if max_dim is None else max_dim
+    counts = Counter()
+    frontier = {(None, x, 0, 0): 1}
+    while frontier:
+        step = Counter()
+        for (last, at, weight, dim), n in frontier.items():
+            if at == y:
+                counts[dim] += n
+            for letter, (src, tgt, dl, w, _) in pres.letters.items():
+                fits = src == at and weight + w <= top and dim + dl <= cap
+                if fits and (last, letter) not in pres.cancel_pairs:
+                    step[letter, tgt, weight + w, dim + dl] += n
+        frontier = step
+    return counts
+
+
 class _WordFiltration:
     """Every cell word of Map(x, y) up to one word-weight bound, built once.
 
     Words are enumerated a single time at ``top``, each with its weight and
-    dimension, which is all ``cell_counts`` reads.  The truncation at any
-    bound b <= top is the subcomplex of words of weight at most b;
-    ``level(b)`` renders it as a cubical set, resolving the faces of a word
-    to word indices (memoized, like its cell id) when a level first keeps
-    it.  With ``max_dim`` only the words of dimension at most max_dim are
-    built, which is the subcomplex of those dimensions.  The word-length
-    guard refuses exactly the tops at which a build of every dimension would
-    not end, so a capped build refuses where an uncapped one does.  Letter
-    facts come from the presentation's letter table, and the rendered levels
-    hold no reference back to the build."""
+    dimension.  The truncation at any bound b <= top is the subcomplex of
+    words of weight at most b; ``level(b)`` renders it as a cubical set,
+    resolving the faces of a word to word indices (memoized, like its cell
+    id) when a level first keeps it.  With ``max_dim`` only the words of
+    dimension at most max_dim are built, which is the subcomplex of those
+    dimensions.  The words are counted first, by `_count_words`: more than
+    ``guard`` cells are refused before any word is made.  Letter facts come
+    from the presentation's letter table, and the rendered levels hold no
+    reference back to the build."""
 
-    def __init__(self, pres, x, y, top: int, max_dim: int = None):
+    def __init__(self, pres, x, y, top: int, max_dim: int = None, guard: int = 10**6):
         self.x, self.y = x, y
+        total = sum(_count_words(pres, x, y, top, max_dim).values())
+        if total > guard:
+            raise GuardError(f"Map({x},{y})@{top} of {total} cells exceeds guard {guard}")
         cancel = pres.cancel_pairs
         outgoing = {}   # object -> [(letter, target, weight, dim)] in letter order
         for letter, info in pres.letters.items():
             outgoing.setdefault(info.source, []).append(
                 (letter, info.target, info.weight, info.dim)
-            )
-        if _endless_weight(pres, x) <= top:
-            raise GuardError(
-                "word length guard exceeded; presentation rewrites do not terminate"
             )
         cap = inf if max_dim is None else max_dim
         found = []
@@ -542,13 +566,6 @@ class _WordFiltration:
         self.faces = [None] * len(self.words)
         self._index = {w: i for i, w in enumerate(self.words)}
         self._letters, self._cancel = pres.letters, cancel
-
-    def cell_counts(self, b: int) -> dict:
-        counts = {}
-        for wt, d in zip(self.weights, self.dims):
-            if wt <= b:
-                counts[d] = counts.get(d, 0) + 1
-        return counts
 
     def level(self, b: int):
         """The truncation at bound b as (cubical set, cell id -> word)."""
@@ -584,20 +601,13 @@ def mapping_space(pres, x, y, bound: int, with_stability: bool = True) -> Mappin
     """Materialize the word-length truncation of Map(x, y) as a cubical set.
 
     stable_dims lists the dimensions in which raising the bound by one adds
-    no cells.  It is counted off one build at bound + 1, whose heavier words
-    get no faces; stability is computed, never assumed."""
+    no cells.  The cells at bound + 1 are counted by `_count_words`, not
+    built; stability is computed, never assumed."""
     _require_bound(bound)
-    if not with_stability:
-        space, index = _WordFiltration(pres, x, y, bound).level(bound)
-        return MappingSpaceTruncation((x, y), bound, space, index, frozenset())
-    levels = _WordFiltration(pres, x, y, bound + 1)
-    space, index = levels.level(bound)
-    counts_small = space.cell_counts()
-    counts_big = levels.cell_counts(bound + 1)
-    dims = set(counts_small) | set(counts_big)
-    stable = frozenset(
-        d for d in dims if counts_small.get(d, 0) == counts_big.get(d, 0)
-    )
+    more = _count_words(pres, x, y, bound + 1) if with_stability else {}
+    space, index = _WordFiltration(pres, x, y, bound).level(bound)
+    counts = space.cell_counts()
+    stable = frozenset(d for d, n in more.items() if counts.get(d) == n)
     return MappingSpaceTruncation((x, y), bound, space, index, stable)
 
 

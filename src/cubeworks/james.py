@@ -7,7 +7,9 @@ basepoint acts as the unit, so basepoint letters are deleted)."""
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from collections import Counter
+
+from .errors import GuardError, ValidationError
 from .presented import divide
 from .simplicial import SimplexRef, SimplicialSet, delta_face
 
@@ -27,7 +29,25 @@ def word_token(word) -> str:
     return _join_tokens(map(_letter_token, word))
 
 
-def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
+def _count_cells(masks, bound: int) -> int:
+    """The cells of the truncation, counted without building a word: per
+    dimension, one letter per step, the number of words for each common
+    degeneracy mask; a word is a cell once its mask is empty."""
+    total = 0
+    for mask_d in masks:
+        letters = Counter(mask_d[1:])
+        states = {mask_d[0]: 1}  # the empty word meets in every direction
+        for _ in range(bound + 1):
+            total += states.get(0, 0)
+            step = {}
+            for inter, n in states.items():
+                for m, k in letters.items():
+                    step[inter & m] = step.get(inter & m, 0) + n * k
+            states = step
+    return total
+
+
+def james(X, base: str, bound: int, max_dim: int = None, guard: int = 10**6) -> SimplicialSet:
     """Truncated free monoid on (X, base); words longer than `bound` are cut
     off.  For a connected X the James splitting ΣJ_L X ≃ ⋁_(k≤L) ΣX^(∧k)
     gives H̃_d = ⊕_(k≤L) H̃_d(X^(∧k)) below the `max_dim` cap, and X^(∧k) is
@@ -41,7 +61,9 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
     carries its degeneracy set as a bitmask.  The faces of letters are
     tabulated once, so a face of a word costs table lookups and a dict
     probe; only a degenerate face ANDs the masks of its letters and divides
-    them through `presented.divide`.  Each cell id is rendered once."""
+    them through `presented.divide`.  Each cell id is rendered once.  The
+    cells are counted first, and more than ``guard`` of them are refused
+    before any word is made."""
     from .cubical import CubicalSet
 
     if bound < 0 or (max_dim is not None and max_dim < 0):
@@ -65,6 +87,9 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
         refs = sorted(r for r in X.refs_of_dim(d) if r.base != base)
         letters.append([None] + refs)
         masks.append([(1 << d) - 1] + [sum(1 << t for t in r.degens) for r in refs])
+    total = _count_cells(masks, bound)
+    if total > guard:
+        raise GuardError(f"James construction of {total} cells exceeds guard {guard}")
     code = [{r: c for c, r in enumerate(ls) if c} for ls in letters]
 
     cells = {}

@@ -1,14 +1,17 @@
 """The vertex-first map search, kept as the second route for
-`cubical.enumerate_maps`, `extend_map` and `kan_check`.
+`cubical.enumerate_maps`, `extend_map` and `kan_check`.  `extend_map`
+itself lives here too, as no library code calls it: it extends a partial
+assignment by the search from the top, `cubical._extensions`.
 
-It assigns every cell of the source in (dimension, id) order, vertices
-first, and tries each element of the target of the cell's dimension in
-`refs_of_dim` order, keeping those whose faces agree with the images of
-the cell's faces.  So it lists the maps in the order `enumerate_maps`
+The vertex-first search assigns every cell of the source in (dimension,
+id) order, vertices first, and tries each element of the target of the
+cell's dimension in `refs_of_dim` order, keeping those whose faces agree
+with the images of the cell's faces.  So it lists the maps in the order `enumerate_maps`
 promises, but costs about |Y_0|^v partial maps for a source with v
 vertices: use it on small inputs only."""
 
-from cubeworks.cubical import CubicalMap, open_box, standard_cube
+from cubeworks.cubical import CubicalMap, _extensions, open_box, standard_cube
+from cubeworks.errors import ValidationError
 
 
 def _fits(X, Y, c, faces, assign):
@@ -79,3 +82,25 @@ def reference_kan_check(X, max_dim: int) -> dict:
                 if filled < len(maps):
                     report["pass"] = False
     return report
+
+
+def extend_map(whole, Y, partial_map: dict, missing):
+    """Find one extension of a partial assignment (on the subobject) to the
+    listed missing cells of `whole`, or None.  Cell ids of the subobject must
+    coincide with their images in `whole`.  Every cell of `whole` must be
+    assigned or missing, and nothing else may be."""
+    unknown = (partial_map.keys() | set(missing)) - whole.cells.keys()
+    if unknown:
+        raise ValidationError(f"cell {min(unknown)} is not a cell of the whole set")
+    order = sorted(missing, key=lambda c: (whole.cells[c], c))
+    for c in order:
+        for fr in whole.faces_of(c):
+            if fr.base not in partial_map and fr.base not in order:
+                raise ValidationError(
+                    f"face {fr.base} of missing cell {c} is neither assigned nor missing"
+                )
+    unplaced = whole.cells.keys() - partial_map.keys() - set(order)
+    if unplaced:
+        raise ValidationError(f"cell {min(unplaced)} is neither assigned nor missing")
+    first = next(_extensions(whole, Y, partial_map, order, None, {}), None)
+    return None if first is None else CubicalMap(whole, Y, first)

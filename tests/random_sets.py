@@ -10,7 +10,7 @@ dimension (a collapse, which leaves degenerate faces behind)."""
 
 import hypothesis.strategies as st
 
-from cubeworks.cubical import boundary, enumerate_maps, pushout, standard_cube
+from cubeworks.cubical import CubicalMap, boundary, enumerate_maps, pushout, standard_cube
 
 SOURCES = [standard_cube(0), standard_cube(1), boundary(1)[0], standard_cube(2), boundary(2)[0]]
 
@@ -24,6 +24,16 @@ def spans(draw, X):
     into_x = draw(st.sampled_from(enumerate_maps(A, X)))
     into_c = draw(st.sampled_from(enumerate_maps(A, C)))
     return into_x, into_c
+
+
+@st.composite
+def loose_spans(draw, X):
+    """A span like `spans`, but with the leg into C drawn cell by cell as an
+    assignment that keeps dimensions and need not commute with faces."""
+    into_x, into_c = draw(spans(X))
+    A, C = into_c.source, into_c.target
+    loose = {c: draw(st.sampled_from(C.refs_of_dim(d))) for c, d in A.cells.items()}
+    return into_x, CubicalMap(A, C, loose)
 
 
 @st.composite

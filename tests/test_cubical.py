@@ -5,7 +5,7 @@ from math import comb
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from cubeworks.cubes import enumerate_hom, face
 from cubeworks.cubical import (
@@ -20,7 +20,6 @@ from cubeworks.cubical import (
     empty_to_point,
     endpoint_inclusion,
     enumerate_maps,
-    extend_map,
     find_isomorphism,
     identity_map,
     interval_inclusion,
@@ -37,8 +36,8 @@ from cubeworks.cubical import (
     tensor_maps,
 )
 from cubeworks.errors import GuardError, ValidationError
-from map_oracle import reference_extension, reference_kan_check, reference_maps
-from random_sets import SOURCES, cubical_sets, spans
+from map_oracle import extend_map, reference_extension, reference_kan_check, reference_maps
+from random_sets import SOURCES, cubical_sets, loose_spans, spans
 
 
 def loop_set():
@@ -219,15 +218,33 @@ def test_pushout_refusals():
     with pytest.raises(ValidationError, match=r"^pushout requires a shared source$"):
         pushout(identity_map(I), identity_map(pt))
     # I -> {p, q} sends both vertices to p but the edge to s1.q, which is no
-    # map; pushed out against I -> point it asks s1 of one vertex to equal
-    # s1 of another
+    # map: the leg is validated and refused before anything is built (pushed
+    # out against I -> point it would ask s1 of one vertex to equal s1 of
+    # another)
     collapse = CubicalMap(I, pt, {"0": nd("pt"), "1": nd("pt"), "*": CellRef((1,), "pt")})
     pq = CubicalSet({"p": 0, "q": 0}, {})
     bogus = CubicalMap(I, pq, {"0": nd("p"), "1": nd("p"), "*": CellRef((1,), "q")})
-    with pytest.raises(
-        ValidationError, match=r"^pushout broke the unique degeneracy decomposition$"
-    ):
-        pushout(collapse, bogus)
+    for f, g in ((collapse, bogus), (bogus, collapse)):
+        with pytest.raises(ValidationError, match=r"^map does not commute with face \(1,0\) at "):
+            pushout(f, g)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_pushout_refuses_legs_that_are_not_maps(data):
+    # a leg that keeps dimensions but does not commute with faces is refused
+    # with the error of its own validation
+    X = data.draw(cubical_sets())
+    f, g = data.draw(loose_spans(X))
+    try:
+        g.validate()
+    except ValidationError as exc:
+        error = str(exc)
+    else:
+        assume(False)
+    with pytest.raises(ValidationError) as refused:
+        pushout(f, g)
+    assert str(refused.value) == error
 
 
 def test_iterated_pushout_product_source_is_pinned():

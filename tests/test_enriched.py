@@ -435,11 +435,11 @@ def test_guard_replayed_per_level():
     )
     pres = replace(free, zero_weight={("e", objs[i], objs[i + 1], f"z{i}") for i in range(7)})
     levels = _WordFiltration(pres, "o0", "o7", 1)
-    assert levels.cell_counts(0) == levels.cell_counts(1) == {0: 1}
+    assert levels.level(0)[0].cell_counts() == levels.level(1)[0].cell_counts() == {0: 1}
     assert mapping_space(pres, "o0", "o7", 0).space.cell_counts() == {0: 1}
     assert len(homotopy_category(pres, 0).homs[("o0", "o7")]) == 1
     # a zero-weight loop behind two edges of weight 1: out of w, bound 1 is
-    # answered, bound 2 (and so bound 1 with stability, built at 2) is refused
+    # answered, bound 2 (and so bound 1 with stability, counted at 2) is refused
     behind = _loop_behind_two_edges()
     assert mapping_space(behind, "w", "x", 1, with_stability=False).space.cells == {}
     for bound, stability in ((2, False), (1, True)):
