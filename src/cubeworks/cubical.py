@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import cubes
 from .cubes import CubeMap, compose, face, projection_dropping, split_projection_face
-from .errors import GuardError, ValidationError
+from .errors import CELL_BUDGET, GuardError, ValidationError
 # find_isomorphism and is_isomorphism stay importable from here for callers
 # of the cubical API
 from .presented import (
@@ -235,8 +235,9 @@ def pushout(f: CubicalMap, g: CubicalMap) -> tuple:
     for root in sorted(classes, key=lambda t: (dim(t), t)):
         n = dim(root)
         targets = {resolved_ref(side, ref, n) for side, ref in classes[root] if ref.degens}
-        if len(targets) > 1:
-            raise ValidationError("pushout broke the unique degeneracy decomposition")
+        # both legs are maps, so a class is one element of the pushout, whose
+        # normal form is unique (Eilenberg-Zilber): its members resolve alike
+        assert len(targets) <= 1, "pushout broke the unique degeneracy decomposition"
         if targets:
             (target,) = targets
         else:
@@ -262,17 +263,17 @@ def _pair_id(x: str, y: str) -> str:
     return f"{x}|{y}"
 
 
-def tensor(X: CubicalSet, Y: CubicalSet, guard: int = 10**6) -> CubicalSet:
+def tensor(X: CubicalSet, Y: CubicalSet) -> CubicalSet:
     """Day convolution: non-degenerate cells are pairs, dimensions add, faces
     act blockwise with degeneracy words shifted into the correct block.
 
     Each pair id is rendered once, and the non-degenerate faces that point at
     the same pair share one reference.  Raises ValidationError when two pairs
     get the same id, which ids that contain ``|`` can cause, and GuardError,
-    before building any cell, when there would be more than ``guard`` pairs."""
+    before building any cell, when there would be more than CELL_BUDGET."""
     total = len(X.cells) * len(Y.cells)
-    if total > guard:
-        raise GuardError(f"tensor of {total} cells exceeds guard {guard}")
+    if total > CELL_BUDGET:
+        raise GuardError(f"tensor of {total} cells exceeds budget {CELL_BUDGET}")
     refs = {x: {y: nd(_pair_id(x, y)) for y in Y.cells} for x in X.cells}
     y_faces = [
         (y, dy, tuple(zip(CubicalSet.face_indices(dy), Y.faces_of(y))))

@@ -37,7 +37,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .cubical import CellRef, CubicalSet, UnionFind, nd
-from .errors import GuardError, ValidationError
+from .errors import CELL_BUDGET, GuardError, ValidationError
 
 
 # -- words ----------------------------------------------------------------------
@@ -453,6 +453,14 @@ class MappingSpaceTruncation:
     stable_dims: frozenset
 
 
+def _outgoing(pres) -> dict:
+    """object -> [(letter, target, weight, dim)] in letter order"""
+    outgoing = {}
+    for letter, i in pres.letters.items():
+        outgoing.setdefault(i.source, []).append((letter, i.target, i.weight, i.dim))
+    return outgoing
+
+
 def _endless_weight(pres, x):
     """The least weight of a word from x, without adjacent cancel pairs, that
     zero-weight letters can continue forever, again without adjacent cancel
@@ -462,12 +470,9 @@ def _endless_weight(pres, x):
     endless zero-weight tail.  The first letter of the tail weighs nothing,
     so the least such word may end in it.  It reads every letter, whatever
     dimensions a build keeps."""
-    letters, cancel = pres.letters, pres.cancel_pairs
-    leaving = {}  # object -> the letters leaving it
-    for letter, info in letters.items():
-        leaving.setdefault(info.source, []).append(letter)
+    letters, cancel, outgoing = pres.letters, pres.cancel_pairs, _outgoing(pres)
     follow = {  # letter -> the letters that may come next
-        letter: [l for l in leaving.get(info.target, ()) if (letter, l) not in cancel]
+        letter: [l for l, *_ in outgoing.get(info.target, ()) if (letter, l) not in cancel]
         for letter, info in letters.items()
     }
     # prune each zero-weight letter with no successor left until none is
@@ -476,7 +481,7 @@ def _endless_weight(pres, x):
     while stuck := {letter for letter in endless if endless.isdisjoint(follow[letter])}:
         endless -= stuck
     # last letter -> least weight of a word ending in it
-    least = {letter: letters[letter].weight for letter in leaving.get(x, ())}
+    least = {letter: weight for letter, _, weight, _ in outgoing.get(x, ())}
     todo = list(least)
     while todo:
         letter = todo.pop()
@@ -488,26 +493,26 @@ def _endless_weight(pres, x):
     return min((w for letter, w in least.items() if letter in endless), default=inf)
 
 
-def _count_words(pres, x, y, top: int, max_dim: int = None) -> dict:
-    """The cells per dimension of Map(x, y) at bound ``top``, counted without
-    building a word: one letter per step, it carries the number of words
-    from x for each (last letter, object, weight, dimension), with the cap
-    and cancel-pair rule of `_WordFiltration`.  The word-length guard
-    refuses exactly the tops at which a build of every dimension would not
-    end, capped or not, so the walk ends."""
+def _count_words(pres, x, y, top: int, max_dim: int = None) -> Counter:
+    """The cells of Map(x, y) at bound ``top`` by (weight, dimension),
+    counted without building a word: one letter per step, it carries the
+    number of words from x for each (last letter, object, weight,
+    dimension), with the cap and cancel-pair rule of `_WordFiltration`.  The
+    word-length guard refuses exactly the tops at which a build of every
+    dimension would not end, capped or not, so the walk ends."""
     if _endless_weight(pres, x) <= top:
         raise GuardError("word length guard exceeded; presentation rewrites do not terminate")
     cap = inf if max_dim is None else max_dim
+    outgoing, cancel = _outgoing(pres), pres.cancel_pairs
     counts = Counter()
     frontier = {(None, x, 0, 0): 1}
     while frontier:
         step = Counter()
         for (last, at, weight, dim), n in frontier.items():
             if at == y:
-                counts[dim] += n
-            for letter, (src, tgt, dl, w, _) in pres.letters.items():
-                fits = src == at and weight + w <= top and dim + dl <= cap
-                if fits and (last, letter) not in pres.cancel_pairs:
+                counts[weight, dim] += n
+            for letter, tgt, w, dl in outgoing.get(at, ()):
+                if weight + w <= top and dim + dl <= cap and (last, letter) not in cancel:
                     step[letter, tgt, weight + w, dim + dl] += n
         frontier = step
     return counts
@@ -522,22 +527,19 @@ class _WordFiltration:
     resolving the faces of a word to word indices (memoized, like its cell
     id) when a level first keeps it.  With ``max_dim`` only the words of
     dimension at most max_dim are built, which is the subcomplex of those
-    dimensions.  The words are counted first, by `_count_words`: more than
-    ``guard`` cells are refused before any word is made.  Letter facts come
-    from the presentation's letter table, and the rendered levels hold no
-    reference back to the build."""
+    dimensions.  The words are counted first (``counts``: `_count_words` at
+    ``top`` or above): more than CELL_BUDGET are refused before any word is
+    made.  Letter facts come from the presentation's letter table, and the
+    rendered levels hold no reference back to the build."""
 
-    def __init__(self, pres, x, y, top: int, max_dim: int = None, guard: int = 10**6):
+    def __init__(self, pres, x, y, top: int, max_dim: int = None, counts: Counter = None):
         self.x, self.y = x, y
-        total = sum(_count_words(pres, x, y, top, max_dim).values())
-        if total > guard:
-            raise GuardError(f"Map({x},{y})@{top} of {total} cells exceeds guard {guard}")
-        cancel = pres.cancel_pairs
-        outgoing = {}   # object -> [(letter, target, weight, dim)] in letter order
-        for letter, info in pres.letters.items():
-            outgoing.setdefault(info.source, []).append(
-                (letter, info.target, info.weight, info.dim)
-            )
+        if counts is None:
+            counts = _count_words(pres, x, y, top, max_dim)
+        total = sum(n for (weight, _), n in counts.items() if weight <= top)
+        if total > CELL_BUDGET:
+            raise GuardError(f"Map({x},{y})@{top} of {total} cells exceeds budget {CELL_BUDGET}")
+        cancel, outgoing = pres.cancel_pairs, _outgoing(pres)
         cap = inf if max_dim is None else max_dim
         found = []
 
@@ -604,10 +606,10 @@ def mapping_space(pres, x, y, bound: int, with_stability: bool = True) -> Mappin
     no cells.  The cells at bound + 1 are counted by `_count_words`, not
     built; stability is computed, never assumed."""
     _require_bound(bound)
-    more = _count_words(pres, x, y, bound + 1) if with_stability else {}
-    space, index = _WordFiltration(pres, x, y, bound).level(bound)
-    counts = space.cell_counts()
-    stable = frozenset(d for d, n in more.items() if counts.get(d) == n)
+    counts = _count_words(pres, x, y, bound + 1 if with_stability else bound)
+    space, index = _WordFiltration(pres, x, y, bound, counts=counts).level(bound)
+    dims = {d for _, d in counts} if with_stability else set()
+    stable = frozenset(dims - {d for weight, d in counts if weight > bound})
     return MappingSpaceTruncation((x, y), bound, space, index, stable)
 
 

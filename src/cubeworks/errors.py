@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types and the cell budget."""
+
+CELL_BUDGET = 10**6  # the most cells a builder makes; each counts first
 
 
 class CubeworksError(Exception):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .errors import GuardError, ValidationError
+from .errors import CELL_BUDGET, GuardError, ValidationError
 from .presented import divide
 from .simplicial import SimplexRef, SimplicialSet, delta_face
 
@@ -29,16 +29,21 @@ def word_token(word) -> str:
     return _join_tokens(map(_letter_token, word))
 
 
-def _count_cells(masks, bound: int) -> int:
-    """The cells of the truncation, counted without building a word: per
-    dimension, one letter per step, the number of words for each common
-    degeneracy mask; a word is a cell once its mask is empty."""
+def _count_cells(X, base: str, bound: int, max_dim: int) -> int:
+    """The cells of the truncation of the simplicial set X, counted without
+    building a word: per dimension, one letter per step, the number of words
+    for each common degeneracy mask; a word is a cell once its mask is empty.
+    The count stops as soon as it passes CELL_BUDGET."""
     total = 0
-    for mask_d in masks:
-        letters = Counter(mask_d[1:])
-        states = {mask_d[0]: 1}  # the empty word meets in every direction
+    for d in range(max_dim + 1):
+        letters = Counter(
+            sum(1 << t for t in r.degens) for r in X.refs_of_dim(d) if r.base != base
+        )
+        states = {(1 << d) - 1: 1}  # the empty word meets in every direction
         for _ in range(bound + 1):
             total += states.get(0, 0)
+            if total > CELL_BUDGET:
+                return total
             step = {}
             for inter, n in states.items():
                 for m, k in letters.items():
@@ -47,7 +52,7 @@ def _count_cells(masks, bound: int) -> int:
     return total
 
 
-def james(X, base: str, bound: int, max_dim: int = None, guard: int = 10**6) -> SimplicialSet:
+def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
     """Truncated free monoid on (X, base); words longer than `bound` are cut
     off.  For a connected X the James splitting ΣJ_L X ≃ ⋁_(k≤L) ΣX^(∧k)
     gives H̃_d = ⊕_(k≤L) H̃_d(X^(∧k)) below the `max_dim` cap, and X^(∧k) is
@@ -62,7 +67,7 @@ def james(X, base: str, bound: int, max_dim: int = None, guard: int = 10**6) -> 
     tabulated once, so a face of a word costs table lookups and a dict
     probe; only a degenerate face ANDs the masks of its letters and divides
     them through `presented.divide`.  Each cell id is rendered once.  The
-    cells are counted first, and more than ``guard`` of them are refused
+    cells are counted first, and more than CELL_BUDGET of them are refused
     before any word is made."""
     from .cubical import CubicalSet
 
@@ -77,6 +82,8 @@ def james(X, base: str, bound: int, max_dim: int = None, guard: int = 10**6) -> 
         raise ValidationError("basepoint must be a vertex")
     if max_dim is None:
         max_dim = bound
+    if _count_cells(X, base, bound, max_dim) > CELL_BUDGET:
+        raise GuardError(f"James construction of more than {CELL_BUDGET} cells exceeds budget")
 
     # letters[d][c] is the letter with code c >= 1; masks[d][c] its
     # degeneracy set as a bitmask (masks[d][0] = all directions, the unit of
@@ -87,9 +94,6 @@ def james(X, base: str, bound: int, max_dim: int = None, guard: int = 10**6) -> 
         refs = sorted(r for r in X.refs_of_dim(d) if r.base != base)
         letters.append([None] + refs)
         masks.append([(1 << d) - 1] + [sum(1 << t for t in r.degens) for r in refs])
-    total = _count_cells(masks, bound)
-    if total > guard:
-        raise GuardError(f"James construction of {total} cells exceeds guard {guard}")
     code = [{r: c for c, r in enumerate(ls) if c} for ls in letters]
 
     cells = {}

@@ -29,7 +29,7 @@ from math import comb
 from types import MappingProxyType
 
 from .cubical import CubicalSet
-from .errors import GuardError
+from .errors import CELL_BUDGET, GuardError
 from .simplicial import SimplexRef, SimplicialSet
 
 
@@ -105,7 +105,7 @@ def _projection(d: int, i: int, drop: tuple) -> tuple:
     return tuple(table), len(shifts)
 
 
-def triangulate(X: CubicalSet, guard: int = 10**6) -> SimplicialSet:
+def triangulate(X: CubicalSet, guard: int = CELL_BUDGET) -> SimplicialSet:
     total = simplex_count(X)
     if total > guard:
         raise GuardError(f"triangulation into {total} simplices exceeds guard {guard}")

@@ -1,8 +1,8 @@
 """Cell counts made before building, checked against the builds, and the
 cell budgets that the counts feed."""
 
+import importlib
 import io
-import re
 import time
 from collections import Counter
 from contextlib import redirect_stderr
@@ -10,9 +10,9 @@ from contextlib import redirect_stderr
 import pytest
 from hypothesis import given, settings
 
-from cubeworks import cubical
+from cubeworks import cubical, enriched
 from cubeworks.cli import main
-from cubeworks.cubical import standard_cube, tensor
+from cubeworks.cubical import CubicalSet, standard_cube, tensor
 from cubeworks.enriched import (
     _WordFiltration,
     _count_words,
@@ -23,22 +23,17 @@ from cubeworks.enriched import (
     mapping_space,
 )
 from cubeworks.errors import GuardError
-from cubeworks.james import james
+from cubeworks.james import _count_cells, james
 from cubeworks.james_compare import localized_E
 from cubeworks.simplicial import circle, wedge_of_intervals
+from cubeworks.triangulate import triangulate
 from random_sets import cubical_sets
 from test_enriched import GUARD, _loop_behind_two_edges, _zero_weight_loop
 from test_homology import klein_bottle, moore_space_mod3, projective_plane
 
+james_module = importlib.import_module("cubeworks.james")
+
 PRESENTATIONS = {"P": build_P, "H": build_H, "E": build_E, "EL": localized_E}
-
-
-def refused_count(build, *args, **kwargs) -> int:
-    """The count that a builder names when a guard of 0 refuses it."""
-    with pytest.raises(GuardError) as refused:
-        build(*args, guard=0, **kwargs)
-    found = re.search(r" (\d+) (?:cells|simplices) exceeds guard 0$", str(refused.value))
-    return int(found.group(1))
 
 
 # -- counts against builds --------------------------------------------------------
@@ -54,10 +49,15 @@ def test_word_counts_match_builds(name):
             for max_dim in (None, 1):
                 built = _WordFiltration(pres, x, y, 7, max_dim=max_dim)
                 for b in range(8):
-                    want = Counter(d for d, wt in zip(built.dims, built.weights) if wt <= b)
+                    want = Counter(
+                        (wt, d) for wt, d in zip(built.weights, built.dims) if wt <= b
+                    )
                     assert _count_words(pres, x, y, b, max_dim) == want, (x, y, b, max_dim)
                     if b <= 5:
-                        assert built.level(b)[0].cell_counts() == want
+                        by_dim = Counter()
+                        for (_, d), n in want.items():
+                            by_dim[d] += n
+                        assert built.level(b)[0].cell_counts() == by_dim
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
@@ -86,36 +86,40 @@ JAMES_CASES = [
 @pytest.mark.parametrize("make, base, bound, max_dim", JAMES_CASES)
 def test_james_counts_match_builds(make, base, bound, max_dim):
     # the cubical fixtures are triangulated first, and counted after that
-    count = refused_count(james, make(), base, bound, max_dim)
-    J = james(make(), base, bound, max_dim, guard=count)
-    assert len(J.cells) == count
+    X = make()
+    J = james(X, base, bound, max_dim)
+    if isinstance(X, CubicalSet):
+        X, base = triangulate(X), f"{base}#"
+    assert _count_cells(X, base, bound, bound if max_dim is None else max_dim) == len(J.cells)
 
 
 @settings(deadline=None)
 @given(cubical_sets(), cubical_sets())
 def test_tensor_counts_match_builds(X, Y):
-    count = refused_count(tensor, X, Y)
-    assert len(tensor(X, Y, guard=count).cells) == count
+    assert len(tensor(X, Y).cells) == len(X.cells) * len(Y.cells)
 
 
 # -- budgets ----------------------------------------------------------------------
 
 
-def test_word_budget_names_the_count():
+def test_word_budget_names_the_count(monkeypatch):
     pres = localized_E()
-    with pytest.raises(GuardError, match=r"^Map\(c,c\)@6 of 5461 cells exceeds guard 5460$"):
-        _WordFiltration(pres, "c", "c", 6, guard=5460)
-    assert len(_WordFiltration(pres, "c", "c", 6, guard=5461).words) == 5461
+    monkeypatch.setattr(enriched, "CELL_BUDGET", 5460)
+    with pytest.raises(GuardError, match=r"^Map\(c,c\)@6 of 5461 cells exceeds budget 5460$"):
+        _WordFiltration(pres, "c", "c", 6)
+    monkeypatch.setattr(enriched, "CELL_BUDGET", 5461)
+    assert len(_WordFiltration(pres, "c", "c", 6).words) == 5461
     # a capped build counts only the dimensions it builds
-    assert refused_count(_WordFiltration, pres, "c", "c", 6, max_dim=1) == 769
+    assert sum(_count_words(pres, "c", "c", 6, max_dim=1).values()) == 769
 
 
-def test_word_length_guard_comes_before_the_budget():
+def test_word_length_guard_comes_before_the_budget(monkeypatch):
     # an endless zero-weight walk is refused with the word-length guard,
     # whatever the budget
+    monkeypatch.setattr(enriched, "CELL_BUDGET", 0)
     for pres, x, top in ((_zero_weight_loop(), "x", 0), (_loop_behind_two_edges(), "w", 2)):
         with pytest.raises(GuardError, match=f"^{GUARD}$"):
-            _WordFiltration(pres, x, "x", top, guard=0)
+            _WordFiltration(pres, x, "x", top)
         with pytest.raises(GuardError, match=f"^{GUARD}$"):
             _count_words(pres, x, "x", top)
     for bound, stability in ((0, False), (0, True), (2, True)):
@@ -125,10 +129,29 @@ def test_word_length_guard_comes_before_the_budget():
         homotopy_category(_zero_weight_loop(), 0)
 
 
-def test_james_budget_names_the_count():
-    with pytest.raises(GuardError, match=r"^James construction of 18 cells exceeds guard 17$"):
-        james(circle(), "v", 3, guard=17)
-    assert james(circle(), "v", 3, guard=18).cell_counts() == {0: 1, 1: 3, 2: 8, 3: 6}
+def test_james_budget(monkeypatch):
+    assert _count_cells(circle(), "v", 3, 3) == 18
+    monkeypatch.setattr(james_module, "CELL_BUDGET", 17)
+    with pytest.raises(
+        GuardError, match=r"^James construction of more than 17 cells exceeds budget$"
+    ):
+        james(circle(), "v", 3)
+    monkeypatch.setattr(james_module, "CELL_BUDGET", 18)
+    assert james(circle(), "v", 3).cell_counts() == {0: 1, 1: 3, 2: 8, 3: 6}
+
+
+def test_james_count_stops_past_the_budget(monkeypatch):
+    # counted in full, the circle at bound 20 walks up to 2^20 degeneracy
+    # masks in dimension 20; the count stops once it passes the budget, in
+    # dimension 2, so a large bound is refused at once
+    assert _count_cells(wedge_of_intervals(2), "w", 6, 6) == 636685
+    assert _count_cells(circle(), "v", 20, 20) == 1048557
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match=r"^James construction of more than 1000000 cells"):
+        james(circle(), "v", 40)
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(james_module, "CELL_BUDGET", 10**8)
+    assert _count_cells(wedge_of_intervals(2), "w", 7, 7) == 12743693
 
 
 def test_tensor_budget_refuses_before_building(monkeypatch):
@@ -136,10 +159,11 @@ def test_tensor_budget_refuses_before_building(monkeypatch):
         raise AssertionError("a cell was built")
 
     sq = standard_cube(2)
+    monkeypatch.setattr(cubical, "CELL_BUDGET", 80)
     monkeypatch.setattr(cubical, "nd", no_cell)
     monkeypatch.setattr(cubical, "_pair_id", no_cell)
-    with pytest.raises(GuardError, match=r"^tensor of 81 cells exceeds guard 80$"):
-        tensor(sq, sq, guard=80)
+    with pytest.raises(GuardError, match=r"^tensor of 81 cells exceeds budget 80$"):
+        tensor(sq, sq)
 
 
 def _cli(*argv):
@@ -155,10 +179,10 @@ def test_cli_large_mapping_space_is_refused_at_once(tmp_path):
         "--workspace", str(tmp_path), "enriched", "map-space", "E", "c", "c", "--bound", "40"
     )
     assert code == 3 and seconds < 1
-    assert "296011017105 cells exceeds guard 1000000" in err
+    assert "296011017105 cells exceeds budget 1000000" in err
 
 
-def test_cli_large_james_is_refused(tmp_path):
-    code, err, _ = _cli("--workspace", str(tmp_path), "james", "wedge:2", "--bound", "7")
-    assert code == 3
-    assert "12743693 cells exceeds guard 1000000" in err
+def test_cli_large_james_is_refused_at_once(tmp_path):
+    code, err, seconds = _cli("--workspace", str(tmp_path), "james", "wedge:2", "--bound", "7")
+    assert code == 3 and seconds < 1
+    assert "James construction of more than 1000000 cells exceeds budget" in err

@@ -1,19 +1,18 @@
 """Smoke tests of the scripts under scripts/, run as the README runs them."""
 
 import importlib.util
-import inspect
 import json
 import os
 import subprocess
 import sys
 
 from cubeworks.cubical import CubicalSet, boundary
-from cubeworks.enriched import _count_words, _WordFiltration
-from cubeworks.james import james
+from cubeworks.enriched import _count_words
+from cubeworks.errors import CELL_BUDGET
+from cubeworks.james import _count_cells
 from cubeworks.james_compare import localized_E
 from cubeworks.simplicial import wedge_of_intervals
-from cubeworks.triangulate import simplex_count, triangulate
-from test_counts import refused_count
+from cubeworks.triangulate import simplex_count
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -140,31 +139,26 @@ def test_ladder_map_cc6_hash_is_pinned(monkeypatch):
         )
 
 
-def _default_guard(build) -> int:
-    return inspect.signature(build).parameters["guard"].default
-
-
-def test_ladder_rungs_fit_the_default_guards():
-    # counts only, nothing built: no default budget can refuse a rung
+def test_ladder_rungs_fit_the_cell_budget():
+    # counts only, nothing built: the default budget can never refuse a rung
     path = os.path.join(ROOT, "scripts", "ladder.py")
     spec = importlib.util.spec_from_file_location("ladder", path)
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
     map_cc6 = _count_words(localized_E(), "c", "c", 6)
     # the triangulation counts simplices from the cell dimensions alone
-    cells = CubicalSet({f"{d}.{i}": d for d, n in map_cc6.items() for i in range(n)}, {})
-    rungs = {  # rung -> (count, the guard that bounds it)
-        "james_wedge_w6": (refused_count(james, wedge_of_intervals(2), "w", 6), james),
-        "map_cc6": (sum(map_cc6.values()), _WordFiltration),
-        "tri_map_cc6": (simplex_count(cells), triangulate),
-        "tri_cube6_boundary": (simplex_count(boundary(6)[0]), triangulate),
+    cells = {f"{w}.{d}.{i}": d for (w, d), n in map_cc6.items() for i in range(n)}
+    rungs = {
+        "james_wedge_w6": _count_cells(wedge_of_intervals(2), "w", 6, 6),
+        "map_cc6": sum(map_cc6.values()),
+        "tri_map_cc6": simplex_count(CubicalSet(cells, {})),
+        "tri_cube6_boundary": simplex_count(boundary(6)[0]),
     }
     assert set(rungs) == set(ladder.RUNGS)
-    assert {rung: count for rung, (count, _) in rungs.items()} == {
+    assert rungs == {
         "james_wedge_w6": 636685,
         "map_cc6": 5461,
         "tri_map_cc6": 636685,
         "tri_cube6_boundary": 14048,
     }
-    for count, build in rungs.values():
-        assert count <= _default_guard(build)
+    assert max(rungs.values()) <= CELL_BUDGET
