@@ -12,7 +12,14 @@ The rungs are:
 - `tri_cube6_boundary`: the triangulated boundary of the 6-cube, its chains
   and its homology;
 - `map_cc6`: the mapping space Map(c, c) of the localized E at window 6;
-- `tri_map_cc6`: that mapping space and its triangulation.
+- `tri_map_cc6`: that mapping space and its triangulation;
+- `james_rp2_l4`: the James construction on the three-cell cubical
+  projective plane at window 4, its chains and its homology (37,208 of its
+  faces are degenerate, so faces are divided out at scale);
+- `compare_w6`: the steps of `compare_with_james(6)`: the translation of
+  the triangulated Map(c, c) at window 6 onto James at window 6, and the
+  check that it is a simplicial map; `bijective` reports whether the
+  translation reaches every James cell, and the last set is the James one.
 
 The rung runs in a child process, so its max RSS is its own.  One JSON line
 is printed: the rung, the cells per dimension of what it built last, the
@@ -31,7 +38,27 @@ import subprocess
 import sys
 import time
 
-RUNGS = ("james_wedge_w6", "tri_cube6_boundary", "map_cc6", "tri_map_cc6")
+RUNGS = (
+    "james_wedge_w6",
+    "tri_cube6_boundary",
+    "map_cc6",
+    "tri_map_cc6",
+    "james_rp2_l4",
+    "compare_w6",
+)
+
+
+def projective_plane():
+    """The three-cell cubical projective plane: a loop a at v and a square
+    whose (1,0) and (2,1) faces are a and whose other faces are degenerate
+    on v."""
+    from cubeworks.cubical import CubicalSet
+    from cubeworks.presented import CellRef, nd
+
+    v, a, sv = nd("v"), nd("a"), CellRef((1,), "v")
+    faces = {("a", 1, 0): v, ("a", 1, 1): v, ("s", 1, 0): a, ("s", 2, 1): a}
+    faces.update({("s", 1, 1): sv, ("s", 2, 0): sv})
+    return CubicalSet({"v": 0, "a": 1, "s": 2}, faces, name="RP2")
 
 
 def run_rung(name: str, want_hash: bool) -> dict:
@@ -39,8 +66,8 @@ def run_rung(name: str, want_hash: bool) -> dict:
     from cubeworks.cubical import boundary
     from cubeworks.enriched import mapping_space
     from cubeworks.james import james
-    from cubeworks.james_compare import localized_E
-    from cubeworks.simplicial import wedge_of_intervals
+    from cubeworks.james_compare import james_translation, localized_E
+    from cubeworks.simplicial import SimplicialMap, wedge_of_intervals
     from cubeworks.triangulate import triangulate
 
     stages = {}
@@ -59,12 +86,20 @@ def run_rung(name: str, want_hash: bool) -> dict:
             out["faces_sha256"] = _faces_sha256(X)
 
     report = None
-    if name == "james_wedge_w6":
-        X = stage("james", james, wedge_of_intervals(2), "w", 6)
+    if name in ("james_wedge_w6", "james_rp2_l4"):
+        if name == "james_wedge_w6":
+            X = stage("james", james, wedge_of_intervals(2), "w", 6)
+        else:
+            X = stage("james", james, projective_plane(), "v", 4)
         chains = stage("chains", simplicial_chains, X)
         describe(X)
         del X
         report = stage("homology", homology, chains)
+    elif name == "compare_w6":
+        _, tri, X, assignment = stage("translation", james_translation, 6)
+        stage("map_check", lambda: SimplicialMap(tri, X, assignment).validate())
+        out["bijective"] = len(assignment) == len(X.cells)
+        describe(X)
     elif name == "tri_cube6_boundary":
         X = stage("triangulate", triangulate, boundary(6)[0])
         describe(X)

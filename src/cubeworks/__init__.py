@@ -10,7 +10,7 @@ from .chains import (
     mapping_cone,
     simplicial_chains,
 )
-from .cubes import CubeMap, compose, enumerate_hom, face, identity, projection, tensor_map
+from .cubes import CubeMap, compose, enumerate_hom, face, identity, projection
 from .cubical import (
     CellRef,
     CubicalMap,

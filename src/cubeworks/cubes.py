@@ -121,15 +121,6 @@ def compose(g: CubeMap, f: CubeMap) -> CubeMap:
     return CubeMap(f.source_dim, g.target_dim, slots)
 
 
-def tensor_map(f: CubeMap, g: CubeMap) -> CubeMap:
-    """Monoidal product: juxtapose coordinate blocks, shifting g's variables."""
-    shift = f.source_dim
-    shifted = tuple(s if s[0] == "c" else ("v", s[1] + shift) for s in g.slots)
-    return CubeMap(
-        f.source_dim + g.source_dim, f.target_dim + g.target_dim, f.slots + shifted
-    )
-
-
 def split_projection_face(f: CubeMap):
     """Factor f as (face-type map) o (projection dropping unused variables)."""
     used = f.used_vars

@@ -7,11 +7,17 @@ basepoint acts as the unit, so basepoint letters are deleted)."""
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from itertools import chain, repeat
 
 from .errors import CELL_BUDGET, GuardError, ValidationError
 from .presented import divide
 from .simplicial import SimplexRef, SimplicialSet, delta_face
+
+
+# words are strings of code points, so a dimension has at most this many letters
+MAX_LETTERS = sys.maxunicode
 
 
 def _letter_token(ref: SimplexRef) -> str:
@@ -61,14 +67,16 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
     Based cubical sets are accepted by triangulating first (the free monoid
     is taken degreewise, i.e. in the cartesian flavor).
 
-    Words are tuples of letter codes: the non-basepoint elements of X_d are
-    numbered from 1 in sorted order (0 stands for the basepoint) and each
-    carries its degeneracy set as a bitmask.  The faces of letters are
-    tabulated once, so a face of a word costs table lookups and a dict
-    probe; only a degenerate face ANDs the masks of its letters and divides
-    them through `presented.divide`.  Each cell id is rendered once.  The
-    cells are counted first, and more than CELL_BUDGET of them are refused
-    before any word is made."""
+    Words are strings of letter codes: the non-basepoint elements of X_d are
+    numbered from 1 in sorted order (0 stands for the basepoint), a word is
+    the string of the characters `chr` of its codes, and each letter carries
+    its degeneracy set as a bitmask.  The face δ_j of a word is one
+    `str.translate` through a table of the δ_j of its letters, which deletes
+    the basepoint, and a dict probe; only a degenerate face ANDs the masks of
+    its letters and divides them through `presented.divide`.  A cell id is
+    one `str.translate` that renders each letter.  The cells are counted
+    first, and more than CELL_BUDGET of them, or more letters in a
+    dimension than MAX_LETTERS, are refused before any word is made."""
     from .cubical import CubicalSet
 
     if bound < 0 or (max_dim is not None and max_dim < 0):
@@ -87,21 +95,28 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
 
     # letters[d][c] is the letter with code c >= 1; masks[d][c] its
     # degeneracy set as a bitmask (masks[d][0] = all directions, the unit of
-    # AND, for the basepoint)
+    # AND, for the basepoint); code[d] maps a letter to its character
     letters = []
     masks = []
     for d in range(max_dim + 1):
         refs = sorted(r for r in X.refs_of_dim(d) if r.base != base)
+        if len(refs) > MAX_LETTERS:
+            raise GuardError(
+                f"James construction: dimension {d} has {len(refs)} letters, "
+                f"more than the {MAX_LETTERS} codes of a string"
+            )
         letters.append([None] + refs)
         masks.append([(1 << d) - 1] + [sum(1 << t for t in r.degens) for r in refs])
-    code = [{r: c for c, r in enumerate(ls) if c} for ls in letters]
+    code = [{r: chr(c) for c, r in enumerate(ls) if c} for ls in letters]
 
     cells = {}
-    words = []  # words[d]: [(word, cell id)] in cell order
+    words = []  # words[d]: the words of dimension d, in cell order
+    ids = []  # ids[d]: their cell ids
     nd_of = []  # nd_of[d]: word -> non-degenerate ref of its cell, below max_dim
     for d in range(max_dim + 1):
         mask_d = masks[d]
         max_gap = max((d - m.bit_count() for m in mask_d[1:]), default=0)
+        alphabet = [(chr(c), m) for c, m in enumerate(mask_d) if c]
         found = []
 
         def rec(word, inter, budget):
@@ -110,23 +125,19 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
             if budget == 0:
                 return
             limit = (budget - 1) * max_gap
-            for c in range(1, len(mask_d)):
-                new_inter = inter & mask_d[c]
+            for ch, m in alphabet:
+                new_inter = inter & m
                 if new_inter.bit_count() <= limit:
-                    rec(word + (c,), new_inter, budget - 1)
+                    rec(word + ch, new_inter, budget - 1)
 
-        rec((), mask_d[0], bound)
-        tokens = [None] + [_letter_token(r) for r in letters[d][1:]]
-        listed = []
-        refs = {}
-        for w in found:
-            wid = _join_tokens([tokens[c] for c in w])
-            cells[wid] = d
-            listed.append((w, wid))
-            if d < max_dim:  # cells of the top dimension are never faces
-                refs[w] = SimplexRef((), wid)
-        words.append(listed)
-        nd_of.append(refs)
+        rec("", mask_d[0], bound)
+        render = [None] + [_letter_token(r) + "," for r in letters[d][1:]]
+        wids = ["J[" + w.translate(render)[:-1] + "]" for w in found]
+        cells.update(dict.fromkeys(wids, d))
+        words.append(found)
+        ids.append(wids)
+        # cells of the top dimension are never faces
+        nd_of.append(dict(zip(found, map(SimplexRef, repeat(()), wids))) if d < max_dim else {})
 
     faces = {}
     unit = word_token(())
@@ -135,34 +146,40 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
             continue
         e = d - 1
         mask_e = masks[e]
-        full = mask_e[0]
         lower = nd_of[e]
         empty = SimplexRef(tuple(range(e)), unit)
-        tables = []
+
+        def degenerate_face(fw, wid):
+            """The face fw of the cell wid when fw is no cell: the empty
+            word, or a word with a common degeneracy to divide out."""
+            if not fw:
+                return empty
+            common = mask_e[0]
+            for ch in fw:
+                common &= mask_e[ord(ch)]
+            T = tuple(t for t in range(e) if common >> t & 1)
+            hit = None
+            if T:
+                low = e - len(T)
+                divided = (divide(letters[e][ord(ch)], T, e, 0) for ch in fw)
+                hit = nd_of[low].get("".join(map(code[low].__getitem__, divided)))
+            if hit is None:
+                raise ValidationError(f"face of {wid} left the truncation window")
+            return SimplexRef(T, hit.base)
+
+        columns = []  # columns[j][i]: the face δ_j of words[d][i]
         for j in range(d + 1):
             f = delta_face(d, j)
-            table = [0]
+            table = [None]
             for r in letters[d][1:]:
                 img = X.act(r, f)
-                table.append(0 if img.base == base else code[e][img])
-            tables.append(table)
-        for w, wid in words[d]:
-            for j, table in enumerate(tables):
-                fw = tuple(filter(None, map(table.__getitem__, w)))
-                ref = lower.get(fw) if fw else empty
+                table.append(None if img.base == base else code[e][img])
+            face_words = [w.translate(table) for w in words[d]]
+            column = list(map(lower.get, face_words))
+            for i, ref in enumerate(column):
                 if ref is None:
-                    # a degenerate face: divide out the common degeneracy
-                    common = full
-                    for c in fw:
-                        common &= mask_e[c]
-                    T = tuple(t for t in range(e) if common >> t & 1)
-                    hit = None
-                    if T:
-                        low = e - len(T)
-                        divided = (divide(letters[e][c], T, e, 0) for c in fw)
-                        hit = nd_of[low].get(tuple(code[low][r] for r in divided))
-                    if hit is None:
-                        raise ValidationError(f"face of {wid} left the truncation window")
-                    ref = SimplexRef(T, hit.base)
-                faces[(wid, j)] = ref
+                    column[i] = degenerate_face(face_words[i], ids[d][i])
+            columns.append(column)
+        keys = [(wid, j) for wid in ids[d] for j in range(d + 1)]
+        faces.update(zip(keys, chain.from_iterable(zip(*columns))))
     return SimplicialSet(cells, faces, name=f"J({X.name})@{bound}")

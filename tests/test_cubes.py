@@ -18,7 +18,6 @@ from cubeworks.cubes import (
     projection,
     r,
     split_projection_face,
-    tensor_map,
 )
 from cubeworks.errors import GuardError, ValidationError
 
@@ -36,6 +35,15 @@ def evaluate(f, point):
 
 def corners(n):
     return list(product((0, 1), repeat=n))
+
+
+def tensor_map(f: CubeMap, g: CubeMap) -> CubeMap:
+    """Monoidal product: juxtapose coordinate blocks, shifting g's variables."""
+    shift = f.source_dim
+    shifted = tuple(s if s[0] == "c" else ("v", s[1] + shift) for s in g.slots)
+    return CubeMap(
+        f.source_dim + g.source_dim, f.target_dim + g.target_dim, f.slots + shifted
+    )
 
 
 def as_function(f):

@@ -1,12 +1,16 @@
+import hashlib
+import importlib
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import event, given, settings
+import hypothesis.strategies as st
 
 from cubeworks.chains import homology, simplicial_chains
 from cubeworks.cubical import CubicalSet, boundary
-from cubeworks.errors import ValidationError
-from cubeworks.james import james, word_token
+from cubeworks.errors import GuardError, ValidationError
+from cubeworks.james import _count_cells, james, word_token
 from cubeworks.presented import degenerate, divide
 from cubeworks.simplicial import (
     SimplexRef,
@@ -22,7 +26,10 @@ from cubeworks.simplicial import (
 )
 from cubeworks.triangulate import triangulate
 from james_splitting import invariant_factors, james_splitting_groups
+from random_sets import cubical_sets
 from test_homology import groups, klein_bottle, moore_space_mod3, projective_plane
+
+james_module = importlib.import_module("cubeworks.james")
 
 
 def point_based():
@@ -179,6 +186,75 @@ def test_james_matches_reference(make, base, bound, max_dim):
     assert J.name == R.name
     assert list(J.cells.items()) == list(R.cells.items())
     assert list(J.faces.items()) == list(R.faces.items())
+
+
+@settings(deadline=None)
+@given(cubical_sets(), st.data())
+def test_james_matches_reference_on_random_sets(X, data):
+    # random cubical sets, triangulated inside both builders; the bound is
+    # the largest up to the drawn one whose window has at most 1,500 cells,
+    # so that the reference stays quick
+    base = data.draw(st.sampled_from(sorted(c for c, d in X.cells.items() if d == 0)))
+    max_dim = data.draw(st.integers(0, 2))
+    bound = data.draw(st.integers(0, 3))
+    T = triangulate(X)
+    while bound and _count_cells(T, f"{base}#", bound, max_dim) > 1500:
+        bound -= 1
+    J = james(X, base, bound, max_dim)
+    R = james_reference(X, base, bound, max_dim)
+    event("degenerate faces", payload=sum(1 for r in J.faces.values() if r.degens))
+    assert list(J.cells.items()) == list(R.cells.items())
+    assert list(J.faces.items()) == list(R.faces.items())
+
+
+def faces_sha256(X):
+    """SHA-256 of the repr of each face item, in order, as
+    `scripts/ladder.py --hash` computes it."""
+    digest = hashlib.sha256()
+    for item in X.faces.items():
+        digest.update(repr(item).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "make, base, bound, max_dim, cells, digest",
+    [
+        (
+            lambda: wedge_of_intervals(2), "w", 5, None,
+            {0: 63, 1: 1302, 2: 6664, 3: 13488, 4: 11904, 5: 3840},
+            "232e692248c3eee6b4060edfbf2881459029e2d8975a45425337c715a3cafe14",
+        ),
+        (
+            circle, "v", 7, 4,
+            {0: 1, 1: 7, 2: 240, 3: 2538, 4: 10224},
+            "1ea357d1e910d5f9d3f9562fe8e83607c2f0023933aa1f22a08f2240d2d6b8e3",
+        ),
+        (
+            # 260 letters in dimension 1: codes past Latin-1
+            lambda: wedge_of_intervals(130), "w", 2, 1,
+            {0: 17031, 1: 50830},
+            "96c546a1746bdcb145afbbee6fee6203b129321c8122cab0789125500729dfc2",
+        ),
+    ],
+)
+def test_james_faces_are_pinned(make, base, bound, max_dim, cells, digest):
+    J = james(make(), base, bound, max_dim)
+    assert J.cell_counts() == cells
+    assert faces_sha256(J) == digest
+
+
+def test_james_refuses_more_letters_than_codes(monkeypatch):
+    # the wedge of two intervals has 2 letters in dimension 0 and 4 in 1
+    def no_ids(ref):
+        raise AssertionError("a cell id was rendered")
+
+    monkeypatch.setattr(james_module, "MAX_LETTERS", 3)
+    monkeypatch.setattr(james_module, "_letter_token", no_ids)
+    with pytest.raises(GuardError, match=r"^James construction: dimension 1 has 4 letters, more than the 3 codes of a string$"):
+        james(wedge_of_intervals(2), "w", 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(james_module, "MAX_LETTERS", 4)
+    assert james(wedge_of_intervals(2), "w", 2, 1).cell_counts() == {0: 7, 1: 14}
 
 
 @pytest.mark.parametrize("base, unit", [("v", False), ("u", True)])

@@ -12,7 +12,7 @@ from cubeworks.errors import CELL_BUDGET
 from cubeworks.james import _count_cells
 from cubeworks.james_compare import localized_E
 from cubeworks.simplicial import wedge_of_intervals
-from cubeworks.triangulate import simplex_count
+from cubeworks.triangulate import simplex_count, triangulate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -148,11 +148,15 @@ def test_ladder_rungs_fit_the_cell_budget():
     map_cc6 = _count_words(localized_E(), "c", "c", 6)
     # the triangulation counts simplices from the cell dimensions alone
     cells = {f"{w}.{d}.{i}": d for (w, d), n in map_cc6.items() for i in range(n)}
+    james_w6 = _count_cells(wedge_of_intervals(2), "w", 6, 6)
     rungs = {
-        "james_wedge_w6": _count_cells(wedge_of_intervals(2), "w", 6, 6),
+        "james_wedge_w6": james_w6,
         "map_cc6": sum(map_cc6.values()),
         "tri_map_cc6": simplex_count(CubicalSet(cells, {})),
         "tri_cube6_boundary": simplex_count(boundary(6)[0]),
+        "james_rp2_l4": _count_cells(triangulate(ladder.projective_plane()), "v#", 4, 4),
+        # the largest of the sets compare_with_james(6) builds
+        "compare_w6": max(james_w6, simplex_count(CubicalSet(cells, {}))),
     }
     assert set(rungs) == set(ladder.RUNGS)
     assert rungs == {
@@ -160,5 +164,7 @@ def test_ladder_rungs_fit_the_cell_budget():
         "map_cc6": 5461,
         "tri_map_cc6": 636685,
         "tri_cube6_boundary": 14048,
+        "james_rp2_l4": 106717,
+        "compare_w6": 636685,
     }
     assert max(rungs.values()) <= CELL_BUDGET
