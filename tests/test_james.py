@@ -250,7 +250,8 @@ def test_james_refuses_more_letters_than_codes(monkeypatch):
 
     monkeypatch.setattr(james_module, "MAX_LETTERS", 3)
     monkeypatch.setattr(james_module, "_letter_token", no_ids)
-    with pytest.raises(GuardError, match=r"^James construction: dimension 1 has 4 letters, more than the 3 codes of a string$"):
+    refusal = r"^James construction: dimension 1 has 4 letters, more than the 3 codes of a string$"
+    with pytest.raises(GuardError, match=refusal):
         james(wedge_of_intervals(2), "w", 2)
     monkeypatch.undo()
     monkeypatch.setattr(james_module, "MAX_LETTERS", 4)
