@@ -9,11 +9,10 @@ attached cell lands in A it is rewritten to its boundary word and the result
 is path-normalized.  Localized edges are unit-labeled, carry zero word
 weight, and cancel against their formal inverses.
 
-Each call enumerates words once, at the largest bound it needs, and reads
-every smaller bound off that build as its weight filtration: the words of
-weight at most the bound.  Inside a build, words are keyed by their letter
-tuples; a word's faces and string cell id are resolved only when a rendered
-level first keeps it.
+A truncation is built once and in full: its words are counted, then
+enumerated, and every word gets its cell id and its faces.  The homotopy
+category builds at bound + 1 and reads the truncation at the bound off that
+build as the cells of weight at most the bound.
 
 Letters are plain tuples: ("e", src, tgt, cell) for an edge generator and
 ("a", attachment index, cell) for an attached cell.
@@ -497,7 +496,7 @@ def _count_words(pres, x, y, top: int, max_dim: int = None) -> Counter:
     """The cells of Map(x, y) at bound ``top`` by (weight, dimension),
     counted without building a word: one letter per step, it carries the
     number of words from x for each (last letter, object, weight,
-    dimension), with the cap and cancel-pair rule of `_WordFiltration`.  The
+    dimension), with the cap and cancel-pair rule of `_build`.  The
     word-length guard refuses exactly the tops at which a build of every
     dimension would not end, capped or not, so the walk ends."""
     if _endless_weight(pres, x) <= top:
@@ -518,80 +517,52 @@ def _count_words(pres, x, y, top: int, max_dim: int = None) -> Counter:
     return counts
 
 
-class _WordFiltration:
-    """Every cell word of Map(x, y) up to one word-weight bound, built once.
+def _build(pres, x, y, bound: int, max_dim: int = None, counts: Counter = None) -> tuple:
+    """Map(x, y) truncated at word weight ``bound``, as (cubical set, cell id
+    -> word, cell id -> weight).
 
-    Words are enumerated a single time at ``top``, each with its weight and
-    dimension.  The truncation at any bound b <= top is the subcomplex of
-    words of weight at most b; ``level(b)`` renders it as a cubical set,
-    resolving the faces of a word to word indices (memoized, like its cell
-    id) when a level first keeps it.  With ``max_dim`` only the words of
-    dimension at most max_dim are built, which is the subcomplex of those
-    dimensions.  The words are counted first (``counts``: `_count_words` at
-    ``top`` or above): more than CELL_BUDGET are refused before any word is
-    made.  Letter facts come from the presentation's letter table, and the
-    rendered levels hold no reference back to the build."""
+    The cells are the words in (length, word) order, and each word's faces
+    are in (k, eps) order.  With ``max_dim`` only the words of dimension at
+    most max_dim are built, which is the subcomplex of those dimensions.
+    The words are counted first (``counts``: `_count_words` at ``bound`` or
+    above), and more than CELL_BUDGET are refused before any word is made."""
+    for obj in (x, y):
+        if obj not in pres.objects:
+            raise ValidationError(f"{obj!r} is not an object of {pres.name or 'the presentation'}")
+    if counts is None:
+        counts = _count_words(pres, x, y, bound, max_dim)
+    total = sum(n for (weight, _), n in counts.items() if weight <= bound)
+    if total > CELL_BUDGET:
+        raise GuardError(f"Map({x},{y})@{bound} of {total} cells exceeds budget {CELL_BUDGET}")
+    letters, cancel, outgoing = pres.letters, pres.cancel_pairs, _outgoing(pres)
+    cap = inf if max_dim is None else max_dim
+    found = []
 
-    def __init__(self, pres, x, y, top: int, max_dim: int = None, counts: Counter = None):
-        self.x, self.y = x, y
-        if counts is None:
-            counts = _count_words(pres, x, y, top, max_dim)
-        total = sum(n for (weight, _), n in counts.items() if weight <= top)
-        if total > CELL_BUDGET:
-            raise GuardError(f"Map({x},{y})@{top} of {total} cells exceeds budget {CELL_BUDGET}")
-        cancel, outgoing = pres.cancel_pairs, _outgoing(pres)
-        cap = inf if max_dim is None else max_dim
-        found = []
+    def rec(at, word, weight, dim):
+        if at == y:
+            found.append((tuple(word), weight, dim))
+        for letter, tgt, w, dl in outgoing.get(at, ()):
+            if weight + w > bound or dim + dl > cap:
+                continue
+            if word and (word[-1], letter) in cancel:
+                continue
+            word.append(letter)
+            rec(tgt, word, weight + w, dim + dl)
+            word.pop()
 
-        def rec(at, word, weight, dim):
-            if at == y:
-                found.append((tuple(word), weight, dim))
-            for letter, tgt, w, dl in outgoing.get(at, ()):
-                if weight + w > top or dim + dl > cap:
-                    continue
-                if word and (word[-1], letter) in cancel:
-                    continue
-                word.append(letter)
-                rec(tgt, word, weight + w, dim + dl)
-                word.pop()
-
-        rec(x, [], 0, 0)
-        # depth-first search over sorted letters visits words in lexicographic
-        # order, so a stable sort by length gives the (length, word) order
-        found.sort(key=lambda entry: len(entry[0]))
-        self.words = [w for w, _, _ in found]
-        self.weights = [wt for _, wt, _ in found]
-        self.dims = [d for _, _, d in found]
-        self._ids = [None] * len(self.words)  # cell ids, rendered on first use
-        # faces[i]: the (k, eps)-faces of word i in (k, eps) order, each as
-        # (degeneracy word, index of the face word), resolved on first use
-        self.faces = [None] * len(self.words)
-        self._index = {w: i for i, w in enumerate(self.words)}
-        self._letters, self._cancel = pres.letters, cancel
-
-    def level(self, b: int):
-        """The truncation at bound b as (cubical set, cell id -> word)."""
-        keep = [i for i, wt in enumerate(self.weights) if wt <= b]
-        ids = self._ids
-        cells = {}
-        index = {}
-        for i in keep:
-            w = self.words[i]
-            cid = ids[i]
-            if cid is None:
-                cid = ids[i] = word_id(w)
-            cells[cid] = self.dims[i]
-            index[cid] = w
-        faces = {}
-        for i in keep:
-            cid = ids[i]
-            if self.faces[i] is None:
-                found = _word_faces(self._letters, self.words[i], self._cancel)
-                self.faces[i] = [(degens, self._index[fw]) for degens, fw in found]
-            for n, (degens, j) in enumerate(self.faces[i]):
-                faces[(cid, n // 2 + 1, n % 2)] = CellRef(degens, ids[j])
-        space = CubicalSet(cells, faces, name=f"Map({self.x},{self.y})@{b}")
-        return space, index
+    rec(x, [], 0, 0)
+    # depth-first search over sorted letters visits words in lexicographic
+    # order, so a stable sort by length gives the (length, word) order
+    found.sort(key=lambda entry: len(entry[0]))
+    ids = {w: word_id(w) for w, _, _ in found}
+    cells = {ids[w]: d for w, _, d in found}
+    faces = {}
+    for w, _, _ in found:
+        cid = ids[w]
+        for n, (degens, fw) in enumerate(_word_faces(letters, w, cancel)):
+            faces[(cid, n // 2 + 1, n % 2)] = CellRef(degens, ids[fw])
+    space = CubicalSet(cells, faces, name=f"Map({x},{y})@{bound}")
+    return space, {cid: w for w, cid in ids.items()}, {ids[w]: wt for w, wt, _ in found}
 
 
 def _require_bound(bound: int):
@@ -599,30 +570,30 @@ def _require_bound(bound: int):
         raise ValidationError(f"word bound {bound} is negative")
 
 
-def mapping_space(pres, x, y, bound: int, with_stability: bool = True) -> MappingSpaceTruncation:
+def mapping_space(pres, x, y, bound: int) -> MappingSpaceTruncation:
     """Materialize the word-length truncation of Map(x, y) as a cubical set.
 
     stable_dims lists the dimensions in which raising the bound by one adds
     no cells.  The cells at bound + 1 are counted by `_count_words`, not
     built; stability is computed, never assumed."""
     _require_bound(bound)
-    counts = _count_words(pres, x, y, bound + 1 if with_stability else bound)
-    space, index = _WordFiltration(pres, x, y, bound, counts=counts).level(bound)
-    dims = {d for _, d in counts} if with_stability else set()
-    stable = frozenset(dims - {d for weight, d in counts if weight > bound})
-    return MappingSpaceTruncation((x, y), bound, space, index, stable)
+    counts = _count_words(pres, x, y, bound + 1)
+    space, words, _ = _build(pres, x, y, bound, counts=counts)
+    stable = frozenset({d for _, d in counts} - {d for weight, d in counts if weight > bound})
+    return MappingSpaceTruncation((x, y), bound, space, words, stable)
 
 
 # -- homotopy category -----------------------------------------------------------
 
 
-def _classes(space: CubicalSet) -> dict:
-    """Each 0-cell of a truncation with the representative of its class
-    modulo the relation generated by 1-cells."""
+def _classes(space: CubicalSet, keep) -> dict:
+    """Each 0-cell of the truncation in ``keep`` with the representative of
+    its class modulo the relation generated by the 1-cells in ``keep``."""
     uf = UnionFind()
     for c in space.by_dim(1):
-        uf.union(space.faces[(c, 1, 0)].base, space.faces[(c, 1, 1)].base)
-    return {c: uf.find(c) for c in space.by_dim(0)}
+        if c in keep:
+            uf.union(space.faces[(c, 1, 0)].base, space.faces[(c, 1, 1)].base)
+    return {c: uf.find(c) for c in space.by_dim(0) if c in keep}
 
 
 @dataclass
@@ -665,15 +636,17 @@ def homotopy_category(pres, bound: int) -> HomotopyCategory:
     raising the bound (no new classes appear and no existing classes merge);
     raw cell counts keep growing for free presentations, so stability is
     measured on the quotient that the homotopy category actually uses.
-    Only the words of dimension 0 and 1 are built."""
+    Only the words of dimension 0 and 1 are built, once, at bound + 1."""
     _require_bound(bound)
-    spaces = {}
+    homs = {}
+    class_of = {}
+    rep_words = {}
     for x in pres.objects:
         for y in pres.objects:
-            levels = _WordFiltration(pres, x, y, bound + 1, max_dim=1)
-            small, words = levels.level(bound)
-            large, _ = levels.level(bound + 1)
-            cs, cl = _classes(small), _classes(large)
+            # the cells of weight at most bound are the build at bound
+            large, words, weights = _build(pres, x, y, bound + 1, max_dim=1)
+            small = {c for c, weight in weights.items() if weight <= bound}
+            cs, cl = _classes(large, small), _classes(large, large.cells)
             small_reps = set(cs.values())
             if len({cl[r] for r in small_reps}) < len(small_reps):
                 raise GuardError(
@@ -685,21 +658,15 @@ def homotopy_category(pres, bound: int) -> HomotopyCategory:
                     f"new homotopy class of Map({x},{y}) appears at bound "
                     f"{bound + 1}; increase the bound"
                 )
-            spaces[(x, y)] = (words, cs)
-
-    homs = {}
-    class_of = {}
-    rep_words = {}
-    for (x, y), (words, cs) in spaces.items():
-        table = {}
-        for c, r in cs.items():
-            table.setdefault(r, set()).add(c)
-        reps = sorted(table)
-        homs[(x, y)] = reps
-        class_of[(x, y)] = cs
-        for rep in reps:
-            best = min(table[rep], key=lambda c: (len(words[c]), c))
-            rep_words[(x, y, rep)] = words[best]
+            table = {}
+            for c, r in cs.items():
+                table.setdefault(r, set()).add(c)
+            reps = sorted(table)
+            homs[(x, y)] = reps
+            class_of[(x, y)] = cs
+            for rep in reps:
+                best = min(table[rep], key=lambda c: (len(words[c]), c))
+                rep_words[(x, y, rep)] = words[best]
     return HomotopyCategory(list(pres.objects), homs, class_of, rep_words, bound, pres)
 
 
@@ -725,14 +692,14 @@ def extend_inverse(pres, edge, bound: int) -> dict:
     (a failure within the truncation is not a disproof: mapping spaces are
     not fibrant in general).  It reads only 0- and 1-cells, so only those
     are built."""
-    if edge[0] != "e":
-        raise ValidationError("extend_inverse expects a generating edge")
+    if edge[0] != "e" or edge not in pres.letters:
+        raise ValidationError(f"extend_inverse expects a generating edge, not {edge}")
     _, s, t, c = edge
     _require_bound(bound)
     f_word = (edge,)
-    back, back_words = _WordFiltration(pres, t, s, bound, max_dim=1).level(bound)
-    loops_s, _ = _WordFiltration(pres, s, s, bound, max_dim=1).level(bound)
-    loops_t, _ = _WordFiltration(pres, t, t, bound, max_dim=1).level(bound)
+    back, back_words, _ = _build(pres, t, s, bound, max_dim=1)
+    loops_s, _, _ = _build(pres, s, s, bound, max_dim=1)
+    loops_t, _, _ = _build(pres, t, t, bound, max_dim=1)
     inverses = [back_words[g] for g in back.by_dim(0)]
 
     report = {"edge": c, "bound": bound}

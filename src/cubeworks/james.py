@@ -35,27 +35,37 @@ def word_token(word) -> str:
     return _join_tokens(map(_letter_token, word))
 
 
-def _count_cells(X, base: str, bound: int, max_dim: int) -> int:
-    """The cells of the truncation of the simplicial set X, counted without
-    building a word: per dimension, one letter per step, the number of words
-    for each common degeneracy mask; a word is a cell once its mask is empty.
-    The count stops as soon as it passes CELL_BUDGET."""
+def _count_cells(X, base: str, bound: int, max_dim: int) -> tuple:
+    """(cells, letters): the number of cells of the truncation of the
+    simplicial set X, counted without building a word, and letters[d], the
+    sorted non-basepoint elements of X_d, which the build reads.  Each
+    dimension's letters are taken once, and more than MAX_LETTERS are
+    refused before that dimension is counted.  Per dimension the count
+    carries, one letter per step, the number of words for each common
+    degeneracy mask; a word is a cell once its mask is empty.  The count
+    stops as soon as it passes CELL_BUDGET."""
     total = 0
+    letters = []
     for d in range(max_dim + 1):
-        letters = Counter(
-            sum(1 << t for t in r.degens) for r in X.refs_of_dim(d) if r.base != base
-        )
+        refs = sorted(r for r in X.refs_of_dim(d) if r.base != base)
+        if len(refs) > MAX_LETTERS:
+            raise GuardError(
+                f"James construction: dimension {d} has {len(refs)} letters, "
+                f"more than the {MAX_LETTERS} codes of a string"
+            )
+        letters.append(refs)
+        masks = Counter(sum(1 << t for t in r.degens) for r in refs)
         states = {(1 << d) - 1: 1}  # the empty word meets in every direction
         for _ in range(bound + 1):
             total += states.get(0, 0)
             if total > CELL_BUDGET:
-                return total
+                return total, letters
             step = {}
             for inter, n in states.items():
-                for m, k in letters.items():
+                for m, k in masks.items():
                     step[inter & m] = step.get(inter & m, 0) + n * k
             states = step
-    return total
+    return total, letters
 
 
 def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
@@ -90,23 +100,17 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
         raise ValidationError("basepoint must be a vertex")
     if max_dim is None:
         max_dim = bound
-    if _count_cells(X, base, bound, max_dim) > CELL_BUDGET:
+    total, refs = _count_cells(X, base, bound, max_dim)
+    if total > CELL_BUDGET:
         raise GuardError(f"James construction of more than {CELL_BUDGET} cells exceeds budget")
 
     # letters[d][c] is the letter with code c >= 1; masks[d][c] its
     # degeneracy set as a bitmask (masks[d][0] = all directions, the unit of
     # AND, for the basepoint); code[d] maps a letter to its character
-    letters = []
-    masks = []
-    for d in range(max_dim + 1):
-        refs = sorted(r for r in X.refs_of_dim(d) if r.base != base)
-        if len(refs) > MAX_LETTERS:
-            raise GuardError(
-                f"James construction: dimension {d} has {len(refs)} letters, "
-                f"more than the {MAX_LETTERS} codes of a string"
-            )
-        letters.append([None] + refs)
-        masks.append([(1 << d) - 1] + [sum(1 << t for t in r.degens) for r in refs])
+    letters = [[None] + rs for rs in refs]
+    masks = [
+        [(1 << d) - 1] + [sum(1 << t for t in r.degens) for r in rs] for d, rs in enumerate(refs)
+    ]
     code = [{r: chr(c) for c, r in enumerate(ls) if c} for ls in letters]
 
     cells = {}

@@ -110,7 +110,7 @@ def james_translation(bound: int):
     from .simplicial import wedge_of_intervals
 
     EL = localized_E()
-    trunc = mapping_space(EL, "c", "c", bound, with_stability=False)
+    trunc = mapping_space(EL, "c", "c", bound)
     tri = triangulate(trunc.space)
     J = james(wedge_of_intervals(2), "w", bound)
 

@@ -105,10 +105,10 @@ def _projection(d: int, i: int, drop: tuple) -> tuple:
     return tuple(table), len(shifts)
 
 
-def triangulate(X: CubicalSet, guard: int = CELL_BUDGET) -> SimplicialSet:
+def triangulate(X: CubicalSet) -> SimplicialSet:
     total = simplex_count(X)
-    if total > guard:
-        raise GuardError(f"triangulation into {total} simplices exceeds guard {guard}")
+    if total > CELL_BUDGET:
+        raise GuardError(f"triangulation into {total} simplices exceeds budget {CELL_BUDGET}")
 
     refs = {}  # cell -> one SimplexRef per simplex, in spanning-chain order
     cells = {}

@@ -282,6 +282,8 @@ def test_cli_usage_error(capsys, tmp_path):
         ["cube", "build", "cube", "--n", "-2"],
         ["cube", "build", "boundary", "--n", "-1"],
         ["cube", "build", "box", "--n", "-1", "--k", "1", "--eps", "0"],
+        ["enriched", "map-space", "E", "c", "zz", "--bound", "2"],
+        ["enriched", "map-space", "E", "zz", "zz", "--bound", "2"],
     ],
 )
 def test_cli_bad_spec_or_size_exits_2(capsys, tmp_path, argv):

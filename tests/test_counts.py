@@ -14,7 +14,7 @@ from cubeworks import cubical, enriched
 from cubeworks.cli import main
 from cubeworks.cubical import CubicalSet, standard_cube, tensor
 from cubeworks.enriched import (
-    _WordFiltration,
+    _build,
     _count_words,
     build_E,
     build_H,
@@ -42,34 +42,33 @@ PRESENTATIONS = {"P": build_P, "H": build_H, "E": build_E, "EL": localized_E}
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_word_counts_match_builds(name):
     # the count at each bound against the words of one build at 7, and
-    # against the cells of the rendered truncations up to bound 5
+    # against the cells of the builds up to bound 5
     pres = PRESENTATIONS[name]()
     for x in pres.objects:
         for y in pres.objects:
             for max_dim in (None, 1):
-                built = _WordFiltration(pres, x, y, 7, max_dim=max_dim)
+                space, _, weights = _build(pres, x, y, 7, max_dim=max_dim)
                 for b in range(8):
                     want = Counter(
-                        (wt, d) for wt, d in zip(built.weights, built.dims) if wt <= b
+                        (wt, space.cells[c]) for c, wt in weights.items() if wt <= b
                     )
                     assert _count_words(pres, x, y, b, max_dim) == want, (x, y, b, max_dim)
                     if b <= 5:
                         by_dim = Counter()
                         for (_, d), n in want.items():
                             by_dim[d] += n
-                        assert built.level(b)[0].cell_counts() == by_dim
+                        assert _build(pres, x, y, b, max_dim)[0].cell_counts() == by_dim
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_stable_dims_match_the_build_at_bound_plus_one(name):
-    # stable_dims from the count at bound + 1, against the two levels of one
-    # build at bound + 1
+    # stable_dims from the count at bound + 1, against the builds at bound
+    # and at bound + 1
     pres = PRESENTATIONS[name]()
     for x in pres.objects:
         for y in pres.objects:
             for b in range(5):
-                levels = _WordFiltration(pres, x, y, b + 1)
-                small, large = (levels.level(c)[0].cell_counts() for c in (b, b + 1))
+                small, large = (_build(pres, x, y, c)[0].cell_counts() for c in (b, b + 1))
                 want = {d for d in large if small.get(d) == large[d]}
                 assert mapping_space(pres, x, y, b).stable_dims == want, (x, y, b)
 
@@ -90,7 +89,7 @@ def test_james_counts_match_builds(make, base, bound, max_dim):
     J = james(X, base, bound, max_dim)
     if isinstance(X, CubicalSet):
         X, base = triangulate(X), f"{base}#"
-    assert _count_cells(X, base, bound, bound if max_dim is None else max_dim) == len(J.cells)
+    assert _count_cells(X, base, bound, bound if max_dim is None else max_dim)[0] == len(J.cells)
 
 
 @settings(deadline=None)
@@ -106,9 +105,9 @@ def test_word_budget_names_the_count(monkeypatch):
     pres = localized_E()
     monkeypatch.setattr(enriched, "CELL_BUDGET", 5460)
     with pytest.raises(GuardError, match=r"^Map\(c,c\)@6 of 5461 cells exceeds budget 5460$"):
-        _WordFiltration(pres, "c", "c", 6)
+        _build(pres, "c", "c", 6)
     monkeypatch.setattr(enriched, "CELL_BUDGET", 5461)
-    assert len(_WordFiltration(pres, "c", "c", 6).words) == 5461
+    assert len(_build(pres, "c", "c", 6)[1]) == 5461
     # a capped build counts only the dimensions it builds
     assert sum(_count_words(pres, "c", "c", 6, max_dim=1).values()) == 769
 
@@ -119,18 +118,20 @@ def test_word_length_guard_comes_before_the_budget(monkeypatch):
     monkeypatch.setattr(enriched, "CELL_BUDGET", 0)
     for pres, x, top in ((_zero_weight_loop(), "x", 0), (_loop_behind_two_edges(), "w", 2)):
         with pytest.raises(GuardError, match=f"^{GUARD}$"):
-            _WordFiltration(pres, x, "x", top)
+            _build(pres, x, "x", top)
         with pytest.raises(GuardError, match=f"^{GUARD}$"):
             _count_words(pres, x, "x", top)
-    for bound, stability in ((0, False), (0, True), (2, True)):
+    for bound in (0, 2):
         with pytest.raises(GuardError, match=f"^{GUARD}$"):
-            mapping_space(_zero_weight_loop(), "x", "x", bound, with_stability=stability)
+            _build(_zero_weight_loop(), "x", "x", bound)
+        with pytest.raises(GuardError, match=f"^{GUARD}$"):
+            mapping_space(_zero_weight_loop(), "x", "x", bound)
     with pytest.raises(GuardError, match=f"^{GUARD}$"):
         homotopy_category(_zero_weight_loop(), 0)
 
 
 def test_james_budget(monkeypatch):
-    assert _count_cells(circle(), "v", 3, 3) == 18
+    assert _count_cells(circle(), "v", 3, 3)[0] == 18
     monkeypatch.setattr(james_module, "CELL_BUDGET", 17)
     with pytest.raises(
         GuardError, match=r"^James construction of more than 17 cells exceeds budget$"
@@ -144,14 +145,14 @@ def test_james_count_stops_past_the_budget(monkeypatch):
     # counted in full, the circle at bound 20 walks up to 2^20 degeneracy
     # masks in dimension 20; the count stops once it passes the budget, in
     # dimension 2, so a large bound is refused at once
-    assert _count_cells(wedge_of_intervals(2), "w", 6, 6) == 636685
-    assert _count_cells(circle(), "v", 20, 20) == 1048557
+    assert _count_cells(wedge_of_intervals(2), "w", 6, 6)[0] == 636685
+    assert _count_cells(circle(), "v", 20, 20)[0] == 1048557
     start = time.perf_counter()
     with pytest.raises(GuardError, match=r"^James construction of more than 1000000 cells"):
         james(circle(), "v", 40)
     assert time.perf_counter() - start < 1
     monkeypatch.setattr(james_module, "CELL_BUDGET", 10**8)
-    assert _count_cells(wedge_of_intervals(2), "w", 7, 7) == 12743693
+    assert _count_cells(wedge_of_intervals(2), "w", 7, 7)[0] == 12743693
 
 
 def test_tensor_budget_refuses_before_building(monkeypatch):

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -10,9 +12,9 @@ from cubeworks.cubical import CellRef, CubicalSet, standard_cube
 from cubeworks.enriched import (
     Attachment,
     EnrichedPresentation,
+    _build,
     _endless_weight,
     _word_faces,
-    _WordFiltration,
     attach,
     build_E,
     build_H,
@@ -367,28 +369,27 @@ def _filtration_cases():
 
 @pytest.mark.parametrize("name", ["P", "H", "E", "EL", "interval_tilde"])
 def test_filtration_level_equals_standalone_build(name):
+    # the cells of weight at most b of a build at b + 1, with their faces
+    # and words, are the build at b, item for item and in order, as the
+    # homotopy category reads them
     pres = _filtration_cases()[name]
     for x in pres.objects:
         for y in pres.objects:
             for b in range(6):
-                filtered, words = _WordFiltration(pres, x, y, b + 1).level(b)
-                alone = mapping_space(pres, x, y, b, with_stability=False)
-                assert list(filtered.cells.items()) == list(alone.space.cells.items())
-                assert list(filtered.faces.items()) == list(alone.space.faces.items())
-                assert list(words.items()) == list(alone.words.items())
-                assert filtered.name == alone.space.name == f"Map({x},{y})@{b}"
-            # faces are resolved when a level first keeps a word, so render
-            # both levels of one build in either order (levels 0-5 as above)
-            standalone = [mapping_space(pres, x, y, c, with_stability=False) for c in range(6)]
-            for b in range(5):
-                for order in ((b, b + 1), (b + 1, b)):
-                    levels = _WordFiltration(pres, x, y, b + 1)
-                    for c in order:
-                        space, words = levels.level(c)
-                        want = standalone[c]
-                        assert list(space.cells.items()) == list(want.space.cells.items())
-                        assert list(space.faces.items()) == list(want.space.faces.items())
-                        assert list(words.items()) == list(want.words.items())
+                large, words, weights = _build(pres, x, y, b + 1)
+                alone, alone_words, alone_weights = _build(pres, x, y, b)
+                keep = {c for c, wt in weights.items() if wt <= b}
+                assert [i for i in large.cells.items() if i[0] in keep] == list(
+                    alone.cells.items()
+                )
+                assert [i for i in large.faces.items() if i[0][0] in keep] == list(
+                    alone.faces.items()
+                )
+                assert [i for i in words.items() if i[0] in keep] == list(alone_words.items())
+                assert [i for i in weights.items() if i[0] in keep] == list(
+                    alone_weights.items()
+                )
+                assert alone.name == f"Map({x},{y})@{b}"
 
 
 Z = ("e", "x", "x", "z")
@@ -406,7 +407,7 @@ def _zero_weight_loop():
 def test_zero_weight_loop_trips_guard(bound):
     pres = _zero_weight_loop()
     with pytest.raises(GuardError):
-        mapping_space(pres, "x", "x", bound, with_stability=False)
+        _build(pres, "x", "x", bound)
     with pytest.raises(GuardError):
         mapping_space(pres, "x", "x", bound)
     with pytest.raises(GuardError):
@@ -434,17 +435,19 @@ def test_guard_replayed_per_level():
         objs, {(objs[i], objs[i + 1]): vertex_edge_set(f"z{i}") for i in range(7)}
     )
     pres = replace(free, zero_weight={("e", objs[i], objs[i + 1], f"z{i}") for i in range(7)})
-    levels = _WordFiltration(pres, "o0", "o7", 1)
-    assert levels.level(0)[0].cell_counts() == levels.level(1)[0].cell_counts() == {0: 1}
+    for b in (0, 1):
+        assert _build(pres, "o0", "o7", b)[0].cell_counts() == {0: 1}
     assert mapping_space(pres, "o0", "o7", 0).space.cell_counts() == {0: 1}
     assert len(homotopy_category(pres, 0).homs[("o0", "o7")]) == 1
-    # a zero-weight loop behind two edges of weight 1: out of w, bound 1 is
-    # answered, bound 2 (and so bound 1 with stability, counted at 2) is refused
+    # a zero-weight loop behind two edges of weight 1: out of w, a build at
+    # bound 1 is answered, and one at bound 2 is refused, and so is the
+    # mapping space at bound 1, whose stable dimensions are counted at 2
     behind = _loop_behind_two_edges()
-    assert mapping_space(behind, "w", "x", 1, with_stability=False).space.cells == {}
-    for bound, stability in ((2, False), (1, True)):
-        with pytest.raises(GuardError):
-            mapping_space(behind, "w", "x", bound, with_stability=stability)
+    assert _build(behind, "w", "x", 1)[0].cells == {}
+    with pytest.raises(GuardError):
+        _build(behind, "w", "x", 2)
+    with pytest.raises(GuardError):
+        mapping_space(behind, "w", "x", 1)
     with pytest.raises(GuardError):
         homotopy_category(behind, 1)
 
@@ -543,18 +546,11 @@ def test_least_weights_match_enumeration(name):
         for top in range(7):
             want = _outcome(_words_by_enumeration, pres, x, top)
             assert (_endless_weight(pres, x) <= top) == (want == "GuardError: " + GUARD)
-            built = [_outcome(_WordFiltration, pres, x, y, top) for y in pres.objects]
+            built = [_outcome(_build, pres, x, y, top) for y in pres.objects]
             if isinstance(want, int):
-                assert sum(len(b.words) for b in built) == want, (x, top)
+                assert sum(len(b[1]) for b in built) == want, (x, top)
             else:
                 assert built == [want] * len(pres.objects), (x, top)
-
-
-class _Uncapped(_WordFiltration):
-    """A build of every dimension wherever the code asks for a capped one."""
-
-    def __init__(self, pres, x, y, top, max_dim=None):
-        super().__init__(pres, x, y, top)
 
 
 def _hcat_tables(pres, bound):
@@ -566,13 +562,46 @@ def _hcat_tables(pres, bound):
 def test_capped_builds_answer_as_uncapped_ones(name, monkeypatch):
     pres = _guard_cases()[name]
     edges = [l for l in pres.letters if l[0] == "e"]
+    real = enriched._build
+
+    def uncapped(pres, x, y, bound, max_dim=None, counts=None):
+        """A build of every dimension wherever the code asks for a capped one."""
+        return real(pres, x, y, bound)
+
     for bound in range(6):
         capped = _outcome(_hcat_tables, pres, bound)
         reports = [_outcome(extend_inverse, pres, e, bound) for e in edges]
         with monkeypatch.context() as m:
-            m.setattr(enriched, "_WordFiltration", _Uncapped)
+            m.setattr(enriched, "_build", uncapped)
             assert _outcome(_hcat_tables, pres, bound) == capped, bound
             assert [_outcome(extend_inverse, pres, e, bound) for e in edges] == reports
+
+
+def test_enriched_answers_are_pinned():
+    # the homotopy category tables and the inverse extension reports of
+    # every guard case at bounds 0-5, refusals as text; the SHA-256 of
+    # their repr was computed on the lazily rendered word filtration
+    answers = []
+    for name, pres in sorted(_guard_cases().items()):
+        edges = [l for l in pres.letters if l[0] == "e"]
+        for bound in range(6):
+            hcat = _outcome(_hcat_tables, pres, bound)
+            reports = [_outcome(extend_inverse, pres, e, bound) for e in edges]
+            answers.append((name, bound, hcat, reports))
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == "340edf4b1c28245c62512d3e616e266b879598aafd3ffae685478b17fff1e3e1"
+
+
+def test_unknown_objects_and_edges_are_refused():
+    P = build_P()
+    with pytest.raises(ValidationError, match=r"^'zz' is not an object of P$"):
+        mapping_space(P, "c", "zz", 2)
+    with pytest.raises(ValidationError, match=r"^'zz' is not an object of P$"):
+        mapping_space(P, "zz", "zz", 2)
+    # an edge whose endpoints are objects, but which is no edge letter
+    for edge in (("e", "c", "zz", "u"), ("e", "c", "c'", "zz"), ("e", "c", "c", "u")):
+        with pytest.raises(ValidationError, match=r"^extend_inverse expects a generating edge"):
+            extend_inverse(P, edge, 2)
 
 
 def _faces_by_rescan(pres, word):
@@ -594,7 +623,7 @@ def test_junction_face_step_matches_full_rescan(name):
     letters, cancel = pres.letters, pres.cancel_pairs
     for x in pres.objects:
         for y in pres.objects:
-            for word in _WordFiltration(pres, x, y, 4).words:
+            for word in _build(pres, x, y, 4)[1].values():
                 got = list(_word_faces(letters, word, cancel))
                 assert got == _faces_by_rescan(pres, word)
 
@@ -626,27 +655,23 @@ def _count_word_faces(monkeypatch) -> dict:
     return calls
 
 
-def test_faces_resolved_only_for_rendered_words(monkeypatch):
-    build = _WordFiltration(_EL, "c", "c", 5)
-    heaviest = {w for w, wt in zip(build.words, build.weights) if wt == 5}
-    calls = _count_word_faces(monkeypatch)
-    trunc = mapping_space(_EL, "c", "c", 4)
-    # once per rendered cell; the words of weight 5 are only counted
-    assert calls == {w: 1 for w in trunc.words.values()}
-    assert heaviest and not heaviest & calls.keys()
-
-
-def test_homotopy_category_resolves_each_word_once(monkeypatch):
-    # both levels of each build are rendered and the larger keeps every
-    # word, so each word is resolved at least once; the total makes it once
-    built = sum(
-        len(_WordFiltration(_EL, x, y, 4, max_dim=1).words)
-        for x in _EL.objects
-        for y in _EL.objects
+def test_faces_resolved_once_per_built_word(monkeypatch):
+    # the mapping space builds at its bound, and only counts the words one
+    # weight heavier; the homotopy category builds each pair once, at bound
+    # + 1, capped at dimension 1 (the empty word is built for (c, c) and
+    # for (c', c'))
+    _, words, weights = _build(_EL, "c", "c", 5)
+    heaviest = {words[c] for c, wt in weights.items() if wt == 5}
+    built = Counter(
+        w for x in _EL.objects for y in _EL.objects for w in _build(_EL, x, y, 4, 1)[1].values()
     )
     calls = _count_word_faces(monkeypatch)
+    trunc = mapping_space(_EL, "c", "c", 4)
+    assert calls == {w: 1 for w in trunc.words.values()}
+    assert heaviest and not heaviest & calls.keys()
+    calls.clear()
     homotopy_category(_EL, 3)
-    assert sum(calls.values()) == built
+    assert calls == built
 
 
 def test_negative_bound_refused():

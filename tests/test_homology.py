@@ -600,7 +600,7 @@ def _triangulation_inputs():
     yield from (boundary(n)[0] for n in range(2, 6))
     yield from (rp2, tensor(rp2, rp2), tensor(tensor(rp2, rp2), rp2))
     for bound in range(1, 5):
-        yield mapping_space(EL, "c", "c", bound, with_stability=False).space
+        yield mapping_space(EL, "c", "c", bound).space
 
 
 def test_triangulate_matches_reference():
@@ -639,15 +639,19 @@ def test_triangulate_matches_reference_on_random_sets(X):
 
 
 def test_triangulate_guard():
-    with pytest.raises(GuardError):
-        triangulate(standard_cube(3), guard=50)
-    assert len(triangulate(standard_cube(3), guard=51).cells) == 51
+    # the budget is the module constant, read at call time
+    with mock.patch("cubeworks.triangulate.CELL_BUDGET", 50):
+        with pytest.raises(GuardError, match=r"^triangulation into 51 simplices exceeds budget 50$"):
+            triangulate(standard_cube(3))
+    with mock.patch("cubeworks.triangulate.CELL_BUDGET", 51):
+        assert len(triangulate(standard_cube(3)).cells) == 51
     # the count comes before any chain or table is built: the 7-cube
     # (189,171 simplices) trips a budget of 10**5 without enumerating a chain
     with mock.patch("cubeworks.triangulate.spanning_chains", side_effect=AssertionError), \
-            mock.patch("cubeworks.triangulate.chain_table", side_effect=AssertionError):
+            mock.patch("cubeworks.triangulate.chain_table", side_effect=AssertionError), \
+            mock.patch("cubeworks.triangulate.CELL_BUDGET", 10**5):
         with pytest.raises(GuardError):
-            triangulate(standard_cube(7), guard=10**5)
+            triangulate(standard_cube(7))
 
 
 # -- simplicial maps -------------------------------------------------------------

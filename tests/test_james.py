@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -198,7 +199,7 @@ def test_james_matches_reference_on_random_sets(X, data):
     max_dim = data.draw(st.integers(0, 2))
     bound = data.draw(st.integers(0, 3))
     T = triangulate(X)
-    while bound and _count_cells(T, f"{base}#", bound, max_dim) > 1500:
+    while bound and _count_cells(T, f"{base}#", bound, max_dim)[0] > 1500:
         bound -= 1
     J = james(X, base, bound, max_dim)
     R = james_reference(X, base, bound, max_dim)
@@ -256,6 +257,33 @@ def test_james_refuses_more_letters_than_codes(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(james_module, "MAX_LETTERS", 4)
     assert james(wedge_of_intervals(2), "w", 2, 1).cell_counts() == {0: 7, 1: 14}
+
+
+def test_james_takes_letters_once_and_guards_them_first(monkeypatch):
+    # the wedge of two intervals has 7 cells of dimension 0 at bound 2 and
+    # 4 letters in dimension 1: the letter refusal comes before the count
+    # passes a budget of 10, and each dimension's letters are taken once
+    X = wedge_of_intervals(2)
+    calls = Counter()
+    real = type(X).refs_of_dim
+
+    def counting(self, d):
+        calls[d] += 1
+        return real(self, d)
+
+    monkeypatch.setattr(type(X), "refs_of_dim", counting)
+    monkeypatch.setattr(james_module, "CELL_BUDGET", 10)
+    monkeypatch.setattr(james_module, "MAX_LETTERS", 3)
+    refusal = r"^James construction: dimension 1 has 4 letters, more than the 3 codes of a string$"
+    with pytest.raises(GuardError, match=refusal):
+        james(X, "w", 2)
+    assert calls == {0: 1, 1: 1}
+    # dimension 2 has 6 letters, all degenerate
+    monkeypatch.setattr(james_module, "CELL_BUDGET", 29)
+    monkeypatch.setattr(james_module, "MAX_LETTERS", 6)
+    calls.clear()
+    assert james(X, "w", 2).cell_counts() == {0: 7, 1: 14, 2: 8}
+    assert calls == {0: 1, 1: 1, 2: 1}
 
 
 @pytest.mark.parametrize("base, unit", [("v", False), ("u", True)])

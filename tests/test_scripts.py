@@ -148,14 +148,14 @@ def test_ladder_rungs_fit_the_cell_budget():
     map_cc6 = _count_words(localized_E(), "c", "c", 6)
     # the triangulation counts simplices from the cell dimensions alone
     cells = {f"{w}.{d}.{i}": d for (w, d), n in map_cc6.items() for i in range(n)}
-    james_w6 = _count_cells(wedge_of_intervals(2), "w", 6, 6)
+    james_w6 = _count_cells(wedge_of_intervals(2), "w", 6, 6)[0]
     tri_map_cc6 = simplex_count(CubicalSet(cells, {}))
     rungs = {
         "james_wedge_w6": james_w6,
         "map_cc6": sum(map_cc6.values()),
         "tri_map_cc6": tri_map_cc6,
         "tri_cube6_boundary": simplex_count(boundary(6)[0]),
-        "james_rp2_l4": _count_cells(triangulate(ladder.projective_plane()), "v#", 4, 4),
+        "james_rp2_l4": _count_cells(triangulate(ladder.projective_plane()), "v#", 4, 4)[0],
         # the largest of the sets compare_with_james(6) builds
         "compare_w6": max(james_w6, tri_map_cc6),
     }
