@@ -655,21 +655,24 @@ def _count_word_faces(monkeypatch) -> dict:
     return calls
 
 
-def test_faces_resolved_once_per_built_word(monkeypatch):
+def test_faces_resolved_only_for_rendered_words(monkeypatch):
     # the mapping space builds at its bound, and only counts the words one
-    # weight heavier; the homotopy category builds each pair once, at bound
-    # + 1, capped at dimension 1 (the empty word is built for (c, c) and
-    # for (c', c'))
+    # weight heavier
     _, words, weights = _build(_EL, "c", "c", 5)
     heaviest = {words[c] for c, wt in weights.items() if wt == 5}
-    built = Counter(
-        w for x in _EL.objects for y in _EL.objects for w in _build(_EL, x, y, 4, 1)[1].values()
-    )
     calls = _count_word_faces(monkeypatch)
     trunc = mapping_space(_EL, "c", "c", 4)
     assert calls == {w: 1 for w in trunc.words.values()}
     assert heaviest and not heaviest & calls.keys()
-    calls.clear()
+
+
+def test_homotopy_category_resolves_each_word_once(monkeypatch):
+    # the homotopy category builds each pair once, at bound + 1, capped at
+    # dimension 1 (the empty word is built for (c, c) and for (c', c'))
+    built = Counter(
+        w for x in _EL.objects for y in _EL.objects for w in _build(_EL, x, y, 4, 1)[1].values()
+    )
+    calls = _count_word_faces(monkeypatch)
     homotopy_category(_EL, 3)
     assert calls == built
 
