@@ -289,21 +289,23 @@ class PresentedMap:
 
 def is_isomorphism(X: PresentedSet, Y: PresentedSet, bijection: dict) -> bool:
     """Whether ``bijection`` (cell id of X -> cell id of Y) is an isomorphism
-    X -> Y: a bijection from the cells of X onto the cells of Y that, as a
-    map on non-degenerate cells, preserves dimension and commutes with every
-    stored face.  Its inverse then commutes with every face too.  The two
-    sides need not share cell ids."""
-    if type(X) is not type(Y):
+    X -> Y: a bijection onto the cells of Y that preserves dimension and
+    renames the face table of X onto that of Y, sending the face
+    CellRef(w, b) under each key to CellRef(w, bijection[b]).  For such a
+    map that is commuting with every face, and its inverse then commutes
+    too; no presheaf action is needed.  The sides need not share cell ids."""
+    if type(X) is not type(Y) or bijection.keys() != X.cells.keys():
         return False
-    if bijection.keys() != X.cells.keys() or len(X.cells) != len(Y.cells):
+    cells, faces, get = Y.cells, Y.faces, bijection.get
+    if len(cells) != len(X.cells) or set(bijection.values()) != cells.keys():
         return False
-    if set(bijection.values()) != Y.cells.keys():
+    if len(faces) != len(X.faces) or any(cells[get(c)] != d for c, d in X.cells.items()):
         return False
-    try:
-        PresentedMap(X, Y, {c: nd(b) for c, b in bijection.items()}).validate()
-    except ValidationError:
-        return False
-    return True
+    # a cell outside X renames to None, so a face that names one matches none of Y
+    return all(
+        faces.get((get(key[0]),) + key[1:]) == (ref.degens, get(ref.base))
+        for key, ref in X.faces.items()
+    )
 
 
 # -- isomorphism search ----------------------------------------------------------

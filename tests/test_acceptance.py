@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 
 from cubeworks import verify
+from cubeworks.cubical import CubicalSet
 
 
 @pytest.mark.parametrize("index", range(len(verify.CRITERIA)), ids=lambda i: f"criterion_{i + 1}")
@@ -25,18 +26,45 @@ def test_criterion(index, capsys):
 
 @pytest.mark.parametrize("route", ["search", "witness"])
 def test_criterion_3_needs_both_routes(route):
-    # every row checks its structure map; only the cube-addition and unit
-    # rows also need search, so without search exactly those rows fail
+    # the cube-addition and unit rows need both the witness and the search;
+    # the associativity rows compare presentations and call neither, so
+    # they pass with either route mocked out
     search = mock.patch.object(verify, "find_isomorphism", return_value=None)
     witness = mock.patch.object(verify, "is_isomorphism", return_value=False)
     with search if route == "search" else witness as broken:
         result = verify.criterion_3()
     detail = result["detail"]
-    assert broken.call_count == (23 if route == "search" else 427)
+    assert broken.call_count == 23
     assert not result["pass"]
     assert not any(row["isomorphic"] for row in detail["cube_addition"])
     assert not any(row["left"] or row["right"] for row in detail["unit"])
-    assert all(row["isomorphic"] is (route == "search") for row in detail["associativity"])
+    assert len(detail["associativity"]) == 404
+    assert all(row["isomorphic"] for row in detail["associativity"])
+
+
+def test_criterion_3_associativity_row_sees_one_swapped_face():
+    # one bracketing of one triple, (cube1 (x) boundary2) (x) cube1, gets the
+    # (1, 0) and (1, 1) faces of one 2-cell swapped: exactly that row fails
+    tensor = verify.tensor
+
+    def broken_tensor(X, Y):
+        T = tensor(X, Y)
+        if (X.name, Y.name) != ("cube1(x)boundary2", "cube1"):
+            return T
+        cell = next(c for c, d in T.cells.items() if d == 2)
+        faces = dict(T.faces)
+        faces[(cell, 1, 0)], faces[(cell, 1, 1)] = faces[(cell, 1, 1)], faces[(cell, 1, 0)]
+        assert faces != T.faces
+        return CubicalSet(T.cells, faces, name=T.name)
+
+    with mock.patch.object(verify, "tensor", broken_tensor):
+        result = verify.criterion_3()
+    detail = result["detail"]
+    assert not result["pass"]
+    failed = [row["triple"] for row in detail["associativity"] if not row["isomorphic"]]
+    assert failed == [("cube1", "boundary2", "cube1")]
+    assert all(row["isomorphic"] for row in detail["cube_addition"])
+    assert all(row["left"] and row["right"] for row in detail["unit"])
 
 
 @pytest.fixture(scope="module")

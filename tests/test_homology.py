@@ -35,8 +35,9 @@ from cubeworks.cubical import (
 from cubeworks.enriched import mapping_space
 from cubeworks.errors import GuardError, ValidationError
 from cubeworks.james import james
-from cubeworks.james_compare import james_translation, localized_E
-from cubeworks.presented import disjoint_union, find_isomorphism
+from cubeworks import james_compare
+from cubeworks.james_compare import compare_with_james, james_translation, localized_E
+from cubeworks.presented import disjoint_union, find_isomorphism, is_isomorphism
 from cubeworks.simplicial import (
     SimplexRef,
     SimplicialMap,
@@ -688,23 +689,42 @@ def point():
     return SimplicialSet({"p": 0}, {}, name="pt")
 
 
+def james_map(tri, J, assignment):
+    return SimplicialMap(tri, J, {sid: nd(cell) for sid, cell in assignment.items()})
+
+
 @pytest.mark.parametrize("bound", range(1, 5))
 def test_james_map_stored_faces_match_action(bound):
     _, tri, J, assignment = james_translation(bound)
     for sid, d in tri.cells.items():
-        image = assignment[sid]
+        image = nd(assignment[sid])
         for j in range(d + 1) if d else ():
             assert J.faces[(image.base, j)] == J.act(image, delta_face(d, j))
-    assert_verdict(SimplicialMap(tri, J, assignment), True)
+    assert_verdict(james_map(tri, J, assignment), True)
+    assert is_isomorphism(tri, J, assignment)
 
 
 def test_james_map_with_swapped_images_fails():
+    # the renaming check of compare_with_james refuses each swap, and so
+    # does the map route
     _, tri, J, assignment = james_translation(3)
+    assert is_isomorphism(tri, J, assignment)
     for d in range(1, 4):
         x, y = [sid for sid, e in tri.cells.items() if e == d][:2]
-        assert J.faces_of(assignment[x].base) != J.faces_of(assignment[y].base)
+        assert J.faces_of(assignment[x]) != J.faces_of(assignment[y])
         swapped = dict(assignment, **{x: assignment[y], y: assignment[x]})
-        assert_verdict(SimplicialMap(tri, J, swapped), False)
+        assert is_isomorphism(tri, J, swapped) is False
+        assert_verdict(james_map(tri, J, swapped), False)
+
+
+def test_compare_with_james_refuses_a_translation_that_is_no_isomorphism():
+    trunc, tri, J, assignment = james_translation(2)
+    assert compare_with_james(2)["pass"]
+    x, y = [sid for sid, e in tri.cells.items() if e == 1][:2]
+    swapped = dict(assignment, **{x: assignment[y], y: assignment[x]})
+    with mock.patch.object(james_compare, "james_translation", return_value=(trunc, tri, J, swapped)):
+        with pytest.raises(ValidationError, match="does not commute with faces"):
+            compare_with_james(2)
 
 
 def test_collapse_to_a_point():

@@ -2,9 +2,12 @@
 identity check, the one degeneracy rule and the one map class, each against
 the per-kind code they replaced, kept here as references."""
 
+from collections import Counter
 from itertools import combinations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from cubeworks.cubes import compose, face, projection_dropping
 from cubeworks.cubical import (
@@ -29,6 +32,8 @@ from cubeworks.simplicial import (
     surj_from_collapse,
     wedge_of_intervals,
 )
+from iso_oracle import is_isomorphism_by_map
+from random_sets import cubical_sets
 
 
 # -- references: the per-kind bodies before the shared core -----------------------
@@ -448,3 +453,46 @@ def test_is_isomorphism_on_simplicial_sets():
     assert is_isomorphism(D, R, relabel)
     assert not is_isomorphism(D, R, dict(relabel, **{"0": "x1", "1": "x0"}))
     assert not is_isomorphism(standard_simplex(0), standard_cube(0), {"0": "pt"})
+
+
+def test_is_isomorphism_answers_when_a_face_is_missing():
+    I = standard_cube(1)
+    faces = dict(I.faces)
+    del faces[("*", 1, 0)]
+    broken = CubicalSet(I.cells, faces)
+    identity = {c: c for c in I.cells}
+    assert is_isomorphism(broken, I, identity) is False
+    assert is_isomorphism(I, broken, identity) is False
+    with pytest.raises(KeyError):
+        is_isomorphism_by_map(broken, I, identity)
+
+
+@settings(deadline=None)
+@given(cubical_sets(), st.data())
+def test_renaming_agrees_with_the_map_route(X, data):
+    # the renaming check against the map route on a random relabelling, on
+    # that relabelling with two images of one dimension swapped, and with
+    # one face of the target edited
+    order = data.draw(st.permutations(sorted(X.cells)))
+    name = {c: f"y{n}" for n, c in enumerate(order)}
+    Y = CubicalSet(
+        {name[c]: X.cells[c] for c in order},
+        {(name[c], *i): CellRef(r.degens, name[r.base]) for (c, *i), r in X.faces.items()},
+    )
+    assert is_isomorphism(X, Y, name) and is_isomorphism_by_map(X, Y, name)
+    shared = sorted(d for d, n in Counter(X.cells.values()).items() if n > 1)
+    if shared:
+        cells = X.by_dim(data.draw(st.sampled_from(shared)))
+        a, b = data.draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
+        swapped = dict(name)
+        swapped[a], swapped[b] = name[b], name[a]
+        assert is_isomorphism(X, Y, swapped) is is_isomorphism_by_map(X, Y, swapped)
+    if Y.faces:
+        key = data.draw(st.sampled_from(sorted(Y.faces)))
+        ref = data.draw(st.sampled_from(Y.refs_of_dim(Y.cells[key[0]] - 1)))
+        faces = dict(Y.faces)
+        faces[key] = ref
+        edited = CubicalSet(Y.cells, faces)
+        verdict = is_isomorphism(X, edited, name)
+        assert verdict is is_isomorphism_by_map(X, edited, name)
+        assert verdict is (ref == Y.faces[key])
