@@ -102,7 +102,7 @@ def run_rung(name: str, want_hash: bool) -> dict:
         _, tri, X, assignment = stage("translation", james_translation, 6)
         out["bijective"] = len(assignment) == len(X.cells)
         if not stage("map_check", is_isomorphism, tri, X, assignment):
-            raise ValidationError("the James translation does not commute with faces")
+            raise ValidationError("the James translation is not an isomorphism")
         describe(X)
     elif name == "tri_cube6_boundary":
         X = stage("triangulate", triangulate, boundary(6)[0])

@@ -292,8 +292,8 @@ def is_isomorphism(X: PresentedSet, Y: PresentedSet, bijection: dict) -> bool:
     X -> Y: a bijection onto the cells of Y that preserves dimension and
     renames the face table of X onto that of Y, sending the face
     CellRef(w, b) under each key to CellRef(w, bijection[b]).  For such a
-    map that is commuting with every face, and its inverse then commutes
-    too; no presheaf action is needed.  The sides need not share cell ids."""
+    map, renaming is commuting with every face, its inverse then commutes
+    too, and no presheaf action is needed.  The sides need not share ids."""
     if type(X) is not type(Y) or bijection.keys() != X.cells.keys():
         return False
     cells, faces, get = Y.cells, Y.faces, bijection.get
