@@ -1,10 +1,11 @@
+import hashlib
 import random
 from itertools import product
 from math import factorial
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 import hypothesis.strategies as st
 
 from cubeworks.chains import (
@@ -50,7 +51,7 @@ from cubeworks.simplicial import (
     surj_from_collapse,
     wedge_of_intervals,
 )
-from cubeworks import snf
+from cubeworks import snf, verify
 from cubeworks.snf import invariant_factors_sparse, smith_normal_form
 from cubeworks.triangulate import simplex_count, triangulate
 from random_sets import cubical_sets
@@ -639,6 +640,18 @@ def test_triangulate_matches_reference_on_random_sets(X):
     assert homology(simplicial_chains(T)) == homology(cubical_chains(X))
 
 
+@settings(max_examples=25, deadline=None)
+@given(cubical_sets())
+def test_triangulate_matches_reference_on_random_sets_times_interval(X):
+    # the random sets stop at dimension 3; a tensor with the interval takes
+    # degenerate faces into cells of dimension 4
+    X = tensor(X, standard_cube(1))
+    T, R = triangulate(X), reference_triangulate(X)
+    event("degenerate faces", payload=sum(1 for r in T.faces.values() if r.degens))
+    assert list(T.cells.items()) == list(R.cells.items())
+    assert list(T.faces.items()) == list(R.faces.items())
+
+
 def test_triangulate_guard():
     # the budget is the module constant, read at call time
     with mock.patch("cubeworks.triangulate.CELL_BUDGET", 50):
@@ -653,6 +666,54 @@ def test_triangulate_guard():
             mock.patch("cubeworks.triangulate.CELL_BUDGET", 10**5):
         with pytest.raises(GuardError):
             triangulate(standard_cube(7))
+
+
+def _criterion_4_corpus():
+    """The cubical sets criterion 4 triangulates, in its order."""
+    seen = []
+
+    def keep(X):
+        seen.append(X)
+        return triangulate(X)
+
+    with mock.patch.object(verify, "triangulate", side_effect=keep):
+        assert verify.criterion_4()["pass"]
+    return seen
+
+
+def _triangulations_sha256(sets):
+    """One SHA-256 over the cells and faces of each triangulation, in order."""
+    from test_james import faces_sha256  # test_james imports this module
+
+    digest = hashlib.sha256()
+    for X in sets:
+        T = triangulate(X)
+        digest.update(repr(list(T.cells.items())).encode())
+        digest.update(faces_sha256(T).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "sets, digest",
+    [
+        (
+            lambda: [tensor(tensor(projective_plane(), projective_plane()), projective_plane())],
+            "074770c98c4193fcf62e4e7f5ef784b4c4ea92f31e301c2e88417982b3a248ab",
+        ),
+        (
+            _criterion_4_corpus,
+            "17d6d11ff840ccb44b2298f8aece76b643b0b6bab780ef82c09dde4d76694d07",
+        ),
+        (
+            lambda: [mapping_space(localized_E(), "c", "c", 5).space],
+            "dba2816f79d7cbbe881d55e9719da82b8673a907e25453140a73dac9bf03b538",
+        ),
+    ],
+    ids=["rp2^3", "criterion-4-corpus", "map-cc-5"],
+)
+def test_triangulations_are_pinned(sets, digest):
+    # computed at 20a5d9d; simplex ids, faces and their order are frozen
+    assert _triangulations_sha256(sets()) == digest
 
 
 # -- simplicial maps -------------------------------------------------------------

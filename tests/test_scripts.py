@@ -115,10 +115,14 @@ def test_bench_ledger_script_refuses_runs_of_another_commit(tmp_path):
 
 
 def test_ladder_script_runs_one_rung():
-    out = json.loads(run_script("ladder.py", "--rung", "tri_cube6_boundary"))
+    out = json.loads(run_script("ladder.py", "--rung", "tri_cube6_boundary", "--hash"))
     assert out["rung"] == "tri_cube6_boundary"
-    # the boundary of the 6-cube: 728 cells, 14,048 simplices, a 5-sphere
+    # the boundary of the 6-cube: 728 cells, 14,048 simplices, a 5-sphere;
+    # the hash of its triangulation's face items in order was measured at 20a5d9d
     assert sum(out["cells"].values()) == 14048
+    assert out["faces_sha256"] == (
+        "414975bf42a9fe3b5fcb11dad5e8d2bd45837caafff7ff25089382aa20d292f8"
+    )
     assert out["cells"]["5"] == 1440
     assert out["homology"] == [[1, []]] + [[0, []]] * 4 + [[1, []]]
     assert set(out["stages"]) == {"triangulate", "homology"}
