@@ -12,14 +12,16 @@ bit is coordinate 1, so product order is numeric order, v <= w
 coordinatewise exactly when v | w == w, and a simplex id renders the chain
 as its bit strings (`c#00;01;11`).
 
-What depends on d alone is tabled once (`chain_table`).  Deleting an
-interior vertex leaves a chain that still spans and still increases
-strictly, so an interior face is another spanning chain of the same cell,
-shared as one SimplexRef.  Only the end faces ch[1:] and ch[:-1] leave the
-cell: `resolve` projects them into face cubes, one table of size 2^d per
-(d, constant coordinate, face degeneracies), and memoizes each (face cell,
-chain) for the call, so a face cell's chains resolve once however many
-cells share it.
+What depends on d alone is tabled once per process, on first use.
+Deleting an interior vertex leaves a chain that still spans and still
+increases strictly, so an interior face is another spanning chain of the
+same cell, shared as one SimplexRef (`chain_table`).  Only the end faces
+ch[1:] and ch[:-1] leave the cell, each through one of its 2d faces:
+`landing_table` says, per face and degeneracy word of the face ref, where
+each lands in the face cube, as a spanning chain of the face cell and a
+degeneracy word, or as a chain in a smaller face.  Only those last ones
+take `resolve`, which carries a chain down and memoizes each (face cell,
+chain) for the call, so it resolves once however many cells share it.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ def spanning_chains(d: int):
 @lru_cache(maxsize=None)
 def chain_table(d: int) -> tuple:
     """(rows, index) for the spanning chains of the d-cube: index gives each
-    chain's position, and each row, in that order, is (`#...` suffix, k,
-    ch[1:], the positions of the interior faces, ch[:-1]) for a chain ch of
-    k + 1 vertices."""
+    chain's position, and each row, in that order, is (`#...` suffix, k, the
+    positions of the interior faces) for a chain ch of k + 1 vertices."""
     chains = spanning_chains(d)
     index = {ch: n for n, ch in enumerate(chains)}
     bits = [format(v, f"0{d}b") if d else "" for v in range(1 << d)]
@@ -71,9 +72,7 @@ def chain_table(d: int) -> tuple:
         (
             "#" + ";".join(bits[v] for v in ch),
             len(ch) - 1,
-            ch[1:],
             tuple(index[ch[:j] + ch[j + 1 :]] for j in range(1, len(ch) - 1)),
-            ch[:-1],
         )
         for ch in chains
     )
@@ -90,19 +89,39 @@ def simplex_count(X: CubicalSet) -> int:
 
 
 @lru_cache(maxsize=None)
-def _projection(d: int, i: int, drop: tuple) -> tuple:
-    """Vertex codes of the d-cube carried to the face cube that remains after
-    deleting coordinate i (from 0) and then the directions in drop (from 1)
-    of the (d-1)-cube; returns (table, dimension of the face cube)."""
-    rest = [t for t in range(d) if t != i]
-    shifts = [d - 1 - t for s, t in enumerate(rest, 1) if s not in drop]
-    table = []
-    for v in range(1 << d):
-        w = 0
-        for sh in shifts:
-            w = w << 1 | v >> sh & 1
-        table.append(w)
-    return tuple(table), len(shifts)
+def _land(d: int, i: int, drop: tuple, chain: tuple) -> tuple:
+    """Carry a chain of the d-cube that holds coordinate i (from 0) constant
+    into the e-cube that remains after deleting i and then the directions in
+    drop (from 1) of the (d-1)-cube: (e, the position of the carried chain
+    among the e-cube's spanning chains once repeated vertices are merged,
+    the degeneracy word of the repeats), or (e, None, the carried chain)
+    when it does not span the e-cube."""
+    # coordinate t is direction t + (t < i) of the (d-1)-cube; the last one kept is bit 0
+    shifts = [d - 1 - t for t in range(d) if t != i and t + (t < i) not in drop][::-1]
+    e = len(shifts)
+    carried = [sum((v >> sh & 1) << n for n, sh in enumerate(shifts)) for v in chain]
+    if carried[0] or carried[-1] != (1 << e) - 1:
+        return e, None, tuple(carried)
+    word = tuple(t for t in range(len(chain) - 1) if carried[t] == carried[t + 1])
+    merged = tuple(v for t, v in enumerate(carried) if t == 0 or v != carried[t - 1])
+    return e, chain_table(e)[1][merged], word
+
+
+@lru_cache(maxsize=None)
+def landing_table(d: int, k: int, eps: int, degens: tuple) -> tuple:
+    """Where the end faces of the d-cube's spanning chains that lie in its
+    face (k, eps) land in the face cube of a face ref with degeneracy word
+    degens: (chain position, landing position, degeneracy word) per end face
+    in chain order, or (chain position, None, carried chain).  A head ch[1:]
+    lies in the face (k, 1), and a tail ch[:-1] in the face (k, 0), of the
+    first coordinate it holds constant."""
+    top = (1 << d) - 1
+    ends = ((p, ch[1:] if eps else ch[:-1]) for p, ch in enumerate(spanning_chains(d)))
+    return tuple(  # the table keeps its entries, so they bypass the cache of `_land`
+        (p, *_land.__wrapped__(d, k - 1, degens, end)[1:])
+        for p, end in ends
+        if d + 1 - (end[0] if eps else ~end[-1] & top).bit_length() == k
+    )
 
 
 def triangulate(X: CubicalSet) -> SimplicialSet:
@@ -114,43 +133,49 @@ def triangulate(X: CubicalSet) -> SimplicialSet:
     cells = {}
     for c, d in X.cells.items():
         refs[c] = row = []
-        for suffix, k, _, _, _ in chain_table(d)[0]:
+        for suffix, k, _ in chain_table(d)[0]:
             sid = c + suffix
             cells[sid] = k
             row.append(SimplexRef((), sid))
 
-    X_faces = X.faces
-    memo = {}  # (face cell, chain in its cube) -> resolved SimplexRef
+    X_cells, X_faces = X.cells, X.faces
+    memo = {}  # (cell, chain in a proper face of its cube) -> resolved SimplexRef
 
     def resolve(cell, d, chain):
-        """Normal form of a monotone vertex chain drawn in the cube of a
-        non-degenerate cell: a SimplexRef onto some cell's spanning chain."""
-        top = (1 << d) - 1
-        if chain[0] or chain[-1] != top:
-            # pass to the face cube of the first constant coordinate
-            i = d - (~(chain[0] ^ chain[-1]) & top).bit_length()
+        """Normal form of a monotone vertex chain that lies in a proper face
+        of a non-degenerate cell's cube, by descent into the face of the
+        first coordinate it holds constant until the chain spans."""
+        out = memo.get((cell, chain))
+        if out is None:
+            i = d - (~(chain[0] ^ chain[-1]) & (1 << d) - 1).bit_length()
             ref = X_faces[(cell, i + 1, chain[0] >> (d - 1 - i) & 1)]
-            table, d = _projection(d, i, ref.degens)
-            key = (ref.base, tuple([table[v] for v in chain]))
-            out = memo.get(key)
-            if out is None:
-                out = memo[key] = resolve(ref.base, d, key[1])
-            return out
-        degens = tuple(t for t in range(len(chain) - 1) if chain[t] == chain[t + 1])
-        if degens:
-            chain = tuple(v for t, v in enumerate(chain) if t == 0 or v != chain[t - 1])
-        out = refs[cell][chain_table(d)[1][chain]]
-        return SimplexRef(degens, out.base) if degens else out
+            e, pos, word = _land(d, i, ref.degens, chain)
+            if pos is None:
+                out = resolve(ref.base, e, word)
+            else:
+                out = SimplexRef(word, refs[ref.base][pos].base) if word else refs[ref.base][pos]
+            memo[cell, chain] = out
+        return out
 
     faces = {}
     for c, d in X.cells.items():
         if d == 0:
             continue
         row = refs[c]
-        for ref, (_, k, head, inner, tail) in zip(row, chain_table(d)[0]):
+        heads, tails = [None] * len(row), [None] * len(row)
+        for k in range(1, d + 1):
+            for eps, ends in ((0, tails), (1, heads)):
+                ref = X_faces[(c, k, eps)]
+                landed = refs[ref.base]
+                for p, pos, word in landing_table(d, k, eps, ref.degens):
+                    if pos is None:
+                        ends[p] = resolve(ref.base, X_cells[ref.base], word)
+                    else:
+                        ends[p] = SimplexRef(word, landed[pos].base) if word else landed[pos]
+        for ref, (_, k, inner), head, tail in zip(row, chain_table(d)[0], heads, tails):
             sid = ref.base
-            faces[(sid, 0)] = resolve(c, d, head)
+            faces[(sid, 0)] = head
             for j, n in enumerate(inner, 1):
                 faces[(sid, j)] = row[n]
-            faces[(sid, k)] = resolve(c, d, tail)
+            faces[(sid, k)] = tail
     return SimplicialSet(cells, faces, name=f"tri({X.name})")
