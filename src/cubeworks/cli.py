@@ -268,6 +268,8 @@ def cmd_quillen(args, ws):
 
 
 def cmd_verify(args, ws):
+    if args.jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {args.jobs}")
     results, ok = run_all(jobs=args.jobs)
     print(format_table(results))
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S")

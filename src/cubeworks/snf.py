@@ -35,9 +35,6 @@ class SNFResult:
     R: list             # m x m unimodular
     C: list             # n x n unimodular
 
-    def __iter__(self):  # (D, row_ops, col_ops) unpacking
-        return iter((self.D, self.R, self.C))
-
 
 def smith_normal_form(M) -> SNFResult:
     m = len(M)

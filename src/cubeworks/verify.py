@@ -358,12 +358,12 @@ CRITERIA = [
 
 def _run_one(index: int):
     fn = CRITERIA[index]
-    start = time.time()
+    start = time.perf_counter()
     try:
         res = fn()
     except Exception as exc:  # a crash is a failure, not an abort
         res = _result(index + 1, fn.__name__, False, {"error": repr(exc)})
-    res["seconds"] = round(time.time() - start, 2)
+    res["seconds"] = round(time.perf_counter() - start, 2)
     return res
 
 
@@ -371,7 +371,8 @@ def run_all(jobs: int = 1):
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # under the fork start method the pool forks all its workers at once
+        with ProcessPoolExecutor(max_workers=min(jobs, len(CRITERIA))) as pool:
             results = list(pool.map(_run_one, range(len(CRITERIA))))
     else:
         results = [_run_one(i) for i in range(len(CRITERIA))]

@@ -308,6 +308,42 @@ def test_cli_negative_max_dim_exits_2(capsys, tmp_path, argv):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_jobs_below_one_exits_2(capsys, tmp_path, monkeypatch, jobs):
+    # refused before any criterion runs, and no report is stored
+    monkeypatch.setattr("cubeworks.verify.CRITERIA", None)
+    code = main(["--workspace", str(tmp_path / "ws"), "--jobs", jobs, "verify", "all"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [f"invalid input: --jobs must be at least 1, got {jobs}"]
+    assert not (tmp_path / "ws" / "acceptance_report.json").exists()
+
+
+def test_cli_jobs_capped_at_the_criteria(capsys, tmp_path, monkeypatch):
+    # the pool is asked for no more workers than there are criteria
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    one = {"id": 1, "name": "one", "pass": True, "detail": {}}
+    monkeypatch.setattr("cubeworks.verify.CRITERIA", [lambda: dict(one), lambda: dict(one, id=2)])
+    code, out = run(capsys, tmp_path, "--jobs", "1000", "verify", "all")
+    assert code == 0 and sizes == [2]
+    assert out.splitlines()[-1] == "ALL CRITERIA PASS"
+
+
 @pytest.mark.parametrize("text", ["garbage", "[]", '{"entries": 3}'])
 def test_cli_corrupt_manifest_exits_2(capsys, tmp_path, text):
     ws = tmp_path / "ws"
