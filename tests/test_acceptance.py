@@ -5,6 +5,7 @@ same table.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from unittest import mock
@@ -84,6 +85,15 @@ def test_verify_all_cli_exits_zero(cli_run):
     code, out, _ = cli_run
     assert "ALL CRITERIA PASS" in out
     assert code == 0
+
+
+def test_verify_all_report_is_pinned(cli_run):
+    # computed at 1dc3995: the stored results, which hold no seconds, as
+    # canonical JSON
+    _, _, stored = cli_run
+    text = json.dumps(stored, sort_keys=True, separators=(",", ":"))
+    digest = "e5071b9ca7871b2018d9dab843ea6fbf17c50e6e08db1fbc06af39511293c0ef"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_verify_all_report_deterministic(cli_run):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -21,7 +22,7 @@ from cubeworks.io_json import (
 )
 from cubeworks.james import james
 from cubeworks.james_compare import localized_E
-from cubeworks.simplicial import SimplicialSet, standard_simplex, wedge_of_intervals
+from cubeworks.simplicial import SimplicialSet, circle, standard_simplex, wedge_of_intervals
 from cubeworks.triangulate import triangulate
 from random_sets import cubical_sets
 from test_enriched import _interval_along
@@ -54,6 +55,33 @@ def test_roundtrip_presentations():
         data = presentation_to_json(P)
         Q = presentation_from_json(data)
         assert presentation_to_json(Q) == data
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        (build_E, "0d296f46bad7d627d3f77c5b46eb27d6f097eb44d7cd36ce0a525fe421fb741c"),
+        (localized_E, "eedb76b0d7f8e21339f9b5b91270e14d5c6ecb095468425c5b38078275b55bd3"),
+        (
+            lambda: mapping_space(localized_E(), "c", "c", 4).space,
+            "d583d6c99e350a90d39c92e6ee732bd31feb186e430244f64c6da4837924a8f7",
+        ),
+        (
+            lambda: james(circle(), "v", 4),
+            "4f428867c1571032a76208788eebf5ac6db919baef93c70753a0b3ed8c3163ba",
+        ),
+        (
+            lambda: triangulate(boundary(3)[0]),
+            "b7eae65a29a88f17fb691f43ea9fc3f4f23a9ed3d148dbaa277660a711f529a3",
+        ),
+    ],
+    ids=["E", "EL", "map-cc-4", "james-circle-4", "triangulated-boundary-3"],
+)
+def test_saved_bytes_are_pinned(tmp_path, build, digest):
+    # computed at 1dc3995; the saved cubeworks/1 file is frozen byte for byte
+    ws = Workspace(str(tmp_path / "ws"))
+    fname = ws.save("x", build())
+    assert hashlib.sha256((tmp_path / "ws" / fname).read_bytes()).hexdigest() == digest
 
 
 def test_workspace_roundtrip(tmp_path):
