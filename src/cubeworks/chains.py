@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, bulk
 from .snf import invariant_factors_sparse
 
 
@@ -118,6 +118,7 @@ class HomologyReport:
         return "HomologyReport(" + ", ".join(parts) + ")"
 
 
+@bulk
 def homology(C: ChainComplex) -> HomologyReport:
     """Betti numbers and torsion from the invariant factors of each boundary,
     in one sweep up the degrees that eliminates ∂_d without the rows its
@@ -209,6 +210,7 @@ def point_complex() -> ChainComplex:
 # -- chains of cubical and simplicial sets -------------------------------------
 
 
+@bulk
 def _cell_chains(X, sign) -> ChainComplex:
     """Normalized chains of a presented set: basis the non-degenerate cells,
     boundary the sum of the faces weighted by sign(*face index), degenerate

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import cubes
 from .cubes import CubeMap, compose, face, projection_dropping, split_projection_face
-from .errors import CELL_BUDGET, GuardError, ValidationError
+from .errors import CELL_BUDGET, GuardError, ValidationError, bulk
 # find_isomorphism and is_isomorphism stay importable from here for callers
 # of the cubical API
 from .presented import (
@@ -263,6 +263,7 @@ def _pair_id(x: str, y: str) -> str:
     return f"{x}|{y}"
 
 
+@bulk
 def tensor(X: CubicalSet, Y: CubicalSet) -> CubicalSet:
     """Day convolution: non-degenerate cells are pairs, dimensions add, faces
     act blockwise with degeneracy words shifted into the correct block.

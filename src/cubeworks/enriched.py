@@ -36,7 +36,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .cubical import CellRef, CubicalSet, UnionFind, nd
-from .errors import CELL_BUDGET, GuardError, ValidationError
+from .errors import CELL_BUDGET, GuardError, ValidationError, bulk
 
 
 # -- words ----------------------------------------------------------------------
@@ -517,6 +517,7 @@ def _count_words(pres, x, y, top: int, max_dim: int = None) -> Counter:
     return counts
 
 
+@bulk
 def _build(pres, x, y, bound: int, max_dim: int = None, counts: Counter = None) -> tuple:
     """Map(x, y) truncated at word weight ``bound``, as (cubical set, cell id
     -> word, cell id -> weight).

@@ -18,7 +18,7 @@ from operator import itemgetter
 from .chains import HomologyReport
 from .cubical import CubicalSet
 from .enriched import Attachment, EnrichedPresentation
-from .errors import ValidationError
+from .errors import ValidationError, bulk
 from .presented import CellRef, PresentedSet, nd
 from .simplicial import SimplicialSet
 
@@ -346,6 +346,7 @@ class Workspace:
             raise ValidationError(f"no workspace entry named {name!r}")
         return _read_json(os.path.join(self.path, f"{name}.json"))
 
+    @bulk
     def load(self, name: str):
         return from_json(self.load_raw(name))
 

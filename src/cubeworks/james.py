@@ -11,7 +11,7 @@ import sys
 from collections import Counter
 from itertools import chain, repeat
 
-from .errors import CELL_BUDGET, GuardError, ValidationError
+from .errors import CELL_BUDGET, GuardError, ValidationError, bulk
 from .presented import divide
 from .simplicial import SimplexRef, SimplicialSet, delta_face
 
@@ -68,6 +68,7 @@ def _count_cells(X, base: str, bound: int, max_dim: int) -> tuple:
     return total, letters
 
 
+@bulk
 def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
     """Truncated free monoid on (X, base); words longer than `bound` are cut
     off.  For a connected X the James splitting ΣJ_L X ≃ ⋁_(k≤L) ΣX^(∧k)

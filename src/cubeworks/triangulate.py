@@ -31,7 +31,7 @@ from math import comb
 from types import MappingProxyType
 
 from .cubical import CubicalSet
-from .errors import CELL_BUDGET, GuardError
+from .errors import CELL_BUDGET, GuardError, bulk
 from .simplicial import SimplexRef, SimplicialSet
 
 
@@ -124,6 +124,7 @@ def landing_table(d: int, k: int, eps: int, degens: tuple) -> tuple:
     )
 
 
+@bulk
 def triangulate(X: CubicalSet) -> SimplicialSet:
     total = simplex_count(X)
     if total > CELL_BUDGET:
