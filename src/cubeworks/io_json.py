@@ -229,11 +229,16 @@ def report_to_json(rep: HomologyReport) -> dict:
 
 
 def report_from_json(data: dict) -> HomologyReport:
-    if data.get("kind") != "homology_report":
-        raise ValidationError("not a homology report")
-    return HomologyReport(
-        tuple((g["degree"], g["betti"], tuple(g["torsion"])) for g in data["groups"])
-    )
+    """Parse a report: non-negative int degree and betti, torsion ints above 1."""
+    if data.get("schema") != SCHEMA or data.get("kind") != "homology_report":
+        raise ValidationError("not a cubeworks/1 homology report")
+    entries = []
+    for g in _fields(data, "homology report", groups=list)[0]:
+        d, b, t = _fields(g, "homology group", degree=int, betti=int, torsion=list)
+        if d < 0 or b < 0 or not all(type(k) is int and k > 1 for k in t):
+            raise ValidationError(f"malformed homology group {repr(g):.80}")
+        entries.append((d, b, tuple(t)))
+    return HomologyReport(tuple(entries))
 
 
 _EMITTERS = {

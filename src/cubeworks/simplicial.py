@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import ValidationError
+from .errors import CELL_BUDGET, GuardError, ValidationError
 from .presented import CellRef, PresentedMap, PresentedSet, nd
 
 
@@ -96,6 +96,9 @@ SimplicialMap = PresentedMap
 
 
 def standard_simplex(n: int) -> SimplicialSet:
+    """Δ^n; its 2^(n+1) - 1 cells are counted first against CELL_BUDGET."""
+    if n >= CELL_BUDGET.bit_length() or 2 ** (n + 1) - 1 > CELL_BUDGET:
+        raise GuardError(f"{n}-simplex of more than {CELL_BUDGET} cells exceeds budget")
     cells = {}
     faces = {}
     for k in range(n + 1):
@@ -122,7 +125,10 @@ def wedge_of_intervals(count: int = 2) -> SimplicialSet:
     """Intervals glued at a common basepoint `w`; the free end of interval i
     is `a{i}` and its edge is `e{i}`.  The free end sits at vertex position 0
     (matching the cubical homotopy cells, whose 0-end carries the composite
-    and whose 1-end carries the identity)."""
+    and whose 1-end carries the identity).  Its 2 * count + 1 cells are
+    counted first against CELL_BUDGET."""
+    if 2 * count + 1 > CELL_BUDGET:
+        raise GuardError(f"wedge of {2 * count + 1} cells exceeds budget {CELL_BUDGET}")
     cells = {"w": 0}
     faces = {}
     for i in range(1, count + 1):

@@ -7,6 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings
 
+from cubeworks.chains import cubical_chains, homology
 from cubeworks.cli import main
 from cubeworks.cubical import CellRef, CubicalSet, boundary, nd, open_box, standard_cube, tensor
 from cubeworks.enriched import build_E, build_H, build_P, mapping_space, special_category
@@ -18,6 +19,7 @@ from cubeworks.io_json import (
     presentation_to_json,
     presented_from_json,
     presented_to_json,
+    report_to_json,
     to_json,
 )
 from cubeworks.james import james
@@ -452,6 +454,47 @@ def test_cli_malformed_artifact_exits_2(capsys, tmp_path, edit):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        None,
+        lambda data: data.pop("groups"),
+        lambda data: data["groups"][0].pop("betti"),
+        _set(["schema"], "cubeworks/0"),
+        _set(["groups"], {}),
+        _set(["groups", 0], [0, 1, []]),
+        _set(["groups", 0, "degree"], -1),
+        _set(["groups", 0, "betti"], True),
+        _set(["groups", 0, "torsion"], 2),
+        _set(["groups", 0, "torsion"], [1]),
+    ],
+    ids=[
+        "intact",
+        "no-groups",
+        "no-betti",
+        "old-schema",
+        "groups-object",
+        "group-list",
+        "negative-degree",
+        "bool-betti",
+        "torsion-int",
+        "torsion-one",
+    ],
+)
+def test_cli_hand_edited_homology_report_exits_2(capsys, tmp_path, edit):
+    data = report_to_json(homology(cubical_chains(boundary(2)[0])))
+    if edit:
+        edit(data)
+    Workspace(str(tmp_path / "ws")).save("r", data)
+    code = main(["--workspace", str(tmp_path / "ws"), "homology", "r"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    # an intact report is read, and refused only as no cubical set
+    assert ("is not a cubical set" in lines[0]) == (edit is None)
 
 
 def test_cli_artifact_that_is_not_an_object_exits_2(capsys, tmp_path):

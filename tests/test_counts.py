@@ -10,7 +10,7 @@ from contextlib import redirect_stderr
 import pytest
 from hypothesis import given, settings
 
-from cubeworks import cubical, enriched
+from cubeworks import cubical, enriched, simplicial
 from cubeworks.cli import main
 from cubeworks.cubical import CubicalSet, standard_cube, tensor
 from cubeworks.enriched import (
@@ -25,7 +25,7 @@ from cubeworks.enriched import (
 from cubeworks.errors import GuardError
 from cubeworks.james import _count_cells, james
 from cubeworks.james_compare import localized_E
-from cubeworks.simplicial import circle, wedge_of_intervals
+from cubeworks.simplicial import circle, standard_simplex, wedge_of_intervals
 from cubeworks.triangulate import triangulate
 from random_sets import cubical_sets
 from test_enriched import GUARD, _loop_behind_two_edges, _zero_weight_loop
@@ -155,6 +155,17 @@ def test_james_count_stops_past_the_budget(monkeypatch):
     assert _count_cells(wedge_of_intervals(2), "w", 7, 7)[0] == 12743693
 
 
+def test_simplicial_spec_budgets(monkeypatch):
+    monkeypatch.setattr(simplicial, "CELL_BUDGET", 15)
+    assert len(standard_simplex(3).cells) == 15
+    with pytest.raises(GuardError, match=r"^4-simplex of more than 15 cells exceeds budget$"):
+        standard_simplex(4)
+    monkeypatch.setattr(simplicial, "CELL_BUDGET", 5)
+    assert len(wedge_of_intervals(2).cells) == 5
+    with pytest.raises(GuardError, match=r"^wedge of 7 cells exceeds budget 5$"):
+        wedge_of_intervals(3)
+
+
 def test_tensor_budget_refuses_before_building(monkeypatch):
     def no_cell(*_):
         raise AssertionError("a cell was built")
@@ -187,3 +198,17 @@ def test_cli_large_james_is_refused_at_once(tmp_path):
     code, err, seconds = _cli("--workspace", str(tmp_path), "james", "wedge:2", "--bound", "7")
     assert code == 3 and seconds < 1
     assert "James construction of more than 1000000 cells exceeds budget" in err
+
+
+@pytest.mark.parametrize(
+    "space, bound, message",
+    [
+        ("delta:40", "2", "40-simplex of more than 1000000 cells exceeds budget"),
+        ("wedge:5000000", "1", "wedge of 10000001 cells exceeds budget 1000000"),
+    ],
+)
+def test_cli_large_simplicial_spec_is_refused_at_once(tmp_path, space, bound, message):
+    # the spec's own cells are counted before it is built
+    code, err, seconds = _cli("--workspace", str(tmp_path), "james", space, "--bound", bound)
+    assert code == 3 and seconds < 1
+    assert message in err
