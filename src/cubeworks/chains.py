@@ -215,21 +215,20 @@ def _cell_chains(X, sign) -> ChainComplex:
     """Normalized chains of a presented set: basis the non-degenerate cells,
     boundary the sum of the faces weighted by sign(*face index), degenerate
     faces contributing zero."""
-    faces = X.faces
+    rows = X.rows
     basis = {d: list(X.by_dim(d)) for d in range(X.dim_bound + 1) if X.by_dim(d)}
     boundary = {}
     for d, cells in basis.items():
         if d == 0:
             continue
-        row = {c: i for i, c in enumerate(basis.get(d - 1, ()))}
-        signed = [(i, sign(*i)) for i in X.face_indices(d)]
+        at = {c: i for i, c in enumerate(basis.get(d - 1, ()))}
+        signs = [sign(*i) for i in X.face_indices(d)]
         columns = []
         for c in cells:
             out = {}
-            for i, s in signed:
-                ref = faces[(c, *i)]
+            for ref, s in zip(rows[c], signs):
                 if not ref.degens:
-                    r = row[ref.base]
+                    r = at[ref.base]
                     out[r] = out.get(r, 0) + s
             # keep the accumulating dict unless a coefficient cancelled: one
             # dict per cell instead of two leaves the heap less fragmented

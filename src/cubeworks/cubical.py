@@ -33,7 +33,8 @@ from .presented import (
 
 class CubicalSet(PresentedSet):
     """A finite cubical set presented by its non-degenerate cells and their
-    faces.  Face indices are (k, eps): coordinate k from 1, side eps."""
+    faces.  Face indices are (k, eps): coordinate k from 1, side eps, so the
+    face (k, eps) is at position 2k - 2 + eps of a face row."""
 
     kind = "cubical_set"
     face_fields = ("k", "eps")
@@ -72,7 +73,7 @@ class CubicalSet(PresentedSet):
             delta.target_dim - 1,
             delta.slots[: k - 1] + delta.slots[k:],
         )
-        step = self.faces[(cell, k, eps)]
+        step = self.rows[cell][2 * k - 2 + eps]
         return self.act(step, rest)
 
 
@@ -92,25 +93,19 @@ def _slot_id(m: CubeMap) -> str:
 
 def standard_cube(n: int, guard: int = 8) -> CubicalSet:
     """The representable cubical set on the n-cube.  Non-degenerate k-cells are
-    the face-type maps k-cube -> n-cube; faces are computed by composition."""
+    the face-type maps k-cube -> n-cube, named by their slots; composing one
+    with the face (i, eps) of the k-cube sets its i-th free slot to eps."""
     if n < 0:
         raise ValidationError(f"dimension {n} is negative")
     if n > guard:
         raise GuardError(f"dimension {n} exceeds guard {guard}")
-    cells = {}
+    cells = {_slot_id(m): k for k in range(n + 1) for m in cubes.face_type_maps(k, n)}
     faces = {}
-    table = {}
-    for k in range(n + 1):
-        for m in cubes.face_type_maps(k, n):
-            cid = _slot_id(m)
-            cells[cid] = k
-            table[cid] = m
-    for cid, m in table.items():
-        k = m.source_dim
-        for i in range(1, k + 1):
-            for eps in (0, 1):
-                composite = compose(m, face(k, i, eps))
-                faces[(cid, i, eps)] = nd(_slot_id(composite))
+    for cid in cells:
+        free = [p for p, slot in enumerate(cid) if slot == "*"]
+        for i, p in enumerate(free, 1):
+            for eps in "01":
+                faces[(cid, i, int(eps))] = nd(cid[:p] + eps + cid[p + 1 :])
     return CubicalSet(cells, faces, name=f"cube{n}")
 
 
@@ -205,7 +200,7 @@ def pushout(f: CubicalMap, g: CubicalMap) -> tuple:
     first, so a span whose legs are not maps is refused.
     """
     if f.source is not g.source and (
-        f.source.cells != g.source.cells or f.source.faces != g.source.faces
+        f.source.cells != g.source.cells or f.source.rows != g.source.rows
     ):
         raise ValidationError("pushout requires a shared source")
     f.validate()
@@ -223,7 +218,7 @@ def pushout(f: CubicalMap, g: CubicalMap) -> tuple:
         classes.setdefault(uf.find(token), []).append(token)
 
     cells = {}
-    faces = {}
+    rows = {}
     resolve = {"X": {}, "Y": {}}  # side -> cell id -> CellRef over result
 
     def resolved_ref(side, ref: CellRef, ambient: int) -> CellRef:
@@ -244,13 +239,13 @@ def pushout(f: CubicalMap, g: CubicalMap) -> tuple:
             side0, ref0 = root
             target = nd(f"{side0}:{ref0.base}")
             cells[target.base] = n
-            for (k, eps), fr in zip(CubicalSet.face_indices(n), sides[side0].faces_of(ref0.base)):
-                faces[(target.base, k, eps)] = resolved_ref(side0, fr, n - 1)
+            row = sides[side0].faces_of(ref0.base)
+            rows[target.base] = tuple([resolved_ref(side0, fr, n - 1) for fr in row])
         for side, ref in classes[root]:
             if not ref.degens:
                 resolve[side][ref.base] = target
 
-    P = CubicalSet(cells, faces, name=f"po({X.name},{Y.name})")
+    P = CubicalSet(cells, name=f"po({X.name},{Y.name})", rows=rows)
     leg_x = CubicalMap(X, P, {c: resolve["X"][c] for c in X.cells})
     leg_y = CubicalMap(Y, P, {c: resolve["Y"][c] for c in Y.cells})
     return P, leg_x, leg_y
@@ -276,33 +271,23 @@ def tensor(X: CubicalSet, Y: CubicalSet) -> CubicalSet:
     if total > CELL_BUDGET:
         raise GuardError(f"tensor of {total} cells exceeds budget {CELL_BUDGET}")
     refs = {x: {y: nd(_pair_id(x, y)) for y in Y.cells} for x in X.cells}
-    y_faces = [
-        (y, dy, tuple(zip(CubicalSet.face_indices(dy), Y.faces_of(y))))
-        for y, dy in Y.cells.items()
-    ]
-    cells = {}
-    faces = {}
+    y_faces = [(y, dy, [(r.base, r.degens) for r in Y.rows[y]]) for y, dy in Y.cells.items()]
+    cells, rows = {}, {}
     for x, dx in X.cells.items():
-        x_faces = tuple(zip(CubicalSet.face_indices(dx), X.faces_of(x)))
+        x_faces = [(refs[r.base], r.degens) for r in X.rows[x]]
         row = refs[x]
         for y, dy, yf in y_faces:
             cid = row[y].base
             cells[cid] = dx + dy
-            for (k, eps), ref in x_faces:
-                pair = refs[ref.base][y]
-                if ref.degens:
-                    pair = CellRef(ref.degens, pair.base)
-                faces[(cid, k, eps)] = pair
-            for (k, eps), ref in yf:
-                pair = row[ref.base]
-                if ref.degens:
-                    pair = CellRef(tuple(i + dx for i in ref.degens), pair.base)
-                faces[(cid, dx + k, eps)] = pair
+            rows[cid] = (
+                *(CellRef(w, pairs[y].base) if w else pairs[y] for pairs, w in x_faces),
+                *(CellRef(tuple(i + dx for i in w), row[b].base) if w else row[b] for b, w in yf),
+            )
     if len(cells) != len(X.cells) * len(Y.cells):
         raise ValidationError(
             f"tensor of {X.name} and {Y.name}: cell ids joined by '|' collide"
         )
-    return CubicalSet(cells, faces, name=f"{X.name}(x){Y.name}")
+    return CubicalSet(cells, name=f"{X.name}(x){Y.name}", rows=rows)
 
 
 def tensor_elements(X: CubicalSet, xref: CellRef, yref: CellRef) -> CellRef:

@@ -557,12 +557,11 @@ def _build(pres, x, y, bound: int, max_dim: int = None, counts: Counter = None) 
     found.sort(key=lambda entry: len(entry[0]))
     ids = {w: word_id(w) for w, _, _ in found}
     cells = {ids[w]: d for w, _, d in found}
-    faces = {}
-    for w, _, _ in found:
-        cid = ids[w]
-        for n, (degens, fw) in enumerate(_word_faces(letters, w, cancel)):
-            faces[(cid, n // 2 + 1, n % 2)] = CellRef(degens, ids[fw])
-    space = CubicalSet(cells, faces, name=f"Map({x},{y})@{bound}")
+    rows = {
+        ids[w]: tuple([CellRef(degens, ids[fw]) for degens, fw in _word_faces(letters, w, cancel)])
+        for w, _, _ in found
+    }
+    space = CubicalSet(cells, name=f"Map({x},{y})@{bound}", rows=rows)
     return space, {cid: w for w, cid in ids.items()}, {ids[w]: wt for w, wt, _ in found}
 
 
@@ -590,10 +589,10 @@ def mapping_space(pres, x, y, bound: int) -> MappingSpaceTruncation:
 def _classes(space: CubicalSet, keep) -> dict:
     """Each 0-cell of the truncation in ``keep`` with the representative of
     its class modulo the relation generated by the 1-cells in ``keep``."""
-    uf = UnionFind()
+    uf, rows = UnionFind(), space.rows
     for c in space.by_dim(1):
         if c in keep:
-            uf.union(space.faces[(c, 1, 0)].base, space.faces[(c, 1, 1)].base)
+            uf.union(*(ref.base for ref in rows[c]))  # the faces (1, 0) and (1, 1)
     return {c: uf.find(c) for c in space.by_dim(0) if c in keep}
 
 
@@ -681,7 +680,7 @@ def _find_homotopy(space: CubicalSet, from_word, to_word):
     if fid == tid and fid in space.cells:
         return ("degenerate", fid)
     for c in space.by_dim(1):
-        if space.faces[(c, 1, 0)] == nd(fid) and space.faces[(c, 1, 1)] == nd(tid):
+        if space.rows[c] == (nd(fid), nd(tid)):
             return ("cell", c)
     return None
 

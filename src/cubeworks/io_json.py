@@ -54,26 +54,27 @@ def _write_presented(X: PresentedSet, fh):
     pick = itemgetter(*order)
     face = ",\n    {\n%s\n    }" % ",\n".join(f"      {_quote(names[i])}: %s" for i in order)
     quoted = {c: _quote(c) for c in X.cells}
-    cells = ",\n".join(f"    {quoted[c]}: {d}" for c, d in sorted(X.cells.items()))
+    ordered = sorted(X.cells.items())
+    cells = ",\n".join(f"    {quoted[c]}: {d}" for c, d in ordered)
     fh.write("{\n  \"cells\": ")
     fh.write(f"{{\n{cells}\n  }}" if cells else "{}")
     fh.write(",\n  \"faces\": [")
-    faces = X.faces
+    rows, at = X.rows, X.face_indices
     words = {(): "[]"}  # each degeneracy word rendered once
-    for w in {r.degens for r in faces.values()} - {()}:
+    for w in {r.degens for row in rows.values() for r in row} - {()}:
         words[w] = "[\n%s\n      ]" % ",\n".join(f"        {s - base}" for s in w)
-    for n, key in enumerate(sorted(faces)):
-        ref = faces[key]
+    entries = ((c, i, ref) for c, d in ordered for i, ref in zip(at(d), rows[c]))
+    for n, (c, i, ref) in enumerate(entries):
         values = (
             quoted.get(ref.base) or _quote(ref.base),
-            quoted.get(key[0]) or _quote(key[0]),
+            quoted[c],
             words[ref.degens],
-            key[1] - base,
-            *key[2:],
+            i[0] - base,
+            *i[1:],
         )
         entry = face % pick(values)
         fh.write(entry if n else entry[1:])  # the first entry has no comma
-    fh.write("\n  ]" if faces else "]")
+    fh.write("\n  ]" if any(rows.values()) else "]")
     fh.write(
         f",\n  \"kind\": {_quote(X.kind)},\n  \"name\": {_quote(X.name)},"
         f"\n  \"schema\": {_quote(SCHEMA)}\n}}"

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from itertools import chain, repeat
+from itertools import repeat
 
 from .errors import CELL_BUDGET, GuardError, ValidationError, bulk
 from .presented import divide
@@ -144,7 +144,7 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
         # cells of the top dimension are never faces
         nd_of.append(dict(zip(found, map(SimplexRef, repeat(()), wids))) if d < max_dim else {})
 
-    faces = {}
+    rows = dict.fromkeys(ids[0], ())
     unit = word_token(())
     for d in range(1, max_dim + 1):
         if not words[d]:
@@ -185,6 +185,5 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
                 if ref is None:
                     column[i] = degenerate_face(face_words[i], ids[d][i])
             columns.append(column)
-        keys = [(wid, j) for wid in ids[d] for j in range(d + 1)]
-        faces.update(zip(keys, chain.from_iterable(zip(*columns))))
-    return SimplicialSet(cells, faces, name=f"J({X.name})@{bound}")
+        rows.update(zip(ids[d], zip(*columns)))
+    return SimplicialSet(cells, name=f"J({X.name})@{bound}", rows=rows)

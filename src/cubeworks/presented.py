@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from operator import lt
+from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, bulk
 
 
 class CellRef(NamedTuple):
@@ -91,7 +92,12 @@ class PresentedSet:
     (those of a (d - 1)-cell first, so an index has one position in every
     dimension), and ``face_map(n, *index)``, the face morphism into
     dimension n that the presheaf action ``act(ref, f)`` takes; they also
-    supply ``act``.  Face data is keyed by ``(cell, *index)``.
+    supply ``act``.
+
+    The face data is one of two read-only tables, each derived from the
+    other on first use: ``faces``, keyed by ``(cell, *index)``, and
+    ``rows``, each cell's faces as one tuple in face-index order.  A set
+    keeps the table it was given; the bulk builders pass ``rows``.
     """
 
     kind = ""
@@ -99,11 +105,43 @@ class PresentedSet:
     index_base = 0
     face_map = None
 
-    def __init__(self, cells: dict, faces: dict, name: str = ""):
-        self.cells = dict(cells)  # cell id -> dimension
-        self.faces = dict(faces)  # (cell id, *face index) -> CellRef
+    def __init__(self, cells: dict, faces: dict = None, name: str = "", *, rows: dict = None):
+        if (faces is None) == (rows is None):
+            raise TypeError("a presented set takes exactly one of faces and rows")
+        self.cells = MappingProxyType(dict(cells))  # cell id -> dimension
+        self._faces = None if faces is None else MappingProxyType(dict(faces))
+        self._rows = None if rows is None else MappingProxyType(dict(rows))
         self.name = name
         self._by_dim = None
+
+    @property
+    def faces(self):
+        """(cell id, *face index) -> CellRef; derived from rows, in their order."""
+        if self._faces is None:
+            self._faces = self._derive_faces()
+        return self._faces
+
+    @property
+    def rows(self):
+        """cell id -> the tuple of its faces in face-index order.  Derived
+        from a faces table, it raises KeyError on the first missing face."""
+        if self._rows is None:
+            self._rows = self._derive_rows()
+        return self._rows
+
+    @bulk
+    def _derive_faces(self):
+        cells, rows = self.cells, self._rows
+        # the face indices of each dimension as columns, zipped into keys
+        at = {d: tuple(zip(*self.face_indices(d))) for d in set(cells.values())}
+        keys = chain.from_iterable(zip(repeat(c), *at[cells[c]]) for c, row in rows.items() if row)
+        return MappingProxyType(dict(zip(keys, chain.from_iterable(rows.values()))))
+
+    @bulk
+    def _derive_rows(self):
+        at, faces = self.face_indices, self._faces
+        rows = {c: tuple([faces[(c, *i)] for i in at(d)]) for c, d in self.cells.items()}
+        return MappingProxyType(rows)
 
     @staticmethod
     def face_indices(d: int) -> tuple:
@@ -139,16 +177,15 @@ class PresentedSet:
                     out.append(CellRef(degens, c))
         return out
 
-    def faces_of(self, cell: str) -> list:
+    def faces_of(self, cell: str) -> tuple:
         """The faces of a non-degenerate cell, in face-index order."""
-        faces = self.faces
-        return [faces[(cell, *i)] for i in self.face_indices(self.cells[cell])]
+        return self.rows[cell]
 
     def face_of(self, ref: CellRef, *i) -> CellRef:
         """The face i of an element: stored for a non-degenerate element,
         computed by the presheaf action for a degenerate one."""
         if not ref.degens:
-            return self.faces[(ref.base,) + i]
+            return self.rows[ref.base][self.face_indices(self.cells[ref.base]).index(i)]
         return self.act(ref, self.face_map(self.dim_of(ref), *i))
 
     def degenerate(self, ref: CellRef, extra) -> CellRef:
@@ -161,35 +198,39 @@ class PresentedSet:
         that every face is present, and that each face lies one dimension
         down under a degeneracy word that is strictly increasing and within
         the face's dimension.  This is the first half of `validate`; it
-        returns the faces of each cell in face-index order for the second."""
+        returns the rows for the second."""
         base, cells = self.index_base, self.cells
-        keys = {d: set(self.face_indices(d)) for d in set(cells.values())}
-        for key, ref in self.faces.items():
-            cell = key[0]
-            if cell not in cells:
-                raise ValidationError(f"face data on unknown cell {cell}")
-            if ref.base not in cells:
-                raise ValidationError(f"face of {cell} points at unknown {ref.base}")
-            d = cells[cell]
-            if key[1:] not in keys[d]:
-                raise ValidationError(f"bad face key {key}")
-            degens = ref.degens
-            if cells[ref.base] + len(degens) != d - 1:
-                raise ValidationError(f"face of {cell} has wrong dimension")
-            if degens and not (
-                base <= degens[0]
-                and degens[-1] < d - 1 + base
-                and all(map(lt, degens, degens[1:]))
-            ):
-                raise ValidationError(
-                    f"face {key} has a bad degeneracy word {list(degens)}"
-                )
-        rows = {}
+        try:
+            rows = self.rows
+        except KeyError as missing:
+            raise ValidationError(f"missing face {missing.args[0]}") from None
+        if self._faces is not None and len(self._faces) != sum(map(len, rows.values())):
+            keys = {d: set(self.face_indices(d)) for d in set(cells.values())}
+            for key in self._faces:  # a key that is no face of a cell
+                if key[0] not in cells:
+                    raise ValidationError(f"face data on unknown cell {key[0]}")
+                if key[1:] not in keys[cells[key[0]]]:
+                    raise ValidationError(f"bad face key {key}")
+        if rows.keys() - cells.keys():
+            raise ValidationError(f"face data on unknown cell {min(rows.keys() - cells.keys())}")
         for cell, d in cells.items():
-            row = rows[cell] = [self.faces.get((cell, *i)) for i in self.face_indices(d)]
-            if None in row:
-                missing = self.face_indices(d)[row.index(None)]
-                raise ValidationError(f"missing face {(cell, *missing)}")
+            indices, row = self.face_indices(d), rows.get(cell, ())
+            if len(row) != len(indices):
+                raise ValidationError(f"{cell} has {len(row)} faces for {len(indices)} indices")
+            for i, ref in zip(indices, row):
+                if ref.base not in cells:
+                    raise ValidationError(f"face of {cell} points at unknown {ref.base}")
+                degens = ref.degens
+                if cells[ref.base] + len(degens) != d - 1:
+                    raise ValidationError(f"face of {cell} has wrong dimension")
+                if degens and not (
+                    base <= degens[0]
+                    and degens[-1] < d - 1 + base
+                    and all(map(lt, degens, degens[1:]))
+                ):
+                    raise ValidationError(
+                        f"face {(cell, *i)} has a bad degeneracy word {list(degens)}"
+                    )
         return rows
 
     def validate(self):
@@ -269,16 +310,15 @@ class PresentedMap:
                 raise ValidationError(f"image of {cell} is unknown target cell {image.base}")
             if target.dim_of(image) != d:
                 raise ValidationError(f"assignment of {cell} changes dimension")
-        target_faces, source_faces, apply = target.faces, source.faces, self.apply
+        target_rows, source_rows, apply = target.rows, source.rows, self.apply
         for cell, d in source.cells.items():
-            image = self.assignment[cell]
-            at_cell, at_image = (cell,), (image.base,)  # face keys minus the index
-            for i in source.face_indices(d):
-                if image.degens:
-                    lhs = target.face_of(image, *i)
-                else:
-                    lhs = target_faces[at_image + i]
-                if lhs != apply(source_faces[at_cell + i]):
+            image, indices = self.assignment[cell], source.face_indices(d)
+            if image.degens:
+                images = [target.face_of(image, *i) for i in indices]
+            else:
+                images = target_rows[image.base]
+            for i, lhs, ref in zip(indices, images, source_rows[cell]):
+                if lhs != apply(ref):
                     face = ",".join(map(str, i))
                     raise ValidationError(f"map does not commute with face ({face}) at {cell}")
         return True
@@ -290,21 +330,25 @@ class PresentedMap:
 def is_isomorphism(X: PresentedSet, Y: PresentedSet, bijection: dict) -> bool:
     """Whether ``bijection`` (cell id of X -> cell id of Y) is an isomorphism
     X -> Y: a bijection onto the cells of Y that preserves dimension and
-    renames the face table of X onto that of Y, sending the face
-    CellRef(w, b) under each key to CellRef(w, bijection[b]).  For such a
+    renames the face rows of X onto those of Y, sending each face
+    CellRef(w, b) to CellRef(w, bijection[b]).  For such a
     map, renaming is commuting with every face, its inverse then commutes
     too, and no presheaf action is needed.  The sides need not share ids."""
     if type(X) is not type(Y) or bijection.keys() != X.cells.keys():
         return False
-    cells, faces, get = Y.cells, Y.faces, bijection.get
+    cells, get = Y.cells, bijection.get
     if len(cells) != len(X.cells) or set(bijection.values()) != cells.keys():
         return False
-    if len(faces) != len(X.faces) or any(cells[get(c)] != d for c, d in X.cells.items()):
+    if any(cells[get(c)] != d for c, d in X.cells.items()):
+        return False
+    try:
+        x_rows, y_rows = X.rows, Y.rows
+    except KeyError:  # a missing face
         return False
     # a cell outside X renames to None, so a face that names one matches none of Y
     return all(
-        faces.get((get(key[0]),) + key[1:]) == (ref.degens, get(ref.base))
-        for key, ref in X.faces.items()
+        y_rows[get(c)] == tuple([(ref.degens, get(ref.base)) for ref in row])
+        for c, row in x_rows.items()
     )
 
 
@@ -332,8 +376,7 @@ def find_isomorphism(X: PresentedSet, Y: PresentedSet):
     cells of two sets of the same kind.  Returns the bijection dict or None."""
     if type(X) is not type(Y) or X.cell_counts() != Y.cell_counts():
         return None
-    fx = {c: X.faces_of(c) for c in X.cells}
-    fy = {c: Y.faces_of(c) for c in Y.cells}
+    fx, fy = X.rows, Y.rows
     cx, cy = _wl_colors(X, fx), _wl_colors(Y, fy)
     if Counter(cx.values()) != Counter(cy.values()):
         return None

@@ -168,7 +168,7 @@ def chain_realize(X: CubicalSet, cyl: CylinderDatum) -> ChainComplex:
                 for eps, cf in d_of[w[k - 1]]:
                     if not cf:
                         continue
-                    ref = X.faces[(c, k, eps)]
+                    ref = X.rows[c][2 * k - 2 + eps]
                     if ref.degens:
                         continue  # degenerate directions die under the collapse
                     r = row[(ref.base, rest)]

@@ -55,7 +55,7 @@ SimplexRef = CellRef
 class SimplicialSet(PresentedSet):
     """A finite simplicial set presented by its non-degenerate simplices and
     their faces.  Face indices are (j,): the vertex j from 0 that a face
-    misses."""
+    misses, at position j of a face row."""
 
     kind = "simplicial_set"
     face_fields = ("j",)
@@ -87,7 +87,7 @@ class SimplicialSet(PresentedSet):
         if len(mono) == m + 1:
             return nd(cell)
         missed = max(v for v in range(m + 1) if v not in set(mono))
-        step = self.faces[(cell, missed)]
+        step = self.rows[cell][missed]
         rest = tuple(v if v < missed else v - 1 for v in mono)
         return self.act(step, rest)
 

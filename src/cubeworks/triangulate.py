@@ -139,7 +139,7 @@ def triangulate(X: CubicalSet) -> SimplicialSet:
             cells[sid] = k
             row.append(SimplexRef((), sid))
 
-    X_cells, X_faces = X.cells, X.faces
+    X_cells, X_rows = X.cells, X.rows
     memo = {}  # (cell, chain in a proper face of its cube) -> resolved SimplexRef
 
     def resolve(cell, d, chain):
@@ -149,7 +149,7 @@ def triangulate(X: CubicalSet) -> SimplicialSet:
         out = memo.get((cell, chain))
         if out is None:
             i = d - (~(chain[0] ^ chain[-1]) & (1 << d) - 1).bit_length()
-            ref = X_faces[(cell, i + 1, chain[0] >> (d - 1 - i) & 1)]
+            ref = X_rows[cell][2 * i + (chain[0] >> (d - 1 - i) & 1)]
             e, pos, word = _land(d, i, ref.degens, chain)
             if pos is None:
                 out = resolve(ref.base, e, word)
@@ -158,25 +158,22 @@ def triangulate(X: CubicalSet) -> SimplicialSet:
             memo[cell, chain] = out
         return out
 
-    faces = {}
+    rows = {}
     for c, d in X.cells.items():
-        if d == 0:
-            continue
         row = refs[c]
+        if d == 0:
+            rows[row[0].base] = ()
+            continue
         heads, tails = [None] * len(row), [None] * len(row)
         for k in range(1, d + 1):
             for eps, ends in ((0, tails), (1, heads)):
-                ref = X_faces[(c, k, eps)]
+                ref = X_rows[c][2 * k - 2 + eps]
                 landed = refs[ref.base]
                 for p, pos, word in landing_table(d, k, eps, ref.degens):
                     if pos is None:
                         ends[p] = resolve(ref.base, X_cells[ref.base], word)
                     else:
                         ends[p] = SimplexRef(word, landed[pos].base) if word else landed[pos]
-        for ref, (_, k, inner), head, tail in zip(row, chain_table(d)[0], heads, tails):
-            sid = ref.base
-            faces[(sid, 0)] = head
-            for j, n in enumerate(inner, 1):
-                faces[(sid, j)] = row[n]
-            faces[(sid, k)] = tail
-    return SimplicialSet(cells, faces, name=f"tri({X.name})")
+        for ref, (_, _, inner), head, tail in zip(row, chain_table(d)[0], heads, tails):
+            rows[ref.base] = (head, *map(row.__getitem__, inner), tail)
+    return SimplicialSet(cells, name=f"tri({X.name})", rows=rows)

@@ -194,7 +194,7 @@ def criterion_3():
                 if X.dim_bound + Y.dim_bound + Z.dim_bound > 4:
                     continue
                 L, R = tensor(inner[(i, j)], Z), tensor(X, inner[(j, k)])
-                iso = L.cells == R.cells and L.faces == R.faces
+                iso = L.cells == R.cells and L.rows == R.rows
                 detail["associativity"].append(
                     {"triple": (X.name, Y.name, Z.name), "isomorphic": iso}
                 )

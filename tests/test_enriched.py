@@ -280,6 +280,25 @@ def test_presentations_are_frozen(name):
         _assert_frozen_collection(info.faces)
 
 
+def test_edge_tables_are_read_only():
+    # an edit in place used to leave the presentation's letters stale: after
+    # it, Map(c, c')@1 counted {0: 1} where a rebuilt presentation counted {0: 2}
+    P = build_P()
+    edge = P.edges[("c", "c'")]
+    with pytest.raises(TypeError):
+        edge.cells["w"] = 0
+    with pytest.raises(TypeError):
+        edge.faces[("w", 1, 0)] = CellRef((), "w")
+    with pytest.raises(TypeError):
+        edge.rows["w"] = ()
+    counts = mapping_space(P, "c", "c'", 1).space.cell_counts()
+    assert counts == mapping_space(replace(P), "c", "c'", 1).space.cell_counts() == {0: 1}
+    built = mapping_space(P, "c", "c'", 1).space  # a row-built set is read-only too
+    for table in (built.cells, built.faces, built.rows):
+        with pytest.raises(TypeError):
+            table["w"] = 0
+
+
 def test_degenerate_attachment_adds_free_edge():
     P = build_P()
     fresh = attach(P, vertex_edge_set("w"), set(), "c", "c'", {})

@@ -53,6 +53,8 @@ def test_exactly_the_builders_are_paused():
         "enriched._build",
         "io_json.Workspace.load",
         "james.james",
+        "presented.PresentedSet._derive_faces",
+        "presented.PresentedSet._derive_rows",
         "triangulate.triangulate",
     }
 

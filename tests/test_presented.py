@@ -304,6 +304,14 @@ def edited(X, faces=(), drop=None):
         ),
         (lambda: edited(standard_cube(2), drop=("**", 2, 1)), "missing face ('**', 2, 1)"),
         (
+            lambda: CubicalSet({"0": 0, "*": 1}, rows={"0": (), "*": (nd("0"),), "q": ()}),
+            "face data on unknown cell q",
+        ),
+        (
+            lambda: CubicalSet({"0": 0, "*": 1}, rows={"0": (), "*": (nd("0"),)}),
+            "* has 1 faces for 2 indices",
+        ),
+        (
             lambda: edited(standard_simplex(2), drop=("0.1.2", 1)),
             "missing face ('0.1.2', 1)",
         ),
@@ -342,6 +350,8 @@ def edited(X, faces=(), drop=None):
         "key-outside-the-face-indices",
         "simplicial-key-outside",
         "missing-face",
+        "row-on-unknown-cell",
+        "short-row",
         "simplicial-missing-face",
         "wrong-dimension",
         "degenerate-wrong-dimension",
