@@ -121,9 +121,12 @@ def run_rung(name: str, want_hash: bool) -> dict:
 
 
 def _faces_sha256(X) -> str:
+    """The digest of the (face, reference) items of ``X.faces``, rendered
+    from the rows in the same order, without building the keyed view."""
     digest = hashlib.sha256()
-    for item in X.faces.items():
-        digest.update(repr(item).encode())
+    for c, row in X.rows.items():
+        for i, ref in zip(X.face_indices(X.cells[c]), row):
+            digest.update(repr(((c, *i), ref)).encode())
     return digest.hexdigest()
 
 

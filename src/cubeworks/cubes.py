@@ -161,21 +161,6 @@ def enumerate_hom(n: int, m: int, guard: int = 10**6):
     return maps
 
 
-def face_type_maps(k: int, n: int):
-    """All composites of face inclusions k-cube -> n-cube (every variable used)."""
-    maps = []
-    for slots_used in combinations(range(n), k):
-        free = [j for j in range(n) if j not in slots_used]
-        for consts in product((0, 1), repeat=n - k):
-            slots = [None] * n
-            for pos, v in zip(slots_used, range(1, k + 1)):
-                slots[pos] = ("v", v)
-            for pos, eps in zip(free, consts):
-                slots[pos] = ("c", eps)
-            maps.append(CubeMap(k, n, tuple(slots)))
-    return maps
-
-
 def generator_closure(max_dim: int):
     """Close identities, faces and projections between dimensions <= max_dim
     under composition.  Test oracle for the normal-form enumeration."""

@@ -12,8 +12,8 @@ composition as the oracle.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations, product
 
-from . import cubes
 from .cubes import CubeMap, compose, face, projection_dropping, split_projection_face
 from .errors import CELL_BUDGET, GuardError, ValidationError, bulk
 # find_isomorphism and is_isomorphism stay importable from here for callers
@@ -87,26 +87,24 @@ def identity_map(X: CubicalSet) -> CubicalMap:
 # -- representables and their subobjects ------------------------------------
 
 
-def _slot_id(m: CubeMap) -> str:
-    return "".join("*" if k == "v" else str(v) for k, v in m.slots) or "pt"
-
-
 def standard_cube(n: int, guard: int = 8) -> CubicalSet:
     """The representable cubical set on the n-cube.  Non-degenerate k-cells are
-    the face-type maps k-cube -> n-cube, named by their slots; composing one
-    with the face (i, eps) of the k-cube sets its i-th free slot to eps."""
+    the face-type maps k-cube -> n-cube, named by their slots: ``*`` for each
+    of the k free slots, in the order of their positions, and 0 or 1 for each
+    constant; setting the i-th free slot to eps gives the face (i, eps)."""
     if n < 0:
         raise ValidationError(f"dimension {n} is negative")
     if n > guard:
         raise GuardError(f"dimension {n} exceeds guard {guard}")
-    cells = {_slot_id(m): k for k in range(n + 1) for m in cubes.face_type_maps(k, n)}
-    faces = {}
-    for cid in cells:
-        free = [p for p, slot in enumerate(cid) if slot == "*"]
-        for i, p in enumerate(free, 1):
-            for eps in "01":
-                faces[(cid, i, int(eps))] = nd(cid[:p] + eps + cid[p + 1 :])
-    return CubicalSet(cells, faces, name=f"cube{n}")
+    cells, rows = {}, {}
+    for k in range(n + 1):
+        for free in combinations(range(n), k):
+            slots = "".join("*" if p in free else "{}" for p in range(n))
+            for consts in product("01", repeat=n - k):
+                cid = slots.format(*consts) or "pt"
+                cells[cid] = k
+                rows[cid] = tuple([nd(cid[:p] + eps + cid[p + 1 :]) for p in free for eps in "01"])
+    return CubicalSet(cells, name=f"cube{n}", rows=rows)
 
 
 def subobject(X: CubicalSet, keep, name: str = "") -> tuple:
@@ -114,19 +112,17 @@ def subobject(X: CubicalSet, keep, name: str = "") -> tuple:
     must be closed under taking face bases."""
     keep = set(keep)
     cells = {c: d for c, d in X.cells.items() if c in keep}
-    faces = {}
-    for (c, k, eps), ref in X.faces.items():
-        if c in keep:
-            if ref.base not in keep:
-                raise ValidationError(f"{c} has face outside the subset")
-            faces[(c, k, eps)] = ref
-    S = CubicalSet(cells, faces, name=name)
+    rows = {c: row for c, row in X.rows.items() if c in keep}
+    for c, row in rows.items():
+        if any(ref.base not in keep for ref in row):
+            raise ValidationError(f"{c} has face outside the subset")
+    S = CubicalSet(cells, name=name, rows=rows)
     incl = CubicalMap(S, X, {c: nd(c) for c in cells})
     return S, incl
 
 
 def empty_set() -> CubicalSet:
-    return CubicalSet({}, {}, name="empty")
+    return CubicalSet({}, name="empty", rows={})
 
 
 def boundary(n: int) -> tuple:

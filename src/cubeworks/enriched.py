@@ -192,9 +192,8 @@ class EnrichedPresentation:
             raise ValidationError(f"attachment {i} has an endpoint that is not an object")
         if not a_cells <= space.cells.keys():
             raise ValidationError(f"A-cell {min(a_cells - space.cells.keys())} not in B")
-        for (c, *_), ref in space.faces.items():
-            if c in a_cells and ref.base not in a_cells:
-                raise ValidationError("A is not closed under faces")
+        if any(ref.base not in a_cells for c in a_cells for ref in space.rows[c]):
+            raise ValidationError("A is not closed under faces")
         if a_cells != words.keys():
             c = min(a_cells ^ words.keys())
             raise ValidationError(
@@ -258,7 +257,7 @@ class EnrichedPresentation:
 
 
 def vertex_edge_set(*names) -> CubicalSet:
-    return CubicalSet({n: 0 for n in names}, {})
+    return CubicalSet(dict.fromkeys(names, 0), rows=dict.fromkeys(names, ()))
 
 
 def attach(
@@ -277,10 +276,8 @@ def attach(
 
 
 def interval_attachment_space() -> CubicalSet:
-    return CubicalSet(
-        {"h": 1, "h0": 0, "h1": 0},
-        {("h", 1, 0): nd("h0"), ("h", 1, 1): nd("h1")},
-    )
+    cells = {"h": 1, "h0": 0, "h1": 0}
+    return CubicalSet(cells, rows={"h": (nd("h0"), nd("h1")), "h0": (), "h1": ()})
 
 
 def special_category(kind: str, label: CubicalSet = None) -> EnrichedPresentation:
@@ -335,17 +332,16 @@ _PREFIX = "2:"  # marks the cells and objects that the second factor of a gluing
 
 
 def _prefixed(space: CubicalSet, skip=()) -> tuple:
-    """The cells and faces of a cubical set with every cell id prefixed,
+    """The cells and rows of a cubical set with every cell id prefixed,
     leaving out the cells in skip."""
     cells = {_PREFIX + c: d for c, d in space.cells.items() if c not in skip}
-    faces = {}
-    for (c, k, eps), ref in space.faces.items():
-        if c in skip:
-            continue
-        if ref.base in skip:
-            raise ValidationError("cannot glue along a non-vertex edge")
-        faces[(_PREFIX + c, k, eps)] = CellRef(ref.degens, _PREFIX + ref.base)
-    return cells, faces
+    rows = {}
+    for c, row in space.rows.items():
+        if c not in skip:
+            if any(ref.base in skip for ref in row):
+                raise ValidationError("cannot glue along a non-vertex edge")
+            rows[_PREFIX + c] = tuple([CellRef(r.degens, _PREFIX + r.base) for r in row])
+    return cells, rows
 
 
 def glue_presentations(C1, edge1, C2, edge2, name: str = "") -> EnrichedPresentation:
@@ -373,17 +369,18 @@ def glue_presentations(C1, edge1, C2, edge2, name: str = "") -> EnrichedPresenta
         obj_map(o) for o in C2.objects if obj_map(o) not in C1.objects
     ]
     # edge sets: C1's plus C2's with the identified generator removed
-    merged = {pair: (dict(space.cells), dict(space.faces)) for pair, space in C1.edges.items()}
+    merged = {pair: (dict(space.cells), dict(space.rows)) for pair, space in C1.edges.items()}
     for (s, t), space in C2.edges.items():
-        cells, faces = merged.setdefault((obj_map(s), obj_map(t)), ({}, {}))
-        more_cells, more_faces = _prefixed(space, {c2} if (s, t) == (s2, t2) else ())
+        cells, rows = merged.setdefault((obj_map(s), obj_map(t)), ({}, {}))
+        more_cells, more_rows = _prefixed(space, {c2} if (s, t) == (s2, t2) else ())
         cells.update(more_cells)
-        faces.update(more_faces)
+        rows.update(more_rows)
     attachments = list(C1.attachments)
     for att in C2.attachments:
+        cells, rows = _prefixed(att.space)
         attachments.append(
             Attachment(
-                CubicalSet(*_prefixed(att.space)),
+                CubicalSet(cells, rows=rows),
                 {_PREFIX + c for c in att.a_cells},
                 obj_map(att.source),
                 obj_map(att.target),
@@ -395,7 +392,7 @@ def glue_presentations(C1, edge1, C2, edge2, name: str = "") -> EnrichedPresenta
         )
     return EnrichedPresentation(
         objects,
-        {pair: CubicalSet(cells, faces) for pair, (cells, faces) in merged.items()},
+        {pair: CubicalSet(cells, rows=rows) for pair, (cells, rows) in merged.items()},
         name or f"{C1.name}+{C2.name}",
         attachments,
         C1.cancel_pairs | {(letter_map2(a), letter_map2(b)) for a, b in C2.cancel_pairs},
@@ -433,7 +430,10 @@ def localize(pres: EnrichedPresentation, edge, name: str = "") -> EnrichedPresen
     inv = ("e", t, s, inv_cell)
     return replace(
         pres,
-        edges={**pres.edges, (t, s): CubicalSet({**rev.cells, inv_cell: 0}, rev.faces)},
+        edges={
+            **pres.edges,
+            (t, s): CubicalSet({**rev.cells, inv_cell: 0}, rows={**rev.rows, inv_cell: ()}),
+        },
         name=name or f"{pres.name}<{c}^-1>",
         cancel_pairs=pres.cancel_pairs | {(edge, inv), (inv, edge)},
         zero_weight=pres.zero_weight | {edge, inv},

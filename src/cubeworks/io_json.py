@@ -30,10 +30,11 @@ def presented_to_json(X: PresentedSet) -> dict:
     degeneracy directions are shifted to start at 0."""
     base, fields = X.index_base, X.face_fields
     faces = []
-    for key, ref in sorted(X.faces.items()):
-        entry = {"cell": key[0], "degens": [s - base for s in ref.degens], "base": ref.base}
-        entry.update(zip(fields, (key[1] - base, *key[2:])))
-        faces.append(entry)
+    for c, d in sorted(X.cells.items()):
+        for i, ref in zip(X.face_indices(d), X.rows[c]):
+            entry = {"cell": c, "degens": [s - base for s in ref.degens], "base": ref.base}
+            entry.update(zip(fields, (i[0] - base, *i[1:])))
+            faces.append(entry)
     return {
         "schema": SCHEMA,
         "kind": X.kind,
@@ -89,8 +90,9 @@ def _index(x) -> bool:
 def presented_from_json(data: dict, cls):
     """Parse a cubical or simplicial set.  The types are checked here (cells
     map ids to non-negative integers; each face is an object with the
-    expected fields and integer indices), then `PresentedSet.validate`
-    checks the shape of the face data and the face identities."""
+    expected fields and integer indices), each face fills its slot of a row
+    as it is parsed (`PresentedSet.fill_rows`), then `PresentedSet.validate`
+    checks the shape of the rows and the face identities."""
     what = cls.kind.replace("_", " ")
     if data.get("schema") != SCHEMA or data.get("kind") != cls.kind:
         raise ValidationError(f"not a cubeworks/1 {what}")
@@ -101,25 +103,28 @@ def presented_from_json(data: dict, cls):
         raise ValidationError(f"{what} needs a list of faces and a string name")
     base, fields = cls.index_base, cls.face_fields
     refs = {c: nd(c) for c in cells}  # one non-degenerate ref per base cell
-    faces = {}
-    for f in entries:
-        if type(f) is not dict:
-            raise ValidationError(f"malformed {what} face {repr(f):.80}")
-        cell, ref, degens = f.get("cell"), f.get("base"), f.get("degens")
-        index = [f.get(k) for k in fields]
-        if not (
-            type(cell) is str
-            and type(ref) is str
-            and type(degens) is list
-            and all(map(_index, index))
-            and (not degens or all(map(_index, degens)))
-        ):
-            raise ValidationError(f"malformed {what} face {repr(f):.80}")
-        index[0] += base
-        faces[(cell, *index)] = (
-            CellRef(tuple([s + base for s in degens]), ref) if degens else refs.get(ref) or nd(ref)
-        )
-    X = cls(cells, faces, name=name)
+
+    def items():
+        for f in entries:
+            if type(f) is not dict:
+                raise ValidationError(f"malformed {what} face {repr(f):.80}")
+            cell, ref, degens = f.get("cell"), f.get("base"), f.get("degens")
+            index = [f.get(k) for k in fields]
+            if not (
+                type(cell) is str
+                and type(ref) is str
+                and type(degens) is list
+                and all(map(_index, index))
+                and (not degens or all(map(_index, degens)))
+            ):
+                raise ValidationError(f"malformed {what} face {repr(f):.80}")
+            index[0] += base
+            if degens:
+                yield (cell, *index), CellRef(tuple([s + base for s in degens]), ref)
+            else:
+                yield (cell, *index), refs.get(ref) or nd(ref)
+
+    X = cls(cells, name=name, rows=cls.fill_rows(cells, items()))
     X.validate()
     return X
 
@@ -336,6 +341,7 @@ class Workspace:
     def save(self, name: str, obj) -> str:
         _check_name(name)
         if isinstance(obj, PresentedSet):
+            obj.check_shape()  # the writer reads every row as a full one
             data, kind = obj, obj.kind
         else:
             data = to_json(obj)

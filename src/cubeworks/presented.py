@@ -94,10 +94,10 @@ class PresentedSet:
     dimension n that the presheaf action ``act(ref, f)`` takes; they also
     supply ``act``.
 
-    The face data is one of two read-only tables, each derived from the
-    other on first use: ``faces``, keyed by ``(cell, *index)``, and
-    ``rows``, each cell's faces as one tuple in face-index order.  A set
-    keeps the table it was given; the bulk builders pass ``rows``.
+    The face data is one read-only table, ``rows``: each cell's faces as one
+    tuple in face-index order.  The keyed form ``faces``, by ``(cell,
+    *index)``, is a read-only view derived from it on first read.  A set
+    given keyed faces turns them into rows as it is built (`fill_rows`).
     """
 
     kind = ""
@@ -108,11 +108,37 @@ class PresentedSet:
     def __init__(self, cells: dict, faces: dict = None, name: str = "", *, rows: dict = None):
         if (faces is None) == (rows is None):
             raise TypeError("a presented set takes exactly one of faces and rows")
+        if faces is not None:
+            rows = self.fill_rows(cells, faces.items())
         self.cells = MappingProxyType(dict(cells))  # cell id -> dimension
-        self._faces = None if faces is None else MappingProxyType(dict(faces))
-        self._rows = None if rows is None else MappingProxyType(dict(rows))
+        self.rows = MappingProxyType(dict(rows))  # cell id -> faces in face-index order
         self.name = name
+        self._faces = None
         self._by_dim = None
+
+    @classmethod
+    def fill_rows(cls, cells: dict, items) -> dict:
+        """The rows of keyed face items ``((cell, *index), ref)``: each face
+        fills its slot.  The first face on an unknown cell, under a key that
+        is no face index of its cell or under a key already given is
+        refused, and then the first slot left empty, as a missing face."""
+        at = {d: {i: n for n, i in enumerate(cls.face_indices(d))} for d in set(cells.values())}
+        slots = {c: [None] * len(at[d]) for c, d in cells.items()}
+        for key, ref in items:
+            row = slots.get(key[0])
+            if row is None:
+                raise ValidationError(f"face data on unknown cell {key[0]}")
+            n = at[cells[key[0]]].get(key[1:])
+            if n is None:
+                raise ValidationError(f"bad face key {key}")
+            if row[n] is not None:
+                raise ValidationError(f"face {key} given twice")
+            row[n] = ref
+        for c, row in slots.items():
+            if None in row:
+                index = cls.face_indices(cells[c])[row.index(None)]
+                raise ValidationError(f"missing face {(c, *index)}")
+        return {c: tuple(row) for c, row in slots.items()}
 
     @property
     def faces(self):
@@ -121,27 +147,13 @@ class PresentedSet:
             self._faces = self._derive_faces()
         return self._faces
 
-    @property
-    def rows(self):
-        """cell id -> the tuple of its faces in face-index order.  Derived
-        from a faces table, it raises KeyError on the first missing face."""
-        if self._rows is None:
-            self._rows = self._derive_rows()
-        return self._rows
-
     @bulk
     def _derive_faces(self):
-        cells, rows = self.cells, self._rows
+        cells, rows = self.cells, self.rows
         # the face indices of each dimension as columns, zipped into keys
         at = {d: tuple(zip(*self.face_indices(d))) for d in set(cells.values())}
         keys = chain.from_iterable(zip(repeat(c), *at[cells[c]]) for c, row in rows.items() if row)
         return MappingProxyType(dict(zip(keys, chain.from_iterable(rows.values()))))
-
-    @bulk
-    def _derive_rows(self):
-        at, faces = self.face_indices, self._faces
-        rows = {c: tuple([faces[(c, *i)] for i in at(d)]) for c, d in self.cells.items()}
-        return MappingProxyType(rows)
 
     @staticmethod
     def face_indices(d: int) -> tuple:
@@ -194,27 +206,17 @@ class PresentedSet:
         return degenerate(ref, extra, self.dim_of(ref) + len(extra), self.index_base)
 
     def check_shape(self):
-        """Check that face data sits on known cells under well-formed keys,
-        that every face is present, and that each face lies one dimension
-        down under a degeneracy word that is strictly increasing and within
-        the face's dimension.  This is the first half of `validate`; it
-        returns the rows for the second."""
-        base, cells = self.index_base, self.cells
-        try:
-            rows = self.rows
-        except KeyError as missing:
-            raise ValidationError(f"missing face {missing.args[0]}") from None
-        if self._faces is not None and len(self._faces) != sum(map(len, rows.values())):
-            keys = {d: set(self.face_indices(d)) for d in set(cells.values())}
-            for key in self._faces:  # a key that is no face of a cell
-                if key[0] not in cells:
-                    raise ValidationError(f"face data on unknown cell {key[0]}")
-                if key[1:] not in keys[cells[key[0]]]:
-                    raise ValidationError(f"bad face key {key}")
+        """Check that every row sits on a known cell and has one face per face
+        index, and that each face lies one dimension down on a known base
+        under a degeneracy word that is strictly increasing and within the
+        face's dimension.  This is the first half of `validate`."""
+        base, cells, rows = self.index_base, self.cells, self.rows
         if rows.keys() - cells.keys():
             raise ValidationError(f"face data on unknown cell {min(rows.keys() - cells.keys())}")
+        if cells.keys() - rows.keys():
+            raise ValidationError(f"no face row for {min(cells.keys() - rows.keys())}")
         for cell, d in cells.items():
-            indices, row = self.face_indices(d), rows.get(cell, ())
+            indices, row = self.face_indices(d), rows[cell]
             if len(row) != len(indices):
                 raise ValidationError(f"{cell} has {len(row)} faces for {len(indices)} indices")
             for i, ref in zip(indices, row):
@@ -231,14 +233,13 @@ class PresentedSet:
                     raise ValidationError(
                         f"face {(cell, *i)} has a bad degeneracy word {list(degens)}"
                     )
-        return rows
 
     def validate(self):
         """Check the shape of the face data, then the face identities."""
-        rows = self.check_shape()
+        self.check_shape()
         for cell, d in self.cells.items():
             if d >= 2:
-                self._check_identities(cell, d, rows)
+                self._check_identities(cell, d, self.rows)
         return True
 
     def _check_identities(self, cell: str, d: int, rows: dict):
@@ -266,14 +267,13 @@ def disjoint_union(X: PresentedSet, Y: PresentedSet) -> PresentedSet:
     ``l:`` and cells of Y ``r:``."""
     if type(X) is not type(Y):
         raise ValidationError("disjoint union of sets of different kinds")
-    cells = {}
-    faces = {}
+    cells, rows = {}, {}
     for tag, Z in (("l", X), ("r", Y)):
         for c, d in Z.cells.items():
             cells[f"{tag}:{c}"] = d
-        for (c, *i), ref in Z.faces.items():
-            faces[(f"{tag}:{c}", *i)] = CellRef(ref.degens, f"{tag}:{ref.base}")
-    return type(X)(cells, faces, name=f"{X.name}+{Y.name}")
+        for c, row in Z.rows.items():
+            rows[f"{tag}:{c}"] = tuple([CellRef(r.degens, f"{tag}:{r.base}") for r in row])
+    return type(X)(cells, name=f"{X.name}+{Y.name}", rows=rows)
 
 
 class PresentedMap:
@@ -341,10 +341,9 @@ def is_isomorphism(X: PresentedSet, Y: PresentedSet, bijection: dict) -> bool:
         return False
     if any(cells[get(c)] != d for c, d in X.cells.items()):
         return False
-    try:
-        x_rows, y_rows = X.rows, Y.rows
-    except KeyError:  # a missing face
-        return False
+    x_rows, y_rows = X.rows, Y.rows
+    if x_rows.keys() != X.cells.keys() or y_rows.keys() != cells.keys():
+        return False  # a cell without a row, or a row on no cell
     # a cell outside X renames to None, so a face that names one matches none of Y
     return all(
         y_rows[get(c)] == tuple([(ref.degens, get(ref.base)) for ref in row])

@@ -99,26 +99,19 @@ def standard_simplex(n: int) -> SimplicialSet:
     """Δ^n; its 2^(n+1) - 1 cells are counted first against CELL_BUDGET."""
     if n >= CELL_BUDGET.bit_length() or 2 ** (n + 1) - 1 > CELL_BUDGET:
         raise GuardError(f"{n}-simplex of more than {CELL_BUDGET} cells exceeds budget")
-    cells = {}
-    faces = {}
+    cells, rows = {}, {}
     for k in range(n + 1):
         for verts in combinations(range(n + 1), k + 1):
             cid = ".".join(map(str, verts))
             cells[cid] = k
-            for j in range(k + 1):
-                sub = verts[:j] + verts[j + 1 :]
-                if sub:
-                    faces[(cid, j)] = nd(".".join(map(str, sub)))
-    return SimplicialSet(cells, faces, name=f"delta{n}")
+            subs = [verts[:j] + verts[j + 1 :] for j in range(k + 1)] if k else ()
+            rows[cid] = tuple([nd(".".join(map(str, sub))) for sub in subs])
+    return SimplicialSet(cells, name=f"delta{n}", rows=rows)
 
 
 def circle() -> SimplicialSet:
     """Delta^1 with its endpoints identified: one vertex, one edge."""
-    return SimplicialSet(
-        {"v": 0, "s": 1},
-        {("s", 0): nd("v"), ("s", 1): nd("v")},
-        name="circle",
-    )
+    return SimplicialSet({"v": 0, "s": 1}, name="circle", rows={"v": (), "s": (nd("v"), nd("v"))})
 
 
 def wedge_of_intervals(count: int = 2) -> SimplicialSet:
@@ -129,11 +122,8 @@ def wedge_of_intervals(count: int = 2) -> SimplicialSet:
     counted first against CELL_BUDGET."""
     if 2 * count + 1 > CELL_BUDGET:
         raise GuardError(f"wedge of {2 * count + 1} cells exceeds budget {CELL_BUDGET}")
-    cells = {"w": 0}
-    faces = {}
+    cells, rows = {"w": 0}, {"w": ()}
     for i in range(1, count + 1):
-        cells[f"a{i}"] = 0
-        cells[f"e{i}"] = 1
-        faces[(f"e{i}", 0)] = nd("w")
-        faces[(f"e{i}", 1)] = nd(f"a{i}")
-    return SimplicialSet(cells, faces, name=f"wedge{count}")
+        cells[f"a{i}"], rows[f"a{i}"] = 0, ()
+        cells[f"e{i}"], rows[f"e{i}"] = 1, (nd("w"), nd(f"a{i}"))
+    return SimplicialSet(cells, name=f"wedge{count}", rows=rows)

@@ -1,17 +1,50 @@
-"""The face-table loops of `tensor`, `triangulate` and `james` as they were
-before the builders emitted rows: each stores every face under its own
-``(cell, *index)`` key, in the order the builder makes them.  They are the
-oracle for the ``faces`` that a row-built set derives, item for item and in
-order.  The cell budgets and the collector pause are left out."""
+"""The face-table loops of `standard_cube`, `tensor`, `triangulate` and
+`james` as they were before the builders emitted rows: each stores every
+face under its own ``(cell, *index)`` key, in the order the builder makes
+them.  They are the oracle for the rows and the derived ``faces`` of the
+row builders, item for item and in order.  The cell budgets, the guards and
+the collector pause are left out."""
 
-from itertools import chain, repeat
+from itertools import chain, combinations, product, repeat
 
+from cubeworks.cubes import CubeMap
 from cubeworks.cubical import CellRef, CubicalSet, _pair_id, nd
 from cubeworks.errors import ValidationError
 from cubeworks.james import _count_cells, _letter_token, word_token
 from cubeworks.presented import divide
 from cubeworks.simplicial import SimplexRef, SimplicialSet, delta_face
 from cubeworks.triangulate import _land, chain_table, landing_table
+
+
+def face_type_maps(k: int, n: int):
+    """All composites of face inclusions k-cube -> n-cube (every variable used)."""
+    maps = []
+    for slots_used in combinations(range(n), k):
+        free = [j for j in range(n) if j not in slots_used]
+        for consts in product((0, 1), repeat=n - k):
+            slots = [None] * n
+            for pos, v in zip(slots_used, range(1, k + 1)):
+                slots[pos] = ("v", v)
+            for pos, eps in zip(free, consts):
+                slots[pos] = ("c", eps)
+            maps.append(CubeMap(k, n, tuple(slots)))
+    return maps
+
+
+def _slot_id(m: CubeMap) -> str:
+    return "".join("*" if k == "v" else str(v) for k, v in m.slots) or "pt"
+
+
+def standard_cube_by_keys(n):
+    """The n-cube with a cell per face-type map, named by its slots."""
+    cells = {_slot_id(m): k for k in range(n + 1) for m in face_type_maps(k, n)}
+    faces = {}
+    for cid in cells:
+        free = [p for p, slot in enumerate(cid) if slot == "*"]
+        for i, p in enumerate(free, 1):
+            for eps in "01":
+                faces[(cid, i, int(eps))] = nd(cid[:p] + eps + cid[p + 1 :])
+    return CubicalSet(cells, faces, name=f"cube{n}")
 
 
 def tensor_by_keys(X, Y):

@@ -14,8 +14,8 @@ from cubeworks.presented import PresentedMap, nd
 def is_isomorphism_by_map(X, Y, bijection: dict) -> bool:
     """Whether ``bijection`` (cell id of X -> cell id of Y) is a bijection
     onto the cells of Y that, as a map of presented sets, passes
-    `PresentedMap.validate`.  Both sets must have every face: a missing
-    face raises KeyError here."""
+    `PresentedMap.validate`.  Both sets must have a full row of faces on
+    every cell: a missing row raises KeyError here."""
     if type(X) is not type(Y):
         return False
     if bijection.keys() != X.cells.keys() or len(X.cells) != len(Y.cells):

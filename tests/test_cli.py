@@ -200,6 +200,26 @@ def test_workspace_failed_save_keeps_old_files(tmp_path):
     assert (tmp_path / "ws" / "manifest.json").read_bytes() == manifest
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ({"*": (nd("0"),)}, "* has 1 faces for 2 indices"),
+        ({"*": (nd("0"), nd("2"))}, "face of * points at unknown 2"),
+        ({"*": (nd("0"), nd("1")), "2": ()}, "face data on unknown cell 2"),
+    ],
+    ids=["short-row", "unknown-base", "row-on-unknown-cell"],
+)
+def test_workspace_refuses_to_save_a_malformed_set(tmp_path, rows, message):
+    ws = Workspace(str(tmp_path / "ws"))
+    ws.save("b2", boundary(2)[0])
+    before = {p.name: p.read_bytes() for p in (tmp_path / "ws").iterdir()}
+    I = standard_cube(1)
+    with pytest.raises(ValidationError) as refused:
+        ws.save("b2", CubicalSet(I.cells, rows={**I.rows, **rows}))
+    assert str(refused.value) == message
+    assert {p.name: p.read_bytes() for p in (tmp_path / "ws").iterdir()} == before
+
+
 def test_cli_tensor_with_colliding_ids_exits_2(capsys, tmp_path):
     ws = Workspace(str(tmp_path / "ws"))
     ws.save("x", CubicalSet({"a": 0, "a|b": 0}, {}, name="X"))
@@ -426,6 +446,9 @@ def _set(path, value):
         _set(["faces", 0, "cell"], ["*0"]),
         lambda data: data["faces"][0].pop("base"),
         _set(["name"], 3),
+        lambda data: data["faces"].append(data["faces"][0]),
+        # the first face of *0 is 00; a later entry naming 01 would win
+        lambda data: data["faces"].append({**data["faces"][0], "base": "01"}),
     ],
     ids=[
         "cells-list",
@@ -441,6 +464,8 @@ def _set(path, value):
         "list-cell",
         "missing-base",
         "int-name",
+        "repeated-face",
+        "conflicting-face",
     ],
 )
 def test_cli_malformed_artifact_exits_2(capsys, tmp_path, edit):

@@ -9,7 +9,6 @@ from cubeworks.cubes import (
     compose,
     enumerate_hom,
     face,
-    face_type_maps,
     generator_closure,
     hom_count,
     identity,
@@ -20,6 +19,7 @@ from cubeworks.cubes import (
     split_projection_face,
 )
 from cubeworks.errors import GuardError, ValidationError
+from dict_builders import face_type_maps
 
 
 def var(i):

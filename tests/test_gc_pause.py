@@ -54,7 +54,6 @@ def test_exactly_the_builders_are_paused():
         "io_json.Workspace.load",
         "james.james",
         "presented.PresentedSet._derive_faces",
-        "presented.PresentedSet._derive_rows",
         "triangulate.triangulate",
     }
 

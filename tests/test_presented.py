@@ -284,64 +284,87 @@ def edited(X, faces=(), drop=None):
 
 
 @pytest.mark.parametrize(
-    "make, message",
+    "make, message, stage",
     [
         (
             lambda: edited(standard_cube(2), {("qq", 1, 0): nd("00")}),
             "face data on unknown cell qq",
+            "build",
         ),
         (
             lambda: edited(standard_cube(2), {("**", 1, 0): nd("zz")}),
             "face of ** points at unknown zz",
+            "validate",
         ),
         (
             lambda: edited(standard_cube(2), {("**", 3, 0): nd("0*")}),
             "bad face key ('**', 3, 0)",
+            "build",
         ),
         (
             lambda: edited(standard_simplex(2), {("0.1.2", 3): nd("0.1")}),
             "bad face key ('0.1.2', 3)",
+            "build",
         ),
-        (lambda: edited(standard_cube(2), drop=("**", 2, 1)), "missing face ('**', 2, 1)"),
+        (
+            lambda: edited(standard_cube(2), drop=("**", 2, 1)),
+            "missing face ('**', 2, 1)",
+            "build",
+        ),
         (
             lambda: CubicalSet({"0": 0, "*": 1}, rows={"0": (), "*": (nd("0"),), "q": ()}),
             "face data on unknown cell q",
+            "validate",
         ),
         (
             lambda: CubicalSet({"0": 0, "*": 1}, rows={"0": (), "*": (nd("0"),)}),
             "* has 1 faces for 2 indices",
+            "validate",
+        ),
+        (
+            lambda: CubicalSet({"0": 0, "*": 1}, rows={"*": (nd("0"), nd("0"))}),
+            "no face row for 0",
+            "validate",
         ),
         (
             lambda: edited(standard_simplex(2), drop=("0.1.2", 1)),
             "missing face ('0.1.2', 1)",
+            "build",
         ),
         (
             lambda: edited(standard_cube(2), {("**", 1, 0): nd("00")}),
             "face of ** has wrong dimension",
+            "validate",
         ),
         (
             lambda: edited(standard_cube(2), {("**", 1, 0): CellRef((1, 2), "00")}),
             "face of ** has wrong dimension",
+            "validate",
         ),
         (
             lambda: edited(standard_cube(3), {("***", 1, 0): CellRef((2, 1), "000")}),
             "face ('***', 1, 0) has a bad degeneracy word [2, 1]",
+            "validate",
         ),
         (
             lambda: edited(standard_cube(3), {("***", 2, 1): nd("*0*")}),
             "face identity fails at ***, (1, 0),(2, 1)",
+            "validate",
         ),
         (
             lambda: swapped(standard_cube(3), "***", (2, 0), (3, 1)),
             "face identity fails at ***, (1, 0),(2, 0)",
+            "validate",
         ),
         (
             lambda: pinched_triangle(t0=SimplexRef((0,), "v")),
             "face identity fails at t, (0,),(1,)",
+            "validate",
         ),
         (
             lambda: swapped(collapsed_square(), "X:**", (1, 0), (2, 1)),
             "face identity fails at X:**, (1, 0),(2, 1)",
+            "validate",
         ),
     ],
     ids=[
@@ -352,6 +375,7 @@ def edited(X, faces=(), drop=None):
         "missing-face",
         "row-on-unknown-cell",
         "short-row",
+        "missing-row",
         "simplicial-missing-face",
         "wrong-dimension",
         "degenerate-wrong-dimension",
@@ -362,8 +386,14 @@ def edited(X, faces=(), drop=None):
         "degenerate-face-swapped",
     ],
 )
-def test_refusals_name_the_first_failure(make, message):
-    assert refusal(make()) == message
+def test_refusals_name_the_first_failure(make, message, stage):
+    # keyed face data is refused as it fills the rows, rows by `validate`
+    if stage == "build":
+        with pytest.raises(ValidationError) as refused:
+            make()
+        assert str(refused.value) == message
+    else:
+        assert refusal(make()) == message
 
 
 @pytest.mark.parametrize("kind", [CubicalSet, SimplicialSet])
@@ -424,7 +454,7 @@ def test_simplicial_degenerate_matches_reference_apply(make):
     checked = 0
     for e in range(4):
         for image in X.refs_of_dim(e):
-            m = SimplicialMap(SimplicialSet({"x": e}, {}), X, {"x": image})
+            m = SimplicialMap(SimplicialSet({"x": e}, rows={"x": ()}), X, {"x": image})
             for ref in (r for n in range(e, 5) for r in m.source.refs_of_dim(n)):
                 expected = reference_simplicial_apply(m, ref)
                 assert m.apply(ref) == expected
@@ -469,12 +499,18 @@ def test_is_isomorphism_answers_when_a_face_is_missing():
     I = standard_cube(1)
     faces = dict(I.faces)
     del faces[("*", 1, 0)]
-    broken = CubicalSet(I.cells, faces)
+    with pytest.raises(ValidationError) as refused:
+        CubicalSet(I.cells, faces)
+    assert str(refused.value) == "missing face ('*', 1, 0)"
+    broken = CubicalSet(I.cells, rows={**I.rows, "*": I.rows["*"][1:]})
     identity = {c: c for c in I.cells}
     assert is_isomorphism(broken, I, identity) is False
     assert is_isomorphism(I, broken, identity) is False
+    rowless = CubicalSet(I.cells, rows={"0": (), "1": ()})
+    assert is_isomorphism(rowless, I, identity) is False
+    assert is_isomorphism(I, rowless, identity) is False
     with pytest.raises(KeyError):
-        is_isomorphism_by_map(broken, I, identity)
+        is_isomorphism_by_map(rowless, I, identity)
 
 
 @settings(deadline=None)

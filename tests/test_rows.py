@@ -1,20 +1,28 @@
-"""Face rows against face tables: the ``faces`` that a row-built set derives
-against the key-by-key loops of `dict_builders`, the ``rows`` that a
-dict-built set derives against its keyed faces, and `is_isomorphism` across
-the two kinds of set against the map route of `iso_oracle`."""
+"""Face rows against face tables: the rows of `standard_cube` and the
+``faces`` that a row-built set derives against the key-by-key loops of
+`dict_builders`, the ``rows`` that keyed faces fill against those faces, and
+`is_isomorphism` between row-built and keyed sets against the map route of
+`iso_oracle`."""
 
 import os
 import subprocess
 import sys
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from cubeworks.cubical import CellRef, CubicalSet, tensor
+from cubeworks.cubical import CellRef, CubicalSet, standard_cube, tensor
+from cubeworks.errors import ValidationError
 from cubeworks.james import _count_cells, james
 from cubeworks.presented import is_isomorphism
 from cubeworks.triangulate import triangulate
-from dict_builders import james_by_keys, tensor_by_keys, triangulate_by_keys
+from dict_builders import (
+    james_by_keys,
+    standard_cube_by_keys,
+    tensor_by_keys,
+    triangulate_by_keys,
+)
 from iso_oracle import is_isomorphism_by_map
 from random_sets import SOURCES, cubical_sets
 
@@ -22,6 +30,14 @@ from random_sets import SOURCES, cubical_sets
 def _rows_by_keys(Z):
     """Each cell's faces read key by key from the faces table."""
     return {c: tuple(Z.faces[(c, *i)] for i in Z.face_indices(d)) for c, d in Z.cells.items()}
+
+
+def test_standard_cube_renders_the_ids_of_the_face_type_maps():
+    for n in range(7):
+        built, keyed = standard_cube(n), standard_cube_by_keys(n)
+        assert list(built.cells.items()) == list(keyed.cells.items())
+        assert list(built.rows.items()) == list(keyed.rows.items())
+        assert list(built.faces.items()) == list(keyed.faces.items())
 
 
 @settings(deadline=None)
@@ -41,7 +57,7 @@ def test_row_builders_derive_the_face_tables_of_the_key_loops(X, Y, data):
     for built, keyed in pairs:
         assert list(built.cells.items()) == list(keyed.cells.items())
         assert list(built.faces.items()) == list(keyed.faces.items())
-        # rows derived from the keyed table, and faces_of on both
+        # rows filled from the keyed table, and faces_of on both
         assert keyed.rows == built.rows == _rows_by_keys(keyed)
         assert all(keyed.faces_of(c) == built.faces_of(c) for c in keyed.cells)
     assert X.rows == _rows_by_keys(X)
@@ -50,8 +66,10 @@ def test_row_builders_derive_the_face_tables_of_the_key_loops(X, Y, data):
 @settings(deadline=None)
 @given(cubical_sets(), st.sampled_from(SOURCES), st.data())
 def test_renaming_agrees_with_the_map_route_across_rows_and_tables(X, Y, data):
-    # a row-built tensor against a dict-built relabelling of it, both ways,
-    # with two images swapped and with one face of the table edited or dropped
+    # a row-built tensor against a keyed relabelling of it, both ways, with
+    # two images swapped, with one face of the table edited, and with one
+    # face dropped: the keyed table is refused, and a row without it is no
+    # isomorphism
     T = tensor(X, Y)
     order = data.draw(st.permutations(sorted(T.cells)))
     name = {c: f"y{n}" for n, c in enumerate(order)}
@@ -72,7 +90,11 @@ def test_renaming_agrees_with_the_map_route_across_rows_and_tables(X, Y, data):
         verdict = is_isomorphism(T, edited, name)
         assert verdict is is_isomorphism_by_map(T, edited, name)
         assert verdict is is_isomorphism(edited, T, back) is (ref == faces[key])
-        dropped = CubicalSet(D.cells, {k: r for k, r in faces.items() if k != key})
+        with pytest.raises(ValidationError) as refused:
+            CubicalSet(D.cells, {k: r for k, r in faces.items() if k != key})
+        assert str(refused.value) == f"missing face {key}"
+        row, n = D.rows[key[0]], D.face_indices(D.cells[key[0]]).index(key[1:])
+        dropped = CubicalSet(D.cells, rows={**D.rows, key[0]: row[:n] + row[n + 1 :]})
         assert is_isomorphism(T, dropped, name) is False
         assert is_isomorphism(dropped, T, back) is False
 

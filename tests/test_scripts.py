@@ -153,7 +153,7 @@ def test_ladder_rungs_fit_the_cell_budget():
     # the triangulation counts simplices from the cell dimensions alone
     cells = {f"{w}.{d}.{i}": d for (w, d), n in map_cc6.items() for i in range(n)}
     james_w6 = _count_cells(wedge_of_intervals(2), "w", 6, 6)[0]
-    tri_map_cc6 = simplex_count(CubicalSet(cells, {}))
+    tri_map_cc6 = simplex_count(CubicalSet(cells, rows={}))
     rungs = {
         "james_wedge_w6": james_w6,
         "map_cc6": sum(map_cc6.values()),
