@@ -219,11 +219,11 @@ class PresentedSet:
             indices, row = self.face_indices(d), rows[cell]
             if len(row) != len(indices):
                 raise ValidationError(f"{cell} has {len(row)} faces for {len(indices)} indices")
-            for i, ref in zip(indices, row):
-                if ref.base not in cells:
-                    raise ValidationError(f"face of {cell} points at unknown {ref.base}")
-                degens = ref.degens
-                if cells[ref.base] + len(degens) != d - 1:
+            for i, (degens, b) in zip(indices, row):
+                e = cells.get(b)
+                if e is None:
+                    raise ValidationError(f"face of {cell} points at unknown {b}")
+                if e + len(degens) != d - 1:
                     raise ValidationError(f"face of {cell} has wrong dimension")
                 if degens and not (
                     base <= degens[0]

@@ -312,6 +312,13 @@ def edited(X, faces=(), drop=None):
             "build",
         ),
         (
+            lambda: CubicalSet.fill_rows(
+                standard_cube(1).cells, [*standard_cube(1).faces.items(), (("*", 1, 0), nd("1"))]
+            ),
+            "face ('*', 1, 0) given twice",
+            "build",
+        ),
+        (
             lambda: CubicalSet({"0": 0, "*": 1}, rows={"0": (), "*": (nd("0"),), "q": ()}),
             "face data on unknown cell q",
             "validate",
@@ -373,6 +380,7 @@ def edited(X, faces=(), drop=None):
         "key-outside-the-face-indices",
         "simplicial-key-outside",
         "missing-face",
+        "repeated-key",
         "row-on-unknown-cell",
         "short-row",
         "missing-row",
