@@ -428,12 +428,10 @@ def localize(pres: EnrichedPresentation, edge, name: str = "") -> EnrichedPresen
     if inv_cell in rev.cells:
         raise ValidationError(f"cell {inv_cell} already present")
     inv = ("e", t, s, inv_cell)
+    rev = CubicalSet({**rev.cells, inv_cell: 0}, rows={**rev.rows, inv_cell: ()})
     return replace(
         pres,
-        edges={
-            **pres.edges,
-            (t, s): CubicalSet({**rev.cells, inv_cell: 0}, rows={**rev.rows, inv_cell: ()}),
-        },
+        edges={**pres.edges, (t, s): rev},
         name=name or f"{pres.name}<{c}^-1>",
         cancel_pairs=pres.cancel_pairs | {(edge, inv), (inv, edge)},
         zero_weight=pres.zero_weight | {edge, inv},

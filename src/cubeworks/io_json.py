@@ -101,6 +101,8 @@ def presented_from_json(data: dict, cls):
         raise ValidationError(f"{what} cells must map cell ids to non-negative integers")
     if not isinstance(entries, list) or not isinstance(name, str):
         raise ValidationError(f"{what} needs a list of faces and a string name")
+    if sum(cells.values()) > len(entries):  # a d-cell has at least d faces
+        raise ValidationError(f"{what} has {len(entries)} faces, too few for its cells")
     base, fields = cls.index_base, cls.face_fields
     refs = {c: nd(c) for c in cells}  # one non-degenerate ref per base cell
 

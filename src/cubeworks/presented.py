@@ -152,8 +152,8 @@ class PresentedSet:
         cells, rows = self.cells, self.rows
         # the face indices of each dimension as columns, zipped into keys
         at = {d: tuple(zip(*self.face_indices(d))) for d in set(cells.values())}
-        keys = chain.from_iterable(zip(repeat(c), *at[cells[c]]) for c, row in rows.items() if row)
-        return MappingProxyType(dict(zip(keys, chain.from_iterable(rows.values()))))
+        items = (zip(zip(repeat(c), *at[cells[c]]), row) for c, row in rows.items())
+        return MappingProxyType(dict(chain.from_iterable(items)))
 
     @staticmethod
     def face_indices(d: int) -> tuple:

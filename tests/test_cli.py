@@ -220,6 +220,14 @@ def test_workspace_refuses_to_save_a_malformed_set(tmp_path, rows, message):
     assert {p.name: p.read_bytes() for p in (tmp_path / "ws").iterdir()} == before
 
 
+def test_a_dimension_beyond_the_face_entries_is_refused_before_any_row_is_made():
+    # a d-cell has at least d faces; the rows of a 10^5-cube would take 2 * 10^5 slots
+    data = {"schema": "cubeworks/1", "kind": "cubical_set", "cells": {"x": 10**5}, "faces": []}
+    with pytest.raises(ValidationError) as refused:
+        presented_from_json(data, CubicalSet)
+    assert str(refused.value) == "cubical set has 0 faces, too few for its cells"
+
+
 def test_cli_tensor_with_colliding_ids_exits_2(capsys, tmp_path):
     ws = Workspace(str(tmp_path / "ws"))
     ws.save("x", CubicalSet({"a": 0, "a|b": 0}, {}, name="X"))

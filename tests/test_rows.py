@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from cubeworks.cubical import CellRef, CubicalSet, standard_cube, tensor
+from cubeworks.cubical import CellRef, CubicalSet, nd, standard_cube, tensor
 from cubeworks.errors import ValidationError
 from cubeworks.james import _count_cells, james
 from cubeworks.presented import is_isomorphism
@@ -38,6 +38,17 @@ def test_standard_cube_renders_the_ids_of_the_face_type_maps():
         assert list(built.cells.items()) == list(keyed.cells.items())
         assert list(built.rows.items()) == list(keyed.rows.items())
         assert list(built.faces.items()) == list(keyed.faces.items())
+
+
+def test_the_faces_view_pairs_each_row_with_its_own_cell():
+    # a short row loses its missing key and lends no face to the next cell
+    rows = {"0": (), "1": (), "*": (nd("0"),), "e": (nd("0"), nd("1"))}
+    X = CubicalSet({"0": 0, "1": 0, "*": 1, "e": 1}, rows=rows)
+    assert list(X.faces.items()) == [
+        (("*", 1, 0), nd("0")),
+        (("e", 1, 0), nd("0")),
+        (("e", 1, 1), nd("1")),
+    ]
 
 
 @settings(deadline=None)
