@@ -59,10 +59,6 @@ class CubeMap:
         used = set(self.used_vars)
         return tuple(i for i in range(1, self.source_dim + 1) if i not in used)
 
-    def is_face_type(self) -> bool:
-        """True when every input variable is used (a composite of face inclusions)."""
-        return len(self.used_vars) == self.source_dim
-
     def __repr__(self):
         body = ",".join(str(v) if k == "c" else f"x{v}" for k, v in self.slots)
         return f"CubeMap({self.source_dim}->{self.target_dim}: [{body}])"
@@ -90,13 +86,6 @@ def projection(n: int, k: int) -> CubeMap:
     return CubeMap(n, n - 1, slots)
 
 
-def projection_dropping(n: int, dropped) -> CubeMap:
-    """The composite projection out of the n-cube dropping the given coordinate set."""
-    dropped = set(dropped)
-    slots = tuple(("v", i) for i in range(1, n + 1) if i not in dropped)
-    return CubeMap(n, n - len(dropped), slots)
-
-
 # The three distinguished low-dimensional generators.
 def j0() -> CubeMap:
     return face(1, 1, 0)
@@ -119,19 +108,6 @@ def compose(g: CubeMap, f: CubeMap) -> CubeMap:
         )
     slots = tuple(slot if slot[0] == "c" else f.slots[slot[1] - 1] for slot in g.slots)
     return CubeMap(f.source_dim, g.target_dim, slots)
-
-
-def split_projection_face(f: CubeMap):
-    """Factor f as (face-type map) o (projection dropping unused variables)."""
-    used = f.used_vars
-    position = {v: i + 1 for i, v in enumerate(used)}
-    proj = projection_dropping(f.source_dim, f.dropped_vars)
-    delta = CubeMap(
-        len(used),
-        f.target_dim,
-        tuple(s if s[0] == "c" else ("v", position[s[1]]) for s in f.slots),
-    )
-    return delta, proj
 
 
 def hom_count(n: int, m: int) -> int:

@@ -4,9 +4,9 @@ Only non-degenerate cells are stored.  Every presheaf element is a CellRef:
 a strictly increasing word of degenerate coordinate directions applied to a
 non-degenerate base cell (the unique Eilenberg-Zilber-style decomposition,
 which holds for this cube category and is validated on representables in the
-test suite).  The presheaf action of an arbitrary cube-category morphism is
-computed by rewriting through the degeneracy word, using cube-category
-composition as the oracle.
+test suite).  The face of a degenerate element follows from the cubical
+face-degeneracy identities, and the presheaf action of a cube-category
+morphism is composed from faces and one degeneracy.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .cubes import CubeMap, compose, face, projection_dropping, split_projection_face
+from .cubes import CubeMap
 from .errors import CELL_BUDGET, GuardError, ValidationError, bulk
 # find_isomorphism and is_isomorphism stay importable from here for callers
 # of the cubical API
@@ -39,42 +39,39 @@ class CubicalSet(PresentedSet):
     kind = "cubical_set"
     face_fields = ("k", "eps")
     index_base = 1
-    face_map = staticmethod(face)
 
     @staticmethod
     @lru_cache(maxsize=None)
     def face_indices(d: int) -> tuple:
         return tuple((k, eps) for k in range(1, d + 1) for eps in (0, 1))
 
-    # -- presheaf action ---------------------------------------------------
+    # -- faces and the presheaf action ----------------------------------------
+
+    def face_of(self, ref: CellRef, *i) -> CellRef:
+        """The face i = (k, eps) of an element, by the cubical identities.  A
+        face across a collapsed direction k drops k from the degeneracy word;
+        any other is the face of the base in its own direction k, under the
+        word renumbered past k."""
+        at = self.face_position(ref, i)
+        degens, base = ref
+        if not degens:
+            return self.rows[base][at]
+        k = i[0]
+        word = tuple(t - 1 if t > k else t for t in degens if t != k)
+        if k in degens:
+            return CellRef(word, base)
+        below = sum(t < k for t in degens)
+        return degenerate(self.rows[base][at - 2 * below], word, self.dim_of(ref) - 1, 1)
 
     def act(self, ref: CellRef, f: CubeMap) -> CellRef:
-        """The presheaf action of f on an element of dimension f.target_dim."""
+        """The presheaf action of f on an element of dimension f.target_dim:
+        the faces at f's constant slots, last first, then f's degeneracy."""
         if self.dim_of(ref) != f.target_dim:
             raise ValidationError("element dimension does not match map target")
-        p_w = projection_dropping(f.target_dim, ref.degens)
-        g = compose(p_w, f)
-        delta, proj = split_projection_face(g)
-        z = self._apply_face_part(ref.base, delta)
-        p_z = projection_dropping(proj.target_dim, z.degens)
-        total = compose(p_z, proj)
-        return CellRef(total.dropped_vars, z.base)
-
-    def _apply_face_part(self, cell: str, delta: CubeMap) -> CellRef:
-        """Action of a face-type map (every variable used) on a non-degenerate cell."""
-        if delta.is_face_type() and delta.source_dim == delta.target_dim:
-            return nd(cell)
-        for pos, slot in enumerate(delta.slots):
-            if slot[0] == "c":
-                k, eps = pos + 1, slot[1]
-                break
-        rest = CubeMap(
-            delta.source_dim,
-            delta.target_dim - 1,
-            delta.slots[: k - 1] + delta.slots[k:],
-        )
-        step = self.rows[cell][2 * k - 2 + eps]
-        return self.act(step, rest)
+        for k in reversed(range(1, f.target_dim + 1)):
+            if f.slots[k - 1][0] == "c":
+                ref = self.face_of(ref, k, f.slots[k - 1][1])
+        return self.degenerate(ref, f.dropped_vars)
 
 
 CubicalMap = PresentedMap

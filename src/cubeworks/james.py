@@ -13,7 +13,7 @@ from itertools import repeat
 
 from .errors import CELL_BUDGET, GuardError, ValidationError, bulk
 from .presented import divide
-from .simplicial import SimplexRef, SimplicialSet, delta_face
+from .simplicial import SimplexRef, SimplicialSet
 
 
 # words are strings of code points, so a dimension has at most this many letters
@@ -174,10 +174,9 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
 
         columns = []  # columns[j][i]: the face δ_j of words[d][i]
         for j in range(d + 1):
-            f = delta_face(d, j)
             table = [None]
             for r in letters[d][1:]:
-                img = X.act(r, f)
+                img = X.face_of(r, j)
                 table.append(None if img.base == base else code[e][img])
             face_words = [w.translate(table) for w in words[d]]
             column = list(map(lower.get, face_words))

@@ -5,11 +5,11 @@ non-degenerate cells with their dimensions, one face reference per cell and
 face index, and elements written as the ``(degens, base)`` tuple `CellRef`
 of a canonical degeneracy word applied to a non-degenerate base cell.  The
 two kinds differ only in how a face index looks, where indices start, and
-how the presheaf action rewrites elements; subclasses supply those.
-Everything that reads the presentation alone lives here: cell tables, the
-face rule, the degeneracy rule, maps, validation, coproducts and isomorphism
-search.  The face of a non-degenerate element is read from the stored faces;
-only a degenerate element goes through the presheaf action.
+which face-degeneracy identities give the faces of a degenerate element;
+subclasses supply those.  Everything that reads the presentation alone
+lives here: cell tables, the degeneracy rule, maps, validation, coproducts
+and isomorphism search.  The face of a non-degenerate element is read from
+the stored faces.
 """
 
 from __future__ import annotations
@@ -90,9 +90,9 @@ class PresentedSet:
     direction and first face index: 1 for cubes, 0 for simplices) and
     ``face_indices(d)``, the face indices of a d-cell in canonical order
     (those of a (d - 1)-cell first, so an index has one position in every
-    dimension), and ``face_map(n, *index)``, the face morphism into
-    dimension n that the presheaf action ``act(ref, f)`` takes; they also
-    supply ``act``.
+    dimension).  They supply ``face_of(ref, *index)``, the face of any
+    element, and the presheaf action ``act(ref, f)`` of a morphism of their
+    site, composed of faces and one degeneracy.
 
     The face data is one read-only table, ``rows``: each cell's faces as one
     tuple in face-index order.  The keyed form ``faces``, by ``(cell,
@@ -103,7 +103,6 @@ class PresentedSet:
     kind = ""
     face_fields = ()
     index_base = 0
-    face_map = None
 
     def __init__(self, cells: dict, faces: dict = None, name: str = "", *, rows: dict = None):
         if (faces is None) == (rows is None):
@@ -193,12 +192,13 @@ class PresentedSet:
         """The faces of a non-degenerate cell, in face-index order."""
         return self.rows[cell]
 
-    def face_of(self, ref: CellRef, *i) -> CellRef:
-        """The face i of an element: stored for a non-degenerate element,
-        computed by the presheaf action for a degenerate one."""
-        if not ref.degens:
-            return self.rows[ref.base][self.face_indices(self.cells[ref.base]).index(i)]
-        return self.act(ref, self.face_map(self.dim_of(ref), *i))
+    def face_position(self, ref: CellRef, i: tuple) -> int:
+        """The position of face index i in ref's face row; refuses any other i."""
+        n = self.dim_of(ref)
+        try:
+            return self.face_indices(n).index(i)
+        except ValueError:
+            raise ValidationError(f"{i} is no face index of dimension {n}") from None
 
     def degenerate(self, ref: CellRef, extra) -> CellRef:
         """Apply a further degeneracy word (directions in the larger
@@ -295,9 +295,10 @@ class PresentedMap:
 
     def validate(self):
         """Check that every cell, and nothing else, has an image of its own
-        dimension and that the map commutes with every face.  The face of a
-        non-degenerate image is read from the target's stored faces; a
-        degenerate image goes through the presheaf action."""
+        dimension, that its row and a non-degenerate image's row are full,
+        and that the map commutes with every face.  The face of a
+        non-degenerate image is read from the target's stored faces, that of
+        a degenerate image by `face_of`."""
         source, target = self.source, self.target
         unknown = self.assignment.keys() - source.cells.keys()
         if unknown:
@@ -317,7 +318,12 @@ class PresentedMap:
                 images = [target.face_of(image, *i) for i in indices]
             else:
                 images = target_rows[image.base]
-            for i, lhs, ref in zip(indices, images, source_rows[cell]):
+            row = source_rows[cell]
+            if len(row) != len(indices):
+                raise ValidationError(f"{cell} has {len(row)} faces for {len(indices)} indices")
+            if len(images) != len(indices):
+                raise ValidationError(f"image of {cell} has {len(images)} faces, not {len(row)}")
+            for i, lhs, ref in zip(indices, images, row):
                 if lhs != apply(ref):
                     face = ",".join(map(str, i))
                     raise ValidationError(f"map does not commute with face ({face}) at {cell}")

@@ -3,7 +3,8 @@ side: only non-degenerate simplices are stored, and every element is a
 SimplexRef (canonical degeneracy word applied to a non-degenerate base).
 
 Monotone maps between finite ordinals are represented as value tuples;
-degeneracy words are the collapse sets of canonical surjections.
+degeneracy words are the collapse sets of canonical surjections.  Faces of
+degenerate elements follow the simplicial identities; `act` is built on them.
 """
 
 from __future__ import annotations
@@ -12,41 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import CELL_BUDGET, GuardError, ValidationError
-from .presented import CellRef, PresentedMap, PresentedSet, nd
-
-
-# -- monotone map plumbing ------------------------------------------------------
-
-
-def mono_compose(outer, inner):
-    """outer o inner as value tuples."""
-    return tuple(outer[v] for v in inner)
-
-
-def delta_face(n, j):
-    """The injection [n-1] -> [n] missing j."""
-    return tuple(v for v in range(n + 1) if v != j)
-
-
-def surj_from_collapse(D, n):
-    """The surjection [n] ->> [n - |D|] collapsing at the positions in D
-    (0-indexed: s(i) = s(i+1) exactly for i in D)."""
-    vals = [0]
-    for i in range(n):
-        vals.append(vals[-1] if i in D else vals[-1] + 1)
-    return tuple(vals)
-
-
-def collapse_of_surj(s):
-    return tuple(i for i in range(len(s) - 1) if s[i] == s[i + 1])
-
-
-def epi_mono_factor(f):
-    """Factor a monotone map as injection o surjection; returns (mono, epi)."""
-    image = sorted(set(f))
-    rank = {v: i for i, v in enumerate(image)}
-    epi = tuple(rank[v] for v in f)
-    return tuple(image), epi
+from .presented import CellRef, PresentedMap, PresentedSet, degenerate, nd
 
 
 SimplexRef = CellRef
@@ -60,36 +27,38 @@ class SimplicialSet(PresentedSet):
     kind = "simplicial_set"
     face_fields = ("j",)
     index_base = 0
-    face_map = staticmethod(delta_face)
 
     @staticmethod
     @lru_cache(maxsize=None)
     def face_indices(d: int) -> tuple:
         return tuple((j,) for j in range(d + 1)) if d else ()
 
+    def face_of(self, ref: SimplexRef, *i) -> SimplexRef:
+        """The face i = (j,) of an element, by the simplicial identities.  If
+        vertex j shares its image with a neighbour (j or j - 1 in the word),
+        the face drops that position from the word; otherwise it is the face
+        of the base at the image of j, under the word renumbered past j."""
+        j = self.face_position(ref, i)
+        degens, base = ref
+        if not degens:
+            return self.rows[base][j]
+        t = j if j in degens else j - 1
+        word = tuple(d - 1 if d > t else d for d in degens if d != t)
+        if t in degens:  # the image of vertex j is still hit
+            return SimplexRef(word, base)
+        below = sum(d < j for d in degens)
+        return degenerate(self.rows[base][j - below], word, self.dim_of(ref) - 1, 0)
+
     def act(self, ref: SimplexRef, f) -> SimplexRef:
         """Presheaf action of the monotone map f (a value tuple into
-        [dim_of(ref)]) on the element ref."""
+        [dim_of(ref)]) on ref: the faces at the vertices f misses, last
+        first, then the degeneracy at the positions where f repeats a value."""
         n = self.dim_of(ref)
         if max(f, default=0) > n or len(f) == 0:
             raise ValidationError("monotone map does not match element dimension")
-        s = surj_from_collapse(ref.degens, n)
-        g = mono_compose(s, f)
-        mono, epi = epi_mono_factor(g)
-        z = self._apply_injection(ref.base, mono)
-        total = mono_compose(surj_from_collapse(z.degens, max(epi)), epi)
-        return SimplexRef(collapse_of_surj(total), z.base)
-
-    def _apply_injection(self, cell: str, mono) -> SimplexRef:
-        """Action of an injective monotone map [k] -> [m] on a non-degenerate
-        m-simplex, peeling elementary faces through the stored data."""
-        m = self.cells[cell]
-        if len(mono) == m + 1:
-            return nd(cell)
-        missed = max(v for v in range(m + 1) if v not in set(mono))
-        step = self.rows[cell][missed]
-        rest = tuple(v if v < missed else v - 1 for v in mono)
-        return self.act(step, rest)
+        for v in sorted(set(range(n + 1)).difference(f), reverse=True):
+            ref = self.face_of(ref, v)
+        return self.degenerate(ref, tuple(p for p in range(len(f) - 1) if f[p] == f[p + 1]))
 
 
 SimplicialMap = PresentedMap

@@ -12,8 +12,9 @@ from cubeworks.cubical import CellRef, CubicalSet, _pair_id, nd
 from cubeworks.errors import ValidationError
 from cubeworks.james import _count_cells, _letter_token, word_token
 from cubeworks.presented import divide
-from cubeworks.simplicial import SimplexRef, SimplicialSet, delta_face
+from cubeworks.simplicial import SimplexRef, SimplicialSet
 from cubeworks.triangulate import _land, chain_table, landing_table
+from action_oracle import delta_face, simplicial_act
 
 
 def face_type_maps(k: int, n: int):
@@ -195,7 +196,7 @@ def james_by_keys(X, base, bound, max_dim=None):
             f = delta_face(d, j)
             table = [None]
             for r in letters[d][1:]:
-                img = X.act(r, f)
+                img = simplicial_act(X, r, f)
                 table.append(None if img.base == base else code[e][img])
             face_words = [w.translate(table) for w in words[d]]
             column = list(map(lower.get, face_words))

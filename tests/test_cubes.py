@@ -16,9 +16,9 @@ from cubeworks.cubes import (
     j1,
     projection,
     r,
-    split_projection_face,
 )
 from cubeworks.errors import GuardError, ValidationError
+from action_oracle import is_face_type, split_projection_face
 from dict_builders import face_type_maps
 
 
@@ -96,6 +96,37 @@ def test_out_of_range_errors():
         projection(1, 0)
     with pytest.raises(ValidationError):
         compose(identity(2), identity(1))
+
+
+@pytest.mark.parametrize(
+    "source, target, slots, message",
+    [
+        (-1, 0, (), "dimensions must be non-negative"),
+        (0, -1, (), "dimensions must be non-negative"),
+        (1, 2, (var(1),), "slot count must equal target dimension"),
+        (0, 1, (("c", 2),), "bad constant 2"),
+        (1, 1, (var(0),), "variable 0 out of range"),
+        (1, 1, (var(2),), "variable 2 out of range"),
+        (2, 2, (var(2), var(1)), "variables must strictly increase"),
+        (2, 2, (var(1), var(1)), "variables must strictly increase"),
+        (1, 1, (("x", 1),), "bad slot ('x', 1)"),
+    ],
+    ids=[
+        "negative-source",
+        "negative-target",
+        "slot-count",
+        "bad-constant",
+        "variable-zero",
+        "variable-above-source",
+        "decreasing",
+        "repeated",
+        "bad-kind",
+    ],
+)
+def test_cube_map_refuses_a_malformed_normal_form(source, target, slots, message):
+    with pytest.raises(ValidationError) as refused:
+        CubeMap(source, target, slots)
+    assert str(refused.value) == message
 
 
 def test_compose_matches_function_composition():
@@ -214,7 +245,7 @@ def test_split_projection_face():
         for m in range(3):
             for f in enumerate_hom(n, m):
                 delta, proj = split_projection_face(f)
-                assert delta.is_face_type()
+                assert is_face_type(delta)
                 assert all(kind == "v" for kind, _ in proj.slots)
                 assert compose(delta, proj) == f
 

@@ -44,16 +44,19 @@ from cubeworks.simplicial import (
     SimplicialMap,
     SimplicialSet,
     circle,
-    collapse_of_surj,
-    delta_face,
-    mono_compose,
     standard_simplex,
-    surj_from_collapse,
     wedge_of_intervals,
 )
 from cubeworks import snf, verify
 from cubeworks.snf import invariant_factors_sparse, smith_normal_form
 from cubeworks.triangulate import simplex_count, triangulate
+from action_oracle import (
+    collapse_of_surj,
+    delta_face,
+    mono_compose,
+    simplicial_act,
+    surj_from_collapse,
+)
 from random_sets import cubical_sets
 
 
@@ -720,8 +723,8 @@ def test_triangulations_are_pinned(sets, digest):
 
 
 def reference_commutes(m):
-    """The map check through the presheaf action alone: every face of every
-    image, degenerate or not, is computed by `act`."""
+    """The map check through the general action of the oracle alone: every
+    face of every image, degenerate or not, is computed by `simplicial_act`."""
     for cell, d in m.source.cells.items():
         image = m.assignment[cell]
         if m.target.dim_of(image) != d:
@@ -732,7 +735,7 @@ def reference_commutes(m):
             s = surj_from_collapse(ref.degens, d - 1)
             s_img = surj_from_collapse(img.degens, m.source.cells[ref.base])
             rhs = SimplexRef(collapse_of_surj(mono_compose(s_img, s)), img.base)
-            if m.target.act(image, delta_face(d, j)) != rhs:
+            if simplicial_act(m.target, image, delta_face(d, j)) != rhs:
                 return False
     return True
 
@@ -760,7 +763,7 @@ def test_james_map_stored_faces_match_action(bound):
     for sid, d in tri.cells.items():
         image = nd(assignment[sid])
         for j in range(d + 1) if d else ():
-            assert J.faces[(image.base, j)] == J.act(image, delta_face(d, j))
+            assert J.faces[(image.base, j)] == simplicial_act(J, image, delta_face(d, j))
     assert_verdict(james_map(tri, J, assignment), True)
     assert is_isomorphism(tri, J, assignment)
 
@@ -786,6 +789,38 @@ def test_compare_with_james_refuses_a_translation_that_is_no_isomorphism():
     with mock.patch.object(james_compare, "james_translation", return_value=(trunc, tri, J, swapped)):
         with pytest.raises(ValidationError, match="does not commute with faces"):
             compare_with_james(2)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cells: cells.pop("J[e2]"), r"^translated simplex J\[e2\] missing from James side$"),
+        (lambda cells: cells.update({"J[e2]": 2}), r"^dimension clash translating \S+$"),
+    ],
+    ids=["missing-cell", "dimension-clash"],
+)
+def test_james_translation_refuses_a_doctored_james_side(edit, message):
+    def doctored(*args):
+        J = james(*args)
+        cells = dict(J.cells)
+        edit(cells)
+        return SimplicialSet(cells, name=J.name, rows=J.rows)
+
+    with mock.patch.object(james_compare, "james", doctored):
+        with pytest.raises(ValidationError, match=message):
+            james_translation(1)
+
+
+def test_james_translation_refuses_a_doubly_hit_cell():
+    # every vertex translated to the unit, the empty word
+    translate = james_compare.translate_simplex
+
+    def to_unit(groups, chain, tokens):
+        return "J[]" if len(chain) == 1 else translate(groups, chain, tokens)
+
+    with mock.patch.object(james_compare, "translate_simplex", to_unit):
+        with pytest.raises(ValidationError, match=r"^translation not injective at J\[\]$"):
+            james_translation(1)
 
 
 def test_collapse_to_a_point():

@@ -17,15 +17,18 @@ from cubeworks.simplicial import (
     SimplexRef,
     SimplicialSet,
     circle,
-    collapse_of_surj,
-    delta_face,
-    mono_compose,
     nd,
     standard_simplex,
-    surj_from_collapse,
     wedge_of_intervals,
 )
 from cubeworks.triangulate import triangulate
+from action_oracle import (
+    collapse_of_surj,
+    delta_face,
+    mono_compose,
+    simplicial_act,
+    surj_from_collapse,
+)
 from james_splitting import invariant_factors, james_splitting_groups
 from random_sets import cubical_sets
 from test_homology import groups, klein_bottle, moore_space_mod3, projective_plane
@@ -107,8 +110,9 @@ def normalize_word(word, d: int):
 
 def james_reference(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
     """The James builder on letters as SimplexRefs: every face of every word
-    goes through `X.act`, is normalized letter by letter and is looked up by
-    its rendered token.  Oracle for the integer-coded `james`."""
+    goes through the general action of `action_oracle`, is normalized letter
+    by letter and is looked up by its rendered token.  Oracle for the
+    integer-coded `james`."""
     if isinstance(X, CubicalSet):
         from cubeworks.triangulate import triangulate
 
@@ -156,7 +160,7 @@ def james_reference(X, base: str, bound: int, max_dim: int = None) -> Simplicial
             f = delta_face(d, j)
             new_letters = []
             for ref in w:
-                img = X.act(ref, f)
+                img = simplicial_act(X, ref, f)
                 if img.base != base:
                     new_letters.append(img)
             if not new_letters:
@@ -300,6 +304,16 @@ def test_james_degenerate_faces_are_divided(base, unit):
 def test_james_negative_window_refused(bound, max_dim):
     with pytest.raises(ValidationError):
         james(circle(), "v", bound, max_dim=max_dim)
+
+
+@pytest.mark.parametrize(
+    "make, base",
+    [(lambda: wedge_of_intervals(2), "e1"), (circle, "z"), (lambda: boundary(2)[0], "0*")],
+    ids=["an-edge", "no-cell", "a-cubical-edge"],
+)
+def test_james_basepoint_must_be_a_vertex(make, base):
+    with pytest.raises(ValidationError, match="^basepoint must be a vertex$"):
+        james(make(), base, 2)
 
 
 def test_james_point_is_point():

@@ -1,15 +1,18 @@
-"""The face rule shared by cubical and simplicial sets: `face_of`, the one
-identity check, the one degeneracy rule and the one map class, each against
-the per-kind code they replaced, kept here as references."""
+"""The core shared by cubical and simplicial sets: `face_of` and `act`
+against the general action of `action_oracle`, and the one identity check,
+the one degeneracy rule and the one map class, each against the per-kind
+code they replaced, kept here as references."""
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
+from operator import le
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 
-from cubeworks.cubes import compose, face, projection_dropping
+from cubeworks.cubes import compose, enumerate_hom, face
 from cubeworks.cubical import (
     CubicalMap,
     CubicalSet,
@@ -17,21 +20,36 @@ from cubeworks.cubical import (
     pushout,
     standard_cube,
 )
+from cubeworks import presented
 from cubeworks.errors import ValidationError
 from cubeworks.james import james
-from cubeworks.presented import CellRef, PresentedMap, degenerate, is_isomorphism, nd
+from cubeworks.presented import (
+    CellRef,
+    PresentedMap,
+    degenerate,
+    find_isomorphism,
+    is_isomorphism,
+    nd,
+)
 from cubeworks.simplicial import (
     SimplexRef,
     SimplicialMap,
     SimplicialSet,
     circle,
-    collapse_of_surj,
-    delta_face,
-    mono_compose,
     standard_simplex,
-    surj_from_collapse,
     wedge_of_intervals,
 )
+from cubeworks.triangulate import triangulate
+from action_oracle import (
+    collapse_of_surj,
+    cubical_act,
+    delta_face,
+    mono_compose,
+    projection_dropping,
+    simplicial_act,
+    surj_from_collapse,
+)
+from action_oracle import act as oracle_act, face_of as oracle_face_of
 from iso_oracle import is_isomorphism_by_map
 from random_sets import cubical_sets
 
@@ -40,27 +58,29 @@ from random_sets import cubical_sets
 
 
 def reference_cubical_identities(X):
-    """The cubical identities with every double face computed by `act`."""
+    """The cubical identities with every double face computed by the
+    general action of the oracle."""
     for cell, d in X.cells.items():
         for k in range(1, d + 1):
             for j in range(1, k):
                 for eps in (0, 1):
                     for eta in (0, 1):
-                        left = X.act(X.faces[(cell, k, eps)], face(d - 1, j, eta))
-                        right = X.act(X.faces[(cell, j, eta)], face(d - 1, k - 1, eps))
+                        left = cubical_act(X, X.faces[(cell, k, eps)], face(d - 1, j, eta))
+                        right = cubical_act(X, X.faces[(cell, j, eta)], face(d - 1, k - 1, eps))
                         if left != right:
                             return False
     return True
 
 
 def reference_simplicial_identities(X):
-    """d_i d_j = d_{j-1} d_i for i < j, with every double face computed by `act`."""
+    """d_i d_j = d_{j-1} d_i for i < j, with every double face computed by the
+    general action of the oracle."""
     for cell, d in X.cells.items():
         if d >= 2:
             for j in range(d + 1):
                 for i in range(j):
-                    left = X.act(X.faces[(cell, j)], delta_face(d - 1, i))
-                    right = X.act(X.faces[(cell, i)], delta_face(d - 1, j - 1))
+                    left = simplicial_act(X, X.faces[(cell, j)], delta_face(d - 1, i))
+                    right = simplicial_act(X, X.faces[(cell, i)], delta_face(d - 1, j - 1))
                     if left != right:
                         return False
     return True
@@ -210,8 +230,86 @@ def test_face_of_matches_action_on_every_element(name):
         for ref in X.refs_of_dim(d):
             degenerate += bool(ref.degens)
             for i in X.face_indices(d):
-                assert X.face_of(ref, *i) == X.act(ref, X.face_map(d, *i))
+                assert X.face_of(ref, *i) == oracle_face_of(X, ref, *i)
     assert degenerate > 0
+
+
+def monotone_maps(p: int, m: int) -> list:
+    """Every monotone map [p] -> [m], as a value tuple."""
+    return [f for f in product(range(m + 1), repeat=p + 1) if all(map(le, f, f[1:]))]
+
+
+# every morphism of each site from a dimension up to 3 into dimension m
+MAPS_INTO = {
+    CubicalSet: {m: [f for p in range(4) for f in enumerate_hom(p, m)] for m in range(4)},
+    SimplicialSet: {m: [f for p in range(4) for f in monotone_maps(p, m)] for m in range(4)},
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(cubical_sets(), st.data())
+def test_face_of_and_act_agree_with_the_general_action(X, data):
+    # on a random cubical set and on its triangulation: up to four drawn
+    # elements of each dimension up to 3, each with every face and under
+    # every map of the site into its dimension
+    reached = 0
+    for Z in (X, triangulate(X)):
+        for m, maps in MAPS_INTO[type(Z)].items():
+            elements = st.lists(st.sampled_from(Z.refs_of_dim(m)), min_size=1, max_size=4)
+            for ref in data.draw(elements):
+                reached += bool(ref.degens)
+                for i in Z.face_indices(m):
+                    assert Z.face_of(ref, *i) == oracle_face_of(Z, ref, *i)
+                for f in maps:
+                    assert Z.act(ref, f) == oracle_act(Z, ref, f)
+    event("degenerate elements", payload=reached)
+
+
+@pytest.mark.parametrize(
+    "make, ref, index",
+    [
+        (lambda: standard_cube(2), nd("**"), (0, 0)),
+        (lambda: standard_cube(2), nd("**"), (3, 1)),
+        (lambda: standard_cube(2), nd("**"), (1, 2)),
+        (lambda: standard_cube(2), nd("**"), (1,)),
+        (lambda: standard_cube(0), nd("pt"), (1, 0)),
+        (lambda: standard_cube(1), CellRef((2,), "*"), (0, 0)),
+        (lambda: standard_cube(1), CellRef((2,), "*"), (0, 1)),
+        (lambda: standard_cube(1), CellRef((2,), "*"), (1, -1)),
+        (lambda: standard_cube(1), CellRef((2,), "*"), (3, 0)),
+        (lambda: standard_simplex(2), nd("0.1.2"), (-1,)),
+        (lambda: standard_simplex(2), nd("0.1.2"), (3,)),
+        (lambda: standard_simplex(2), nd("0.1.2"), (0, 0)),
+        (lambda: standard_simplex(0), nd("0"), (0,)),
+        (lambda: standard_simplex(1), SimplexRef((1,), "0.1"), (-1,)),
+        (lambda: standard_simplex(1), SimplexRef((1,), "0.1"), (3,)),
+        (lambda: standard_simplex(1), SimplexRef((1,), "0.1"), ()),
+    ],
+    ids=[
+        "cube-k-zero",
+        "cube-k-above",
+        "cube-bad-side",
+        "cube-short-index",
+        "cube-vertex",
+        "degenerate-cube-k-zero",
+        "degenerate-cube-k-zero-side-1",
+        "degenerate-cube-negative-side",
+        "degenerate-cube-k-above",
+        "simplex-negative",
+        "simplex-above",
+        "simplex-long-index",
+        "simplex-vertex",
+        "degenerate-simplex-negative",
+        "degenerate-simplex-above",
+        "degenerate-simplex-empty-index",
+    ],
+)
+def test_face_of_refuses_an_index_outside_the_dimension(make, ref, index):
+    # an arithmetic position would read some face of the row silently: k = 0
+    # sits at position -2 of a cube's row, j = -1 at the last of a simplex's
+    X = make()
+    with pytest.raises(ValidationError, match="is no face index of dimension"):
+        X.face_of(ref, *index)
 
 
 # -- the identity check -------------------------------------------------------------
@@ -244,7 +342,7 @@ def test_triangle_whose_faces_disagree_at_a_vertex_is_refused():
 
 def test_identity_through_a_degenerate_face_is_checked():
     # the degenerate 0-th face of t now sits at v instead of u; only the
-    # presheaf action sees its faces
+    # faces of a degenerate element see it
     broken = pinched_triangle(t0=SimplexRef((0,), "v"))
     assert not reference_simplicial_identities(broken)
     with pytest.raises(ValidationError, match="face identity fails at t"):
@@ -491,6 +589,33 @@ def test_one_degeneracy_rule_matches_the_per_kind_references(kind):
     assert checked > 1000
 
 
+def squares_on_a_loop(degenerate_first):
+    """A vertex v, a loop e at v and two squares whose faces are the
+    degenerate edge at v, but for the first square's first two faces,
+    which are e unless ``degenerate_first``."""
+    v, e = CellRef((1,), "v"), nd("e")
+    top = (v, v) if degenerate_first else (e, e)
+    return CubicalSet(
+        {"v": 0, "e": 1, "a": 2, "b": 2},
+        rows={"v": (), "e": (nd("v"), nd("v")), "a": (*top, v, v), "b": (v, v, v, v)},
+    )
+
+
+def test_find_isomorphism_exits_early():
+    # another kind or other cell counts: refused before any colouring
+    with mock.patch.object(presented, "_wl_colors", side_effect=AssertionError):
+        assert find_isomorphism(standard_cube(0), standard_simplex(0)) is None
+        assert find_isomorphism(standard_cube(1), standard_cube(2)) is None
+    # equal cell counts, but a square whose faces no square of the other has
+    X, Y = squares_on_a_loop(False), squares_on_a_loop(True)
+    assert X.validate() and Y.validate()
+    assert X.cell_counts() == Y.cell_counts()
+    colors = [Counter(presented._wl_colors(Z, Z.rows).values()) for Z in (X, Y)]
+    assert colors[0] != colors[1]
+    assert find_isomorphism(X, Y) is None
+    assert find_isomorphism(Y, Y) is not None
+
+
 def test_is_isomorphism_on_simplicial_sets():
     D = standard_simplex(2)
     relabel = {c: f"x{c}" for c in D.cells}
@@ -514,11 +639,25 @@ def test_is_isomorphism_answers_when_a_face_is_missing():
     identity = {c: c for c in I.cells}
     assert is_isomorphism(broken, I, identity) is False
     assert is_isomorphism(I, broken, identity) is False
+    assert is_isomorphism_by_map(broken, I, identity) is False
+    assert is_isomorphism_by_map(I, broken, identity) is False
     rowless = CubicalSet(I.cells, rows={"0": (), "1": ()})
     assert is_isomorphism(rowless, I, identity) is False
     assert is_isomorphism(I, rowless, identity) is False
     with pytest.raises(KeyError):
         is_isomorphism_by_map(rowless, I, identity)
+
+
+def test_map_validate_refuses_a_short_row():
+    # zipped with the face indices, a short row would end the face check
+    # early and pass the map
+    I = standard_cube(1)
+    identity = {c: nd(c) for c in I.cells}
+    short = CubicalSet(I.cells, rows={**I.rows, "*": (nd("0"),)})
+    with pytest.raises(ValidationError, match=r"^\* has 1 faces for 2 indices$"):
+        PresentedMap(short, I, identity).validate()
+    with pytest.raises(ValidationError, match=r"^image of \* has 1 faces, not 2$"):
+        PresentedMap(I, short, identity).validate()
 
 
 @settings(deadline=None)
