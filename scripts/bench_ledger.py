@@ -6,22 +6,24 @@ ledger file.
         --parent-rev REV --change-rev REV --out BENCH_<n>.json
 
 Each input file holds the output lines of any number of runs of
-`perfbench/run.py`, untraced (`--trace 0`) and traced (`--trace 1`), one
-side each; other lines are ignored.  Every run prints a context line and a
+`perfbench/run.py`, untraced (`--trace 0`) and traced (`--trace 1`), and of
+`scripts/ladder.py`, one side each; other lines are ignored.  Every run prints a context line and a
 metrics line.  A run made outside a git checkout has no commit; it gets its
 side's revision.  A run whose commit does not start with its side's
 revision is refused.  For each workload and side the ledger keeps:
 
 - the median and quartiles of each end-to-end metric over the untraced
   runs, with the values of every run;
-- the per-pass seconds of every untraced run;
+- the per-pass seconds and the per-probe `setup_s` seconds of every
+  untraced run;
 - failures against tasks attempted, over all runs;
 - the exact counts (cells per dimension, homology) of the first run;
 - from the traced runs, the median of each per-layer metric and the dense
   Smith-normal-form shapes of the first traced pass.
 
 For each workload it also gives the relative change of each end-to-end
-median, change over parent minus one.
+median, change over parent minus one.  The ladder lines of each side are
+kept as printed, in order, under `ladder`.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import statistics
 import sys
 
 
-def read_runs(path) -> list:
-    """The (context, result) pairs of the harness runs in one file."""
+def read_runs(path, ladder: list) -> list:
+    """The (context, result) pairs of the harness runs in one file; its
+    ladder lines are appended to ``ladder``."""
     runs = []
     context = None
     with open(path) as fh:
@@ -45,7 +48,9 @@ def read_runs(path) -> list:
                 data = json.loads(line)
             except ValueError:
                 continue
-            if "context" in data:
+            if "rung" in data:
+                ladder.append(data)
+            elif "context" in data:
                 context = data["context"]
             elif "metrics" in data and context is not None:
                 runs.append((context, data))
@@ -97,6 +102,7 @@ def summarize(runs) -> dict:
             for name in names
         }
         out["pass_seconds"] = [c["pass_seconds"] for c, _ in plain]
+        out["setup_seconds"] = [c.get("setup_seconds") for c, _ in plain]
     if traced:
         layers = traced[0][1]["metrics"]
         out["layers"] = {
@@ -107,10 +113,12 @@ def summarize(runs) -> dict:
     return out
 
 
-def ledger(parent_runs, change_runs, revs) -> dict:
+def ledger(parent_runs, change_runs, revs, ladder: dict) -> dict:
     sides = {"parent": parent_runs, "change": change_runs}
     workloads = sorted({c["workload"] for runs in sides.values() for c, _ in runs})
     out = {"schema": "cubeworks-bench-ledger/1", "revs": revs, "workloads": {}}
+    if any(ladder.values()):
+        out["ladder"] = ladder
     for w in workloads:
         entry = {}
         for side, runs in sides.items():
@@ -137,13 +145,15 @@ def main(argv=None):
     p.add_argument("--change-rev", required=True, help="revision the change runs measured")
     p.add_argument("--out", required=True, help="ledger file to write")
     args = p.parse_args(argv)
-    parent = stamp([run for path in args.parent for run in read_runs(path)], args.parent_rev)
-    change = stamp([run for path in args.change for run in read_runs(path)], args.change_rev)
+    ladder = {"parent": [], "change": []}
+    parent = [run for path in args.parent for run in read_runs(path, ladder["parent"])]
+    change = [run for path in args.change for run in read_runs(path, ladder["change"])]
+    parent, change = stamp(parent, args.parent_rev), stamp(change, args.change_rev)
     if not parent or not change:
         sys.exit("error: no harness runs found on one side")
     revs = {"parent": args.parent_rev, "change": args.change_rev}
     with open(args.out, "w") as fh:
-        json.dump(ledger(parent, change, revs), fh, indent=1, sort_keys=True)
+        json.dump(ledger(parent, change, revs, ladder), fh, indent=1, sort_keys=True)
         fh.write("\n")
     return 0
 

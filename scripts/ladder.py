@@ -16,11 +16,12 @@ The rungs are:
 - `james_rp2_l4`: the James construction on the three-cell cubical
   projective plane at window 4, its chains and its homology (37,208 of its
   faces are degenerate, so faces are divided out at scale);
-- `compare_w6`: the steps of `compare_with_james(6)`: the translation of
-  the triangulated Map(c, c) at window 6 onto James at window 6, and the
-  check by renaming (`is_isomorphism`) that it is an isomorphism;
-  `bijective` reports whether the translation reaches every James cell,
-  and the last set is the James one.
+- `compare_w6`: the steps of `compare_with_james(6)`, each its own stage:
+  Map(c, c) at window 6, its triangulation, James at window 6, the
+  translation of the triangulation onto James (`translate`, net of those
+  builds), and the check by renaming (`is_isomorphism`) that it is an
+  isomorphism; `bijective` reports whether the translation reaches every
+  James cell, and the last set is the James one.
 
 The rung runs in a child process, so its max RSS is its own.  One JSON line
 is printed: the rung, the cells per dimension of what it built last, the
@@ -68,7 +69,7 @@ def run_rung(name: str, want_hash: bool) -> dict:
     from cubeworks.enriched import mapping_space
     from cubeworks.errors import ValidationError
     from cubeworks.james import james
-    from cubeworks.james_compare import james_translation, localized_E
+    from cubeworks.james_compare import localized_E, translate
     from cubeworks.presented import is_isomorphism
     from cubeworks.simplicial import wedge_of_intervals
     from cubeworks.triangulate import triangulate
@@ -99,7 +100,10 @@ def run_rung(name: str, want_hash: bool) -> dict:
         del X
         report = stage("homology", homology, chains)
     elif name == "compare_w6":
-        _, tri, X, assignment = stage("translation", james_translation, 6)
+        trunc = stage("mapping_space", mapping_space, localized_E(), "c", "c", 6)
+        tri = stage("triangulate", triangulate, trunc.space)
+        X = stage("james", james, wedge_of_intervals(2), "w", 6)
+        assignment = stage("translation", translate, trunc, tri, X)
         out["bijective"] = len(assignment) == len(X.cells)
         if not stage("map_check", is_isomorphism, tri, X, assignment):
             raise ValidationError("the James translation is not an isomorphism")

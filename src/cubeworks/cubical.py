@@ -12,7 +12,8 @@ morphism is composed from faces and one degeneracy.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from operator import itemgetter
 
 from .cubes import CubeMap
 from .errors import CELL_BUDGET, GuardError, ValidationError, bulk
@@ -256,30 +257,42 @@ def tensor(X: CubicalSet, Y: CubicalSet) -> CubicalSet:
     """Day convolution: non-degenerate cells are pairs, dimensions add, faces
     act blockwise with degeneracy words shifted into the correct block.
 
-    Each pair id is rendered once, and the non-degenerate faces that point at
-    the same pair share one reference.  Raises ValidationError when two pairs
-    get the same id, which ids that contain ``|`` can cause, and GuardError,
+    Built by columns over the cells y of Y: each pair id is rendered once,
+    and its ref made in C by ``tuple.__new__``, not by the named tuple's
+    ``__new__``.  A non-degenerate face of x shares its base's pair refs as
+    its column; a degenerate one builds its column once.  The right-hand
+    block of x|y is one ``itemgetter`` of y's faces over x's pair refs and
+    Y's degenerate faces shifted past x.  Raises ValidationError when two
+    pairs get the same id, which ids with ``|`` can cause, and GuardError,
     before building any cell, when there would be more than CELL_BUDGET."""
     total = len(X.cells) * len(Y.cells)
     if total > CELL_BUDGET:
         raise GuardError(f"tensor of {total} cells exceeds budget {CELL_BUDGET}")
-    refs = {x: {y: nd(_pair_id(x, y)) for y in Y.cells} for x in X.cells}
-    y_faces = [(y, dy, [(r.base, r.degens) for r in Y.rows[y]]) for y, dy in Y.cells.items()]
-    cells, rows = {}, {}
+    # positions of y's faces among x's pairs x|y in Y's order, then Y's shifted
+    # degenerate faces; a vertex has no faces, and a slice of a tuple is ()
+    at = {nd(y): n for n, y in enumerate(Y.cells)}
+    y_degens = dict.fromkeys(r for row in Y.rows.values() for r in row if r.degens)
+    at.update(zip(y_degens, range(len(at), len(at) + len(y_degens))))
+    shifted = [(r.degens, at[nd(r.base)]) for r in y_degens]
+    getters = [itemgetter(*map(at.__getitem__, row)) if row else itemgetter(slice(0))
+               for row in Y.rows.values()]
+    cells, ids, pairs = {}, {}, {}
     for x, dx in X.cells.items():
-        x_faces = [(refs[r.base], r.degens) for r in X.rows[x]]
-        row = refs[x]
-        for y, dy, yf in y_faces:
-            cid = row[y].base
-            cells[cid] = dx + dy
-            rows[cid] = (
-                *(CellRef(w, pairs[y].base) if w else pairs[y] for pairs, w in x_faces),
-                *(CellRef(tuple(i + dx for i in w), row[b].base) if w else row[b] for b, w in yf),
-            )
-    if len(cells) != len(X.cells) * len(Y.cells):
-        raise ValidationError(
-            f"tensor of {X.name} and {Y.name}: cell ids joined by '|' collide"
-        )
+        ids[x] = list(map(_pair_id(x, "").__add__, Y.cells))
+        pairs[x] = tuple(map(tuple.__new__, repeat(CellRef), zip(repeat(()), ids[x])))
+        cells.update(zip(ids[x], map(dx.__add__, Y.cells.values())))
+    if len(cells) != total:
+        raise ValidationError(f"tensor of {X.name} and {Y.name}: cell ids joined by '|' collide")
+    columns = dict(zip(map(nd, pairs), pairs.values()))  # a face of x -> its column over Y
+    for r in dict.fromkeys(r for row in X.rows.values() for r in row if r.degens):
+        columns[r] = [CellRef(r.degens, p) for p in ids[r.base]]
+    rows = {}
+    for x, dx in X.cells.items():
+        own = pairs[x]
+        if shifted:
+            own = (*own, *(CellRef(tuple(i + dx for i in w), own[n].base) for w, n in shifted))
+        left = zip(*map(columns.__getitem__, X.rows[x])) if X.rows[x] else repeat(())
+        rows.update(zip(ids[x], map(tuple.__add__, left, [g(own) for g in getters])))
     return CubicalSet(cells, name=f"{X.name}(x){Y.name}", rows=rows)
 
 

@@ -6,18 +6,22 @@ loops with contracting homotopies; triangulation turns the word tensor into
 the degreewise free monoid, so the triangulated truncation must match the
 independently built James construction on two wedged intervals, window for
 window.  This module constructs that bijection explicitly, cell id to cell
-id, and verifies it by renaming faces with `is_isomorphism` (search would be
-hopeless at tens of thousands of simplices; the verified constructed
-bijection is the reported witness)."""
+id, from the builders' own structure: a simplex is a spanning chain of a
+word cell, and the James letter that a group of the cell's loop word gives
+on it depends on the dimension, the group and the chain's position alone,
+so its tokens are tabled once per (dimension, group) as a column over the
+chains.  The bijection is verified by renaming faces with `is_isomorphism`
+(search would be hopeless at tens of thousands of simplices; the verified
+constructed bijection is the reported witness)."""
 
 from __future__ import annotations
 
 from .enriched import build_E, localize, mapping_space
-from .errors import ValidationError
-from .james import _join_tokens, _letter_token, james
+from .errors import ValidationError, bulk
+from .james import _letter_token, james
 from .presented import is_isomorphism
 from .simplicial import SimplexRef
-from .triangulate import triangulate
+from .triangulate import spanning_chains, triangulate
 
 
 F = ("e", "c", "c'", "u")
@@ -67,79 +71,71 @@ def parse_loop_word(word):
     return groups
 
 
-def letter_token(group, chain):
-    """The token of the James letter that one group of a loop word gives on
-    a simplex (spanning chain of bit tuples) of its word cell; None for a
-    basepoint letter, which the James construction deletes."""
-    k = len(chain) - 1
-    if group[0] == "v":
-        return _letter_token(SimplexRef(tuple(range(k)), f"a{group[1]}"))
-    _, idx, t = group
-    bits = tuple(v[t] for v in chain)
-    if bits == (1,) * (k + 1):
-        return None
-    if bits == (0,) * (k + 1):
-        return _letter_token(SimplexRef(tuple(range(k)), f"a{idx}"))
-    degens = tuple(j for j in range(k) if bits[j] == bits[j + 1])
-    return _letter_token(SimplexRef(degens, f"e{idx}"))
+def _token_column(d: int, group) -> tuple:
+    """The token, with its comma, of the James letter that one group of a
+    loop word gives on each spanning chain of its d-dimensional word cell,
+    in chain order: for an `h` group, by the a vertices where its coordinate
+    is 0, the edge unless a is 0 (the deleted basepoint, an empty token) or
+    every vertex (the free end); for a `v` group, the free end."""
+    column, tokens = [], {}
+    for chain in spanning_chains(d):
+        k = len(chain) - 1
+        a = k + 1 if group[0] == "v" else sum(not v >> (d - 1 - group[2]) & 1 for v in chain)
+        if (k, a) not in tokens:  # a vertices at 0: repeats everywhere but at a - 1
+            word = tuple(j for j in range(k) if j != a - 1)
+            letter = SimplexRef(word, ("e" if a <= k else "a") + str(group[1]))
+            tokens[k, a] = _letter_token(letter) + "," if a else ""
+        column.append(tokens[k, a])
+    return tuple(column)
 
 
-def translate_simplex(groups, chain, tokens):
-    """The James cell id matching a simplex (spanning chain of bit tuples) of
-    the triangulated word cell whose loop word parses into groups.  `tokens`
-    holds the letter token of each group already met on this chain."""
-    out = []
-    for group in groups:
-        if group not in tokens:
-            tokens[group] = letter_token(group, chain)
-        token = tokens[group]
-        if token is not None:
-            out.append(token)
-    return _join_tokens(out)
-
-
-def _parse_chain(suffix: str) -> tuple:
-    """The vertex chain of a simplex id's `#...` suffix, as bit tuples."""
-    return tuple(tuple(map(int, v)) for v in suffix.split(";"))
+@bulk
+def translate(trunc, tri, J) -> dict:
+    """The James cell id of each simplex of `tri`, the triangulation of the
+    truncation `trunc`, by simplex id.  `triangulate` lists a cell's
+    simplices in spanning-chain order, cell by cell, so its ids are read
+    along the cells of `trunc`, not parsed.  A simplex's James word is, group
+    by group of its cell's loop word, the token the group gives on its
+    chain; each (dimension, group) column of tokens is tabled once.  Raises
+    if a translated cell is missing from J, has another dimension than its
+    simplex, or is hit twice; `is_isomorphism` checks the rest."""
+    columns = {}  # (d, group) -> `_token_column(d, group)`
+    targets = []
+    for c, d in trunc.space.cells.items():
+        groups = parse_loop_word(trunc.words[c])
+        for g in groups:
+            if (d, g) not in columns:
+                columns[d, g] = _token_column(d, g)
+        if groups:
+            words = map("".join, zip(*[columns[d, g] for g in groups]))
+            targets += ["J[" + w[:-1] + "]" for w in words]
+        else:
+            targets += ["J[]"] * len(spanning_chains(d))
+    sids, dims = list(tri.cells), list(tri.cells.values())
+    if list(map(J.cells.get, targets)) != dims or len(set(targets)) != len(targets):
+        used = set()
+        for sid, target, k in zip(sids, targets, dims):
+            if target not in J.cells:
+                raise ValidationError(f"translated simplex {target} missing from James side")
+            if J.cells[target] != k:
+                raise ValidationError(f"dimension clash translating {sid}")
+            if target in used:
+                raise ValidationError(f"translation not injective at {target}")
+            used.add(target)
+    return dict(zip(sids, targets))
 
 
 def james_translation(bound: int):
     """Build the localized mapping space at c, its triangulation and the
-    James construction at the same window, and translate every simplex into
-    a James cell.  Returns (truncation, triangulation, James construction,
-    assignment), the assignment from simplex id to James cell id; raises if
-    a translated cell is missing, has another dimension or is hit twice."""
+    James construction at the same window, and translate every simplex
+    into a James cell.  Returns (truncation, triangulation, James
+    construction, assignment from simplex id to James cell id)."""
     from .simplicial import wedge_of_intervals
 
-    EL = localized_E()
-    trunc = mapping_space(EL, "c", "c", bound)
+    trunc = mapping_space(localized_E(), "c", "c", bound)
     tri = triangulate(trunc.space)
     J = james(wedge_of_intervals(2), "w", bound)
-
-    # each chain suffix is parsed once, each loop word once per cell, and
-    # each letter token once per chain
-    chains = {}  # suffix -> (chain, {group: letter token})
-    groups_of = {}
-    assignment = {}
-    used = set()
-    for sid, d in tri.cells.items():
-        cell, suffix = sid.split("#", 1)
-        parsed = chains.get(suffix)
-        if parsed is None:
-            parsed = chains[suffix] = (_parse_chain(suffix), {})
-        groups = groups_of.get(cell)
-        if groups is None:
-            groups = groups_of[cell] = parse_loop_word(trunc.words[cell])
-        target = translate_simplex(groups, *parsed)
-        if target not in J.cells:
-            raise ValidationError(f"translated simplex {target} missing from James side")
-        if J.cells[target] != d:
-            raise ValidationError(f"dimension clash translating {sid}")
-        if target in used:
-            raise ValidationError(f"translation not injective at {target}")
-        used.add(target)
-        assignment[sid] = target
-    return trunc, tri, J, assignment
+    return trunc, tri, J, translate(trunc, tri, J)
 
 
 def compare_with_james(bound: int):

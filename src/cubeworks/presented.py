@@ -295,7 +295,7 @@ class PresentedMap:
 
     def validate(self):
         """Check that every cell, and nothing else, has an image of its own
-        dimension, that its row and a non-degenerate image's row are full,
+        dimension, that its row and the row of its image's base are full,
         and that the map commutes with every face.  The face of a
         non-degenerate image is read from the target's stored faces, that of
         a degenerate image by `face_of`."""
@@ -314,15 +314,14 @@ class PresentedMap:
         target_rows, source_rows, apply = target.rows, source.rows, self.apply
         for cell, d in source.cells.items():
             image, indices = self.assignment[cell], source.face_indices(d)
-            if image.degens:
-                images = [target.face_of(image, *i) for i in indices]
-            else:
-                images = target_rows[image.base]
-            row = source_rows[cell]
+            row, base_row = source_rows[cell], target_rows[image.base]
             if len(row) != len(indices):
                 raise ValidationError(f"{cell} has {len(row)} faces for {len(indices)} indices")
-            if len(images) != len(indices):
-                raise ValidationError(f"image of {cell} has {len(images)} faces, not {len(row)}")
+            # a degenerate image's faces are read off its base's row
+            n = len(target.face_indices(target.cells[image.base]))
+            if len(base_row) != n:
+                raise ValidationError(f"image of {cell} has {len(base_row)} faces, not {n}")
+            images = [target.face_of(image, *i) for i in indices] if image.degens else base_row
             for i, lhs, ref in zip(indices, images, row):
                 if lhs != apply(ref):
                     face = ",".join(map(str, i))

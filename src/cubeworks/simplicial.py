@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import gt
 
 from .errors import CELL_BUDGET, GuardError, ValidationError
 from .presented import CellRef, PresentedMap, PresentedSet, degenerate, nd
@@ -54,8 +55,8 @@ class SimplicialSet(PresentedSet):
         [dim_of(ref)]) on ref: the faces at the vertices f misses, last
         first, then the degeneracy at the positions where f repeats a value."""
         n = self.dim_of(ref)
-        if max(f, default=0) > n or len(f) == 0:
-            raise ValidationError("monotone map does not match element dimension")
+        if not f or f[0] < 0 or f[-1] > n or any(map(gt, f, f[1:])):
+            raise ValidationError(f"{tuple(f)} is no monotone map into [{n}]")
         for v in sorted(set(range(n + 1)).difference(f), reverse=True):
             ref = self.face_of(ref, v)
         return self.degenerate(ref, tuple(p for p in range(len(f) - 1) if f[p] == f[p + 1]))

@@ -5,7 +5,7 @@ from math import comb
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 
 from cubeworks.cubes import enumerate_hom, face
 from cubeworks.cubical import (
@@ -39,6 +39,8 @@ from cubeworks.errors import GuardError, ValidationError
 from action_oracle import cubical_act
 from map_oracle import extend_map, reference_extension, reference_kan_check, reference_maps
 from random_sets import SOURCES, cubical_sets, loose_spans, spans
+from tensor_oracle import tensor_by_pairs
+from test_homology import projective_plane
 
 
 def loop_set():
@@ -328,6 +330,37 @@ def test_tensor_refuses_colliding_ids():
     Y = CubicalSet({"b|c": 0, "c": 0}, {}, name="Y")
     with pytest.raises(ValidationError, match="collide"):
         tensor(X, Y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cubical_sets(), cubical_sets())
+def test_tensor_by_columns_matches_the_pair_by_pair_oracle(X, Y):
+    # 80 examples of five pairs each: X (x) Y, and X and Y tensored with RP2
+    # on either side; cells, rows and their order, and the name
+    rp2 = projective_plane()
+    degenerate = 0
+    for A, B in [(X, Y), (X, rp2), (rp2, X), (Y, rp2), (rp2, Y)]:
+        T, oracle = tensor(A, B), tensor_by_pairs(A, B)
+        assert list(T.cells.items()) == list(oracle.cells.items())
+        assert list(T.rows.items()) == list(oracle.rows.items())
+        assert T.name == oracle.name
+        degenerate += any(r.degens for row in T.rows.values() for r in row)
+    event("pairs with degenerate faces", payload=degenerate)
+
+
+def test_tensor_keeps_apart_degenerate_faces_on_one_base():
+    # a 3-cell whose faces are one edge degenerate in direction 2 and in
+    # direction 1: each degeneracy word needs its own column over Y
+    s1e, s2e, s12v = CellRef((1,), "e"), CellRef((2,), "e"), CellRef((1, 2), "v")
+    rows = {"v": (), "e": (nd("v"), nd("v")), "t": (s2e, s2e, s12v, s12v, s1e, s1e)}
+    X = CubicalSet({"v": 0, "e": 1, "t": 3}, name="X", rows=rows)
+    X.validate()
+    for Y in (standard_cube(1), X):
+        T = tensor(X, Y)
+        assert list(T.rows.items()) == list(tensor_by_pairs(X, Y).rows.items())
+        T.validate()
+    row = tensor(X, standard_cube(1)).rows["t|*"]
+    assert (row[0], row[4]) == (CellRef((2,), "e|*"), CellRef((1,), "e|*"))
 
 
 def relabelled(X, seed):

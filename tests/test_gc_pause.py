@@ -14,7 +14,7 @@ from cubeworks.enriched import _build
 from cubeworks.errors import GuardError, ValidationError, bulk
 from cubeworks.io_json import Workspace
 from cubeworks.james import james
-from cubeworks.james_compare import localized_E
+from cubeworks.james_compare import james_translation, localized_E
 from cubeworks.simplicial import circle
 from cubeworks.triangulate import triangulate
 from test_homology import projective_plane
@@ -53,6 +53,7 @@ def test_exactly_the_builders_are_paused():
         "enriched._build",
         "io_json.Workspace.load",
         "james.james",
+        "james_compare.translate",
         "presented.PresentedSet._derive_faces",
         "triangulate.triangulate",
     }
@@ -75,6 +76,7 @@ def test_each_builder_hands_the_collector_back(tmp_path):
         lambda: homology(cubical_chains(square)),
         lambda: _build(localized_E(), "c", "c", 3),
         lambda: ws.load("sq"),
+        lambda: james_translation(2),
     ]
     for build in builds:
         build()

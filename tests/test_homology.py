@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from itertools import product
@@ -37,7 +38,7 @@ from cubeworks.enriched import mapping_space
 from cubeworks.errors import GuardError, ValidationError
 from cubeworks.james import james
 from cubeworks import james_compare
-from cubeworks.james_compare import compare_with_james, james_translation, localized_E
+from cubeworks.james_compare import compare_with_james, james_translation, localized_E, translate
 from cubeworks.presented import disjoint_union, find_isomorphism, is_isomorphism
 from cubeworks.simplicial import (
     SimplexRef,
@@ -812,15 +813,14 @@ def test_james_translation_refuses_a_doctored_james_side(edit, message):
 
 
 def test_james_translation_refuses_a_doubly_hit_cell():
-    # every vertex translated to the unit, the empty word
-    translate = james_compare.translate_simplex
-
-    def to_unit(groups, chain, tokens):
-        return "J[]" if len(chain) == 1 else translate(groups, chain, tokens)
-
-    with mock.patch.object(james_compare, "translate_simplex", to_unit):
-        with pytest.raises(ValidationError, match=r"^translation not injective at J\[\]$"):
-            james_translation(1)
+    # every vertex given the empty loop word translates to the unit, the
+    # empty word J[]
+    trunc, tri, J, _ = james_translation(1)
+    cells = trunc.space.cells
+    words = {c: () if cells[c] == 0 else w for c, w in trunc.words.items()}
+    assert sum(d == 0 for d in cells.values()) > 1
+    with pytest.raises(ValidationError, match=r"^translation not injective at J\[\]$"):
+        translate(dataclasses.replace(trunc, words=words), tri, J)
 
 
 def test_collapse_to_a_point():

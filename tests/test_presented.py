@@ -312,6 +312,21 @@ def test_face_of_refuses_an_index_outside_the_dimension(make, ref, index):
         X.face_of(ref, *index)
 
 
+@pytest.mark.parametrize(
+    "make, ref, f",
+    [
+        (lambda: standard_simplex(1), nd("0.1"), (1, 0)),
+        (lambda: standard_simplex(2), nd("0.1.2"), (0, 2, 1)),
+        (lambda: standard_simplex(1), nd("0.1"), (-1,)),
+    ],
+    ids=["decreasing", "not-monotone", "negative"],
+)
+def test_simplicial_act_refuses_a_map_that_is_not_monotone(make, ref, f):
+    # (1, 0) once returned <0.1> itself, and (-1,) a face
+    with pytest.raises(ValidationError, match=r"is no monotone map into \[\d\]$"):
+        make().act(ref, f)
+
+
 # -- the identity check -------------------------------------------------------------
 
 
@@ -658,6 +673,17 @@ def test_map_validate_refuses_a_short_row():
         PresentedMap(short, I, identity).validate()
     with pytest.raises(ValidationError, match=r"^image of \* has 1 faces, not 2$"):
         PresentedMap(I, short, identity).validate()
+
+
+def test_map_validate_refuses_a_degenerate_image_on_a_short_row():
+    # the faces of a degenerate image are read off its base's row, so a short
+    # one used to raise IndexError from `face_of`
+    sq, I = standard_cube(2), standard_cube(1)
+    short = CubicalSet(I.cells, rows={**I.rows, "*": (nd("0"),)})
+    assignment = {c: nd("0") if d == 0 else CellRef((1,), "0") for c, d in sq.cells.items()}
+    assignment["**"] = CellRef((1,), "*")
+    with pytest.raises(ValidationError, match=r"^image of \*\* has 1 faces, not 2$"):
+        PresentedMap(sq, short, assignment).validate()
 
 
 @settings(deadline=None)

@@ -57,7 +57,7 @@ def _harness_lines(sha, trace, wall_ref=None, dense=(), layer=0, commit=None):
                        dense_snf_shapes=[list(s) for s in dense])
         metrics = {"snf.smith_normal_form.calls": {"value": layer, "unit": "count"}}
     else:
-        context.update(pass_seconds=[wall_ref / 100, wall_ref / 100])
+        context.update(pass_seconds=[wall_ref / 100, wall_ref / 100], setup_seconds=[0.5, 0.4])
         metrics = {
             "wall_ref": {"value": wall_ref, "unit": "ref"},
             "setup_s": {"value": 0.5, "unit": "s"},
@@ -73,6 +73,7 @@ def test_bench_ledger_script(tmp_path):
     # runs made in a git checkout know their commit; the others get their rev
     change = [line for w in (240.0, 250.0) for line in _harness_lines("c", 0, w, commit="def012")]
     change += _harness_lines("c", 1, layer=0)
+    change.append(json.dumps({"rung": "compare_w6", "stages": {"translation": 1.0}}))
     (tmp_path / "parent.jsonl").write_text("\n".join(parent) + "\n")
     (tmp_path / "change.jsonl").write_text("\n".join(change) + "\n")
     out = tmp_path / "BENCH.json"
@@ -91,6 +92,10 @@ def test_bench_ledger_script(tmp_path):
     assert after["metrics"]["wall_ref"]["median"] == 245.0
     assert after["metrics"]["wall_ref"]["unit"] == "ref"
     assert before["pass_seconds"][0] == [6.0, 6.0]
+    assert before["setup_seconds"] == [[0.5, 0.4]] * 3
+    assert ledger["ladder"] == {
+        "parent": [], "change": [{"rung": "compare_w6", "stages": {"translation": 1.0}}]
+    }
     assert before["dense_snf_shapes"] == [[7, 7], [393, 357]]
     assert after["dense_snf_shapes"] == []
     assert before["layers"]["snf.smith_normal_form.calls"] == 23
