@@ -10,9 +10,10 @@ is path-normalized.  Localized edges are unit-labeled, carry zero word
 weight, and cancel against their formal inverses.
 
 A truncation is built once and in full: its words are counted, then
-enumerated, and every word gets its cell id and its faces.  The homotopy
-category builds at bound + 1 and reads the truncation at the bound off that
-build as the cells of weight at most the bound.
+enumerated on a prefix tree, where each word gets its cell id and its faces
+from its parent's.  The homotopy category builds at bound + 1 and reads the
+truncation at the bound off that build as the cells of weight at most the
+bound.
 
 Letters are plain tuples: ("e", src, tgt, cell) for an edge generator and
 ("a", attachment index, cell) for an attached cell.
@@ -73,8 +74,8 @@ def _word_faces(letters, word, cancel_pairs):
 
     The replacement is folded onto the prefix, and then only the junction
     with the suffix can cancel, because the suffix of a normal word has no
-    cancel pair of its own.  Every word of a mapping space is normal, and so
-    is every boundary word the constructor accepts."""
+    cancel pair of its own.  The constructor checks boundary words with it;
+    mapping spaces read the same faces off their prefix tree (`_grow`)."""
     n = len(word)
     off = 0
     for i, letter in enumerate(word):
@@ -515,6 +516,56 @@ def _count_words(pres, x, y, top: int, max_dim: int = None) -> Counter:
     return counts
 
 
+def _grow(pres, x, y, bound: int, cap) -> tuple:
+    """The cells of Map(x, y) of weight at most ``bound`` and dimension at
+    most ``cap`` as (cell id, word, weight, dim, row) in depth-first order,
+    and the prefix tree of normal words from x they were read from: a table
+    from (node, token) to node, each node a cell id, that holds a node's
+    child at a letter, or its parent when the letter cancels its last one.
+    The faces of p·l are those of p with l pushed on (a normal suffix
+    cancels only at its junction, as `_word_faces` argues), then those of l
+    pushed onto p.  No pushed word weighs more than the word whose faces
+    are made, so the tree holds no word above the bound."""
+    letters = pres.letters
+    tokens = {l: letter_token(l) for l in letters}
+    undo = {}  # token -> the tokens that cancel after it
+    for a, b in pres.cancel_pairs:
+        undo.setdefault(tokens[a], set()).add(tokens[b])
+    spelled = {l: [(s, [tokens[m] for m in r]) for s, r in i.faces] for l, i in letters.items()}
+    steps = {  # object -> [(letter, token, target, weight, dim, faces in tokens)]
+        at: [(l, tokens[l], *facts, spelled[l]) for l, *facts in out]
+        for at, out in _outgoing(pres).items()
+    }
+    tree, root, found = {}, word_id(()), []
+    get = tree.get
+
+    def push(node, t) -> str:
+        n = tree[node, t] = f"{node}.{t}" if node != root else t
+        for u in undo.get(t, ()):
+            tree[n, u] = node
+        return n
+
+    def rec(node, word, at, weight, dim, faces, stop):
+        if at == y:
+            found.append((node, tuple(word), weight, dim, tuple(map(CellRef._make, faces))))
+        for letter, t, tgt, w, dl, replaced in steps.get(at, ()):
+            if weight + w > bound or dim + dl > cap or t in stop:
+                continue
+            more = [(degens, get((f, t)) or push(f, t)) for degens, f in faces]
+            for local, repl in replaced:
+                f = node
+                for r in repl:
+                    f = get((f, r)) or push(f, r)
+                more.append((tuple([s + dim for s in local]) if dim and local else local, f))
+            word.append(letter)
+            child = get((node, t)) or push(node, t)
+            rec(child, word, tgt, weight + w, dim + dl, more, undo.get(t, ()))
+            word.pop()
+
+    rec(root, [], x, 0, 0, [], ())
+    return found, tree
+
+
 @bulk
 def _build(pres, x, y, bound: int, max_dim: int = None, counts: Counter = None) -> tuple:
     """Map(x, y) truncated at word weight ``bound``, as (cubical set, cell id
@@ -533,34 +584,14 @@ def _build(pres, x, y, bound: int, max_dim: int = None, counts: Counter = None) 
     total = sum(n for (weight, _), n in counts.items() if weight <= bound)
     if total > CELL_BUDGET:
         raise GuardError(f"Map({x},{y})@{bound} of {total} cells exceeds budget {CELL_BUDGET}")
-    letters, cancel, outgoing = pres.letters, pres.cancel_pairs, _outgoing(pres)
-    cap = inf if max_dim is None else max_dim
-    found = []
-
-    def rec(at, word, weight, dim):
-        if at == y:
-            found.append((tuple(word), weight, dim))
-        for letter, tgt, w, dl in outgoing.get(at, ()):
-            if weight + w > bound or dim + dl > cap:
-                continue
-            if word and (word[-1], letter) in cancel:
-                continue
-            word.append(letter)
-            rec(tgt, word, weight + w, dim + dl)
-            word.pop()
-
-    rec(x, [], 0, 0)
+    found, _ = _grow(pres, x, y, bound, inf if max_dim is None else max_dim)
     # depth-first search over sorted letters visits words in lexicographic
     # order, so a stable sort by length gives the (length, word) order
-    found.sort(key=lambda entry: len(entry[0]))
-    ids = {w: word_id(w) for w, _, _ in found}
-    cells = {ids[w]: d for w, _, d in found}
-    rows = {
-        ids[w]: tuple([CellRef(degens, ids[fw]) for degens, fw in _word_faces(letters, w, cancel)])
-        for w, _, _ in found
-    }
+    found.sort(key=lambda cell: len(cell[1]))
+    ids, words, weights, dims, rows = zip(*found) if found else ((),) * 5
+    cells, rows = dict(zip(ids, dims)), dict(zip(ids, rows))
     space = CubicalSet(cells, name=f"Map({x},{y})@{bound}", rows=rows)
-    return space, {cid: w for w, cid in ids.items()}, {ids[w]: wt for w, wt, _ in found}
+    return space, dict(zip(ids, words)), dict(zip(ids, weights))
 
 
 def _require_bound(bound: int):

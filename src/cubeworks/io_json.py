@@ -46,35 +46,34 @@ def presented_to_json(X: PresentedSet) -> dict:
 
 def _write_presented(X: PresentedSet, fh):
     """Write ``json.dump(presented_to_json(X), fh, indent=2, sort_keys=True)``
-    byte for byte without building the face objects: each face entry fills
-    one template whose keys are already in sorted order, with each cell id
-    quoted (by the encoder of `json.dump`) and each degeneracy word rendered once."""
+    byte for byte without building the face objects, for an X that passes
+    `check_shape`.  Each dimension has a template per face position, keys
+    sorted and index rendered, that a face fills with its base, its cell
+    (each id quoted once, by the encoder of `json.dump`) and its degeneracy
+    word (each rendered once); each cell is written as one string."""
     base = X.index_base
     names = ("base", "cell", "degens", *X.face_fields)
     order = sorted(range(len(names)), key=names.__getitem__)
-    pick = itemgetter(*order)
     face = ",\n    {\n%s\n    }" % ",\n".join(f"      {_quote(names[i])}: %s" for i in order)
     quoted = {c: _quote(c) for c in X.cells}
     ordered = sorted(X.cells.items())
-    cells = ",\n".join(f"    {quoted[c]}: {d}" for c, d in ordered)
-    fh.write("{\n  \"cells\": ")
-    fh.write(f"{{\n{cells}\n  }}" if cells else "{}")
-    fh.write(",\n  \"faces\": [")
-    rows, at = X.rows, X.face_indices
+    fh.write("{\n  \"cells\": {")
+    for n, (c, d) in enumerate(ordered):
+        fh.write(f"{',' if n else ''}\n    {quoted[c]}: {d}")
+    fh.write("\n  },\n  \"faces\": [" if ordered else "},\n  \"faces\": [")
+    rows = X.rows
     words = {(): "[]"}  # each degeneracy word rendered once
     for w in {r.degens for row in rows.values() for r in row} - {()}:
         words[w] = "[\n%s\n      ]" % ",\n".join(f"        {s - base}" for s in w)
-    entries = ((c, i, ref) for c, d in ordered for i, ref in zip(at(d), rows[c]))
-    for n, (c, i, ref) in enumerate(entries):
-        values = (
-            quoted.get(ref.base) or _quote(ref.base),
-            quoted[c],
-            words[ref.degens],
-            i[0] - base,
-            *i[1:],
-        )
-        entry = face % pick(values)
-        fh.write(entry if n else entry[1:])  # the first entry has no comma
+    pick = itemgetter(*order)
+    templates = {  # dimension -> a template per face position, %s in key order
+        d: [face % pick(("%s", "%s", "%s", i[0] - base, *i[1:])) for i in X.face_indices(d)]
+        for d in set(X.cells.values())
+    }
+    fill = ((templates[d], quoted[c], rows[c]) for c, d in ordered if rows[c])
+    for n, (ts, cell, row) in enumerate(fill):
+        entries = "".join([t % (quoted[r.base], cell, words[r.degens]) for t, r in zip(ts, row)])
+        fh.write(entries if n else entries[1:])  # the first entry has no comma
     fh.write("\n  ]" if any(rows.values()) else "]")
     fh.write(
         f",\n  \"kind\": {_quote(X.kind)},\n  \"name\": {_quote(X.name)},"

@@ -154,23 +154,21 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
         lower = nd_of[e]
         empty = SimplexRef(tuple(range(e)), unit)
 
-        def degenerate_face(fw, wid):
-            """The face fw of the cell wid when fw is no cell: the empty
-            word, or a word with a common degeneracy to divide out."""
+        def degenerate_face(fw):
+            """The face fw of a cell when fw is no cell: the empty word, or a
+            word whose letters share the degeneracy directions T.  Dividing
+            T out keeps the word's length and its non-basepoint letters and
+            leaves an empty common mask, so for a valid X the divided word
+            is a cell of dimension e - len(T), below max_dim."""
             if not fw:
                 return empty
             common = mask_e[0]
             for ch in fw:
                 common &= mask_e[ord(ch)]
             T = tuple(t for t in range(e) if common >> t & 1)
-            hit = None
-            if T:
-                low = e - len(T)
-                divided = (divide(letters[e][ord(ch)], T, e, 0) for ch in fw)
-                hit = nd_of[low].get("".join(map(code[low].__getitem__, divided)))
-            if hit is None:
-                raise ValidationError(f"face of {wid} left the truncation window")
-            return SimplexRef(T, hit.base)
+            low = e - len(T)
+            divided = (divide(letters[e][ord(ch)], T, e, 0) for ch in fw)
+            return SimplexRef(T, nd_of[low]["".join(map(code[low].__getitem__, divided))].base)
 
         columns = []  # columns[j][i]: the face δ_j of words[d][i]
         for j in range(d + 1):
@@ -182,7 +180,7 @@ def james(X, base: str, bound: int, max_dim: int = None) -> SimplicialSet:
             column = list(map(lower.get, face_words))
             for i, ref in enumerate(column):
                 if ref is None:
-                    column[i] = degenerate_face(face_words[i], ids[d][i])
+                    column[i] = degenerate_face(face_words[i])
             columns.append(column)
         rows.update(zip(ids[d], zip(*columns)))
     return SimplicialSet(cells, name=f"J({X.name})@{bound}", rows=rows)

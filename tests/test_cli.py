@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,22 @@ def test_round_trip_of_degenerate_faces_with_escaped_ids():
 def test_round_trip_of_random_sets_and_their_triangulations(X):
     _check_round_trip(X)
     _check_round_trip(triangulate(X))
+
+
+def test_saving_map_c_c_6_streams(tmp_path):
+    # the writer holds one cell's faces as a string at a time, so a save of
+    # Map(c, c)@6 peaks far below the size of the file it writes
+    X = mapping_space(localized_E(), "c", "c", 6).space
+    ws = Workspace(str(tmp_path))
+    tracemalloc.start()
+    try:
+        fname = ws.save("x", X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / fname).stat().st_size
+    assert size == 7_969_808
+    assert peak < size // 4
 
 
 def test_workspace_failed_save_keeps_old_files(tmp_path):

@@ -661,39 +661,62 @@ def test_face_step_matches_full_rescan_on_words_with_cancel_pairs(word):
     assert got == _faces_by_rescan(_EL, word)
 
 
-def _count_word_faces(monkeypatch) -> dict:
-    """Patch `_word_faces` to count its calls per word."""
-    calls = {}
-    real = enriched._word_faces
-
-    def counting(letters, word, cancel):
-        calls[word] = calls.get(word, 0) + 1
-        return real(letters, word, cancel)
-
-    monkeypatch.setattr(enriched, "_word_faces", counting)
-    return calls
+def _tree_cases():
+    """The filtration cases and one object x with a loop v and a square c on
+    x whose four faces are v, degenerate: a face of c after a letter of
+    positive dimension shifts its degeneracy word past that letter."""
+    space = CubicalSet({"v": 0, "c": 2}, rows={"v": (), "c": (CellRef((1,), "v"),) * 4})
+    return {**_filtration_cases(), "loops": EnrichedPresentation(("x",), {("x", "x"): space})}
 
 
-def test_faces_resolved_only_for_rendered_words(monkeypatch):
-    # the mapping space builds at its bound, and only counts the words one
-    # weight heavier
-    _, words, weights = _build(_EL, "c", "c", 5)
-    heaviest = {words[c] for c, wt in weights.items() if wt == 5}
-    calls = _count_word_faces(monkeypatch)
-    trunc = mapping_space(_EL, "c", "c", 4)
-    assert calls == {w: 1 for w in trunc.words.values()}
-    assert heaviest and not heaviest & calls.keys()
+_TREE_CASES = [
+    (name, max_dim)
+    for name in ["P", "H", "E", "EL", "interval_tilde", "loops"]
+    for max_dim in (None, 1)
+]
 
 
-def test_homotopy_category_resolves_each_word_once(monkeypatch):
-    # the homotopy category builds each pair once, at bound + 1, capped at
-    # dimension 1 (the empty word is built for (c, c) and for (c', c'))
-    built = Counter(
-        w for x in _EL.objects for y in _EL.objects for w in _build(_EL, x, y, 4, 1)[1].values()
-    )
-    calls = _count_word_faces(monkeypatch)
-    homotopy_category(_EL, 3)
-    assert calls == built
+@pytest.mark.parametrize("name, max_dim", _TREE_CASES)
+def test_tree_rows_equal_word_faces(name, max_dim):
+    # the build reads each face off its prefix's faces on the tree; the
+    # junction face step of `_word_faces` is the oracle, word by word
+    pres = _tree_cases()[name]
+    letters, cancel = pres.letters, pres.cancel_pairs
+    for x in pres.objects:
+        for y in pres.objects:
+            for bound in range(6):
+                space, words, _ = _build(pres, x, y, bound, max_dim)
+                assert list(space.rows) == list(words)
+                for cid, word in words.items():
+                    want = [CellRef(d, word_id(fw)) for d, fw in _word_faces(letters, word, cancel)]
+                    assert cid == word_id(word)
+                    assert space.rows[cid] == tuple(want), cid
+
+
+@pytest.mark.parametrize("name, max_dim", _TREE_CASES)
+def test_tree_holds_no_word_above_its_bound(name, max_dim):
+    # every node of the prefix tree, cell or prefix, is a normal word from x
+    # within the build's weight bound and dimension cap, and each entry
+    # (node, token) is the normal form of node followed by that letter
+    pres = _tree_cases()[name]
+    by_token = {enriched.letter_token(l): l for l in pres.letters}
+    cap = float("inf") if max_dim is None else max_dim
+
+    def word(node):
+        return () if node == "1" else tuple(by_token[t] for t in node.split("."))
+
+    for x in pres.objects:
+        for y in pres.objects:
+            for bound in range(6):
+                _, tree = enriched._grow(pres, x, y, bound, cap)
+                for (node, token), to in tree.items():
+                    assert word(to) == pres.normalize_word(word(node) + (by_token[token],))
+                    for w in (word(node), word(to)):
+                        infos = [pres.letters[l] for l in w]
+                        assert w == pres.normalize_word(w)
+                        assert sum(i.weight for i in infos) <= bound
+                        assert sum(i.dim for i in infos) <= cap
+                        assert [i.source for i in infos] == [x, *(i.target for i in infos)][:-1]
 
 
 def test_negative_bound_refused():

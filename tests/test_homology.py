@@ -354,6 +354,12 @@ def test_wedge_validates():
 # -- triangulation --------------------------------------------------------------
 
 
+def test_cancelled_coefficients_leave_the_boundary():
+    # the circle's edge meets its vertex once with each sign, so its column
+    # is empty rather than {0: 0}
+    assert simplicial_chains(circle()).boundary[1] == [{}]
+
+
 def test_triangulate_interval_is_delta1():
     T = triangulate(standard_cube(1))
     T.validate()

@@ -389,6 +389,100 @@ def test_check_shape_refuses_bad_degeneracy_words(make, key, ref):
         broken.check_shape()
 
 
+def per_face_shape(X):
+    """`check_shape` as one loop over every face in cell order, the route it
+    takes after its check per distinct face finds a fault: the outcome as
+    (exception type, message), or None when the shape holds."""
+    base, cells, rows = X.index_base, X.cells, X.rows
+    try:
+        if rows.keys() - cells.keys():
+            raise ValidationError(f"face data on unknown cell {min(rows.keys() - cells.keys())}")
+        if cells.keys() - rows.keys():
+            raise ValidationError(f"no face row for {min(cells.keys() - rows.keys())}")
+        for cell, d in cells.items():
+            indices, row = X.face_indices(d), rows[cell]
+            if len(row) != len(indices):
+                raise ValidationError(f"{cell} has {len(row)} faces for {len(indices)} indices")
+            for i, (degens, b) in zip(indices, row):
+                e = cells.get(b)
+                if e is None:
+                    raise ValidationError(f"face of {cell} points at unknown {b}")
+                if e + len(degens) != d - 1:
+                    raise ValidationError(f"face of {cell} has wrong dimension")
+                if degens and not (
+                    base <= degens[0]
+                    and degens[-1] < d - 1 + base
+                    and all(a < b for a, b in zip(degens, degens[1:]))
+                ):
+                    raise ValidationError(
+                        f"face {(cell, *i)} has a bad degeneracy word {list(degens)}"
+                    )
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_FAULTS = ["short", "long", "unknown-cell", "unknown-base", "other-base", "degens", "unhashable"]
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@settings(deadline=None)
+@given(X=cubical_sets(), simplicial=st.booleans(), data=st.data())
+def test_check_shape_agrees_with_the_per_face_loop(fault, X, simplicial, data):
+    # one fault injected into a random set or its triangulation: the check
+    # per distinct face refuses exactly when the per-face loop finds an
+    # offender, with the same message, and otherwise both pass
+    if simplicial:
+        X = triangulate(X)
+    rows = dict(X.rows)
+    faced = sorted(c for c, row in rows.items() if row)
+    cell = data.draw(st.sampled_from(faced)) if faced else None
+    n = data.draw(st.integers(0, len(rows[cell]) - 1)) if cell else 0
+    anywhere = data.draw(st.sampled_from(sorted(X.cells)))
+    ref = rows[cell][n] if cell else None
+
+    def put(new):
+        rows[cell] = (*rows[cell][:n], new, *rows[cell][n + 1 :])
+
+    if fault == "short" and cell:
+        rows[cell] = rows[cell][:-1]
+    elif fault == "long":
+        rows[anywhere] = (*rows[anywhere], ref or nd(anywhere))
+    elif fault == "unknown-cell":
+        rows["zz"] = ()
+    elif fault == "unknown-base" and cell:
+        put(CellRef(ref.degens, "zz"))
+    elif fault == "other-base" and cell:
+        put(CellRef(ref.degens, anywhere))
+    elif fault == "degens" and cell:
+        # a vertex under a word of the face's dimension, with directions from
+        # one below the first to one past the last
+        d, base = X.cells[cell], X.index_base
+        vertex = data.draw(st.sampled_from(sorted(c for c, e in X.cells.items() if e == 0)))
+        word = data.draw(st.lists(st.integers(base - 1, d - 1 + base), min_size=d - 1, max_size=d - 1))
+        put(CellRef(tuple(word), vertex))
+    elif fault == "unhashable" and cell:
+        # a list in place of the word (kept valid or not) or of the base
+        if data.draw(st.booleans()):
+            put(CellRef(data.draw(st.sampled_from([list(ref.degens), [-1]])), ref.base))
+        else:
+            put(CellRef(ref.degens, [ref.base]))
+    broken = type(X)(X.cells, name=X.name, rows=rows)
+    want = per_face_shape(broken)
+    event(want[0].__name__ if want else "passes")
+    assert _outcome(broken.check_shape) == want
+    if fault in ("short", "unknown-base") and cell or fault in ("long", "unknown-cell"):
+        assert want is not None and want[0] is ValidationError
+
+
 def edited(X, faces=(), drop=None):
     """X with the given faces set and the face key ``drop`` removed."""
     table = {**X.faces, **dict(faces)}
@@ -661,6 +755,18 @@ def test_is_isomorphism_answers_when_a_face_is_missing():
     assert is_isomorphism(I, rowless, identity) is False
     with pytest.raises(KeyError):
         is_isomorphism_by_map(rowless, I, identity)
+
+
+def test_is_isomorphism_checks_dimensions():
+    # a 2-cell and a 1-cell with equal two-face rows: the rows rename onto
+    # each other, so only the dimension check tells the cells apart
+    rows = {"v": (), "w": (), "a": (nd("v"), nd("w"))}
+    X = CubicalSet({"v": 0, "w": 0, "a": 2}, rows=rows)
+    Y = CubicalSet({"v": 0, "w": 0, "a": 1}, rows=rows)
+    identity = {c: c for c in rows}
+    assert is_isomorphism(Y, Y, identity)
+    assert is_isomorphism(X, Y, identity) is False
+    assert is_isomorphism(Y, X, identity) is False
 
 
 def test_map_validate_refuses_a_short_row():
