@@ -232,14 +232,15 @@ class PresentedSet:
             ):
                 return f"face {(cell, *i)} has a bad degeneracy word {list(degens)}"
             return ""
-        by_dim = {}
+
+        groups = {}  # dimension -> the rows of its cells
         for c, d in cells.items():
-            by_dim.setdefault(d, []).append(rows[c])
+            groups.setdefault(d, []).append(rows[c])
         try:  # a face that does not hash or unpack is left to the walk below
             if not any(
                 {len(row) for row in group} != {len(self.face_indices(d))}
                 or any(fault(None, d, (), ref) for ref in set(chain.from_iterable(group)))
-                for d, group in by_dim.items()
+                for d, group in groups.items()
             ):
                 return
         except (TypeError, ValueError):

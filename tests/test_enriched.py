@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-from collections import Counter
 from dataclasses import replace
 
 import pytest
